@@ -195,9 +195,6 @@ class FrequencyInterval:
     high: float
     nominal: float
 
-    def __contains__(self, frequency: float) -> bool:
-        return self.low <= frequency <= self.high
-
 
 def _frequency(e: float, i: float, rho: float, a: float, length: float, beta_l: float) -> float:
     return beta_l**2 / (2.0 * math.pi) * math.sqrt(e * i / (rho * a * length**4))

@@ -17,11 +17,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .beams import BeamSpec, CrossSection, FrequencyInterval, natural_frequency
+from .beams import BeamSpec, CrossSection, Shape, frequency_bounds, nominal_frequency
 from .dataset import (
     load_manifest,
     load_recordings,
@@ -29,7 +30,7 @@ from .dataset import (
     write_recording_bundle,
 )
 from .design import (
-    DesignConstraints,
+    Segment,
     feasible_region,
     frequency_sweep,
     layout_report,
@@ -95,13 +96,24 @@ def _write_run_params(out_dir: Path, args, argv: list[str]) -> None:
     (out_dir / "run_params.json").write_text(json.dumps(params, indent=2, sort_keys=True) + "\n")
 
 
+def _write_table(fmt: str, out_dir: Path, stem: str, fieldnames, rows, payload) -> None:
+    """`payload` as <stem>.json under --format json, else `rows` as <stem>.csv."""
+    if fmt == "json":
+        (out_dir / f"{stem}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    with (out_dir / f"{stem}.csv").open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _section_from_args(args) -> CrossSection:
     chosen = [
-        name
-        for name, value in (
-            ("--square-side-mm", args.square_side_mm),
-            ("--hexagon-side-mm", args.hexagon_side_mm),
-            ("--circle-radius-mm", args.circle_radius_mm),
+        (shape, value)
+        for shape, value in (
+            (Shape.SQUARE, args.square_side_mm),
+            (Shape.HEXAGON, args.hexagon_side_mm),
+            (Shape.CIRCLE, args.circle_radius_mm),
         )
         if value is not None
     ]
@@ -110,11 +122,8 @@ def _section_from_args(args) -> CrossSection:
             "give exactly one of --square-side-mm / --hexagon-side-mm / --circle-radius-mm"
         )
     inner = mm_to_m(args.hollow_inner_mm) if args.hollow_inner_mm is not None else None
-    if args.square_side_mm is not None:
-        return CrossSection.square(mm_to_m(args.square_side_mm), inner)
-    if args.hexagon_side_mm is not None:
-        return CrossSection.hexagon(mm_to_m(args.hexagon_side_mm), inner)
-    return CrossSection.circle(mm_to_m(args.circle_radius_mm), inner)
+    [(shape, outer_mm)] = chosen
+    return CrossSection(shape, mm_to_m(outer_mm), inner)
 
 
 def _add_section_flags(parser) -> None:
@@ -134,20 +143,6 @@ def _band_from_args(args) -> SensitivityBand:
     return SensitivityBand(low=lo, high=hi, peak_frequency=peak, peak_amplitude=0.0)
 
 
-def _freq_fields(value) -> dict:
-    if isinstance(value, FrequencyInterval):
-        return {
-            "frequency_hz_min": value.low,
-            "frequency_hz_max": value.high,
-            "frequency_hz_nominal": value.nominal,
-        }
-    return {
-        "frequency_hz_min": value,
-        "frequency_hz_max": value,
-        "frequency_hz_nominal": value,
-    }
-
-
 # ---------------------------------------------------------------------------
 # freq
 
@@ -157,8 +152,8 @@ def _cmd_freq(args, argv) -> int:
     material = get_material(args.material, _materials_catalog(args))
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
-    value = natural_frequency(beam, args.mode)
-    fields = _freq_fields(value)
+    f_lo, f_hi = frequency_bounds(beam, args.mode)
+    nominal = nominal_frequency(beam, args.mode)
 
     row = {
         "material": material.name,
@@ -167,23 +162,18 @@ def _cmd_freq(args, argv) -> int:
         "inner_mm": section.inner * 1e3 if section.inner else "",
         "length_mm": args.length_mm,
         "mode": args.mode,
-        **fields,
+        "frequency_hz_min": f_lo,
+        "frequency_hz_max": f_hi,
+        "frequency_hz_nominal": nominal,
     }
-    if args.format == "json":
-        (out_dir / "freq.json").write_text(json.dumps(row, indent=2, sort_keys=True) + "\n")
-    else:
-        with (out_dir / "freq.csv").open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            writer.writeheader()
-            writer.writerow(row)
+    _write_table(args.format, out_dir, "freq", list(row), [row], row)
 
-    if fields["frequency_hz_min"] == fields["frequency_hz_max"]:
-        print(f"f{args.mode} = {hz_to_khz(fields['frequency_hz_nominal']):.3f} kHz")
+    if f_lo == f_hi:
+        print(f"f{args.mode} = {hz_to_khz(nominal):.3f} kHz")
     else:
         print(
-            f"f{args.mode} = {hz_to_khz(fields['frequency_hz_min']):.3f}"
-            f"..{hz_to_khz(fields['frequency_hz_max']):.3f} kHz "
-            f"(nominal {hz_to_khz(fields['frequency_hz_nominal']):.3f})"
+            f"f{args.mode} = {hz_to_khz(f_lo):.3f}..{hz_to_khz(f_hi):.3f} kHz "
+            f"(nominal {hz_to_khz(nominal):.3f})"
         )
     _write_run_params(out_dir, args, argv)
     return 0
@@ -201,24 +191,11 @@ def _cmd_design(args, argv) -> int:
     if args.side_range_mm or args.length_range_mm:
         if not (args.side_range_mm and args.length_range_mm):
             raise _UsageError("--side-range-mm and --length-range-mm go together")
-        caps = None
-        if args.caps_mm:
-            from .design import Segment
-
-            caps = {
-                seg: mm_to_m(v)
-                for seg, v in zip(
-                    (Segment.FINGER_TIP, Segment.FINGER_PHALANX, Segment.THUMB_PHALANX, Segment.PALM),
-                    args.caps_mm,
-                )
-            }
-        constraints = DesignConstraints(
-            material=material,
-            printer=reference_design_constraints(material).printer,
-            target_band=band,
+        caps = {seg: mm_to_m(v) for seg, v in zip(Segment, args.caps_mm)} if args.caps_mm else None
+        constraints = replace(
+            reference_design_constraints(material, target_band=band),
             side_range=tuple(mm_to_m(v) for v in args.side_range_mm),
             length_range=tuple(mm_to_m(v) for v in args.length_range_mm),
-            target_peak=band.peak_frequency,
             max_length_per_segment=caps,
         )
     elif args.no_caps:
@@ -258,15 +235,9 @@ def _cmd_sweep(args, argv) -> int:
     dims = [float(d) for d in args.dims_mm.split(",")]
     sections = []
     for shape in shapes:
-        for dim in dims:
-            if shape == "square":
-                sections.append(CrossSection.square(mm_to_m(dim)))
-            elif shape == "hexagon":
-                sections.append(CrossSection.hexagon(mm_to_m(dim)))
-            elif shape == "circle":
-                sections.append(CrossSection.circle(mm_to_m(dim)))
-            else:
-                raise _UsageError(f"unknown shape {shape!r}; expected square/hexagon/circle")
+        if shape not in {s.value for s in Shape}:
+            raise _UsageError(f"unknown shape {shape!r}; expected square/hexagon/circle")
+        sections += [CrossSection(Shape(shape), mm_to_m(dim)) for dim in dims]
 
     band = _band_from_args(args) if args.band_khz else None
     table = frequency_sweep(
@@ -300,16 +271,9 @@ def _cmd_bands(args, argv) -> int:
         }
         for b in bands
     ]
-    if args.format == "json":
-        payload = {"threshold_db": args.threshold_db, "bands": rows}
-        (out_dir / "bands.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        with (out_dir / "bands.csv").open("w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["low_hz", "high_hz", "peak_frequency_hz", "peak_amplitude_db"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+    fieldnames = ["low_hz", "high_hz", "peak_frequency_hz", "peak_amplitude_db"]
+    payload = {"threshold_db": args.threshold_db, "bands": rows}
+    _write_table(args.format, out_dir, "bands", fieldnames, rows, payload)
 
     if not bands:
         print(f"no bands above {args.threshold_db} dB")
@@ -427,13 +391,10 @@ def _cmd_analyze(args, argv) -> int:
     )
 
     if args.write_spectra:
-        groups = sorted({(e.microphone, e.fingerprint_material) for e in entries})
-        for mic, mat in groups:
-            group_recs = [
-                r
-                for r in recordings
-                if r.meta.microphone == mic and r.meta.fingerprint_material == mat
-            ]
+        groups: dict[tuple[str, str], list] = {}
+        for r in recordings:
+            groups.setdefault((r.meta.microphone, r.meta.fingerprint_material), []).append(r)
+        for (mic, mat), group_recs in sorted(groups.items()):
             try:
                 mean = mean_spectrum([spectrum(r, args.window) for r in group_recs])
             except VibroprintError as exc:
@@ -461,15 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vibroprint {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--materials", help="material config file merged over builtins")
-    common.add_argument("--output-dir", help="artifact directory (default $VIBROPRINT_OUTPUT_DIR or .)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for synthesis")
+    # Each shared flag goes only on the subcommands whose handler reads it;
+    # every subcommand writes to --output-dir.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-dir", help="artifact directory (default $VIBROPRINT_OUTPUT_DIR or .)")
+    materials = argparse.ArgumentParser(add_help=False, parents=[output])
+    materials.add_argument("--materials", help="material config file merged over builtins")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_freq = sub.add_parser("freq", parents=[common], help="predict beam natural frequency")
+    p_freq = sub.add_parser("freq", parents=[materials, fmt], help="predict beam natural frequency")
     p_freq.add_argument("--material", required=True)
     _add_section_flags(p_freq)
     p_freq.add_argument("--length-mm", type=float, required=True)
@@ -477,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq.set_defaults(handler=_cmd_freq)
 
     p_design = sub.add_parser(
-        "design", parents=[common], help="feasible (side, length) region and segment layouts"
+        "design", parents=[materials], help="feasible (side, length) region and segment layouts"
     )
     p_design.add_argument("--material", required=True)
     p_design.add_argument(
@@ -499,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_design.set_defaults(handler=_cmd_design)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="frequency vs length sweep table")
+    p_sweep = sub.add_parser("sweep", parents=[materials], help="frequency vs length sweep table")
     p_sweep.add_argument("--material", required=True)
     p_sweep.add_argument("--shapes", default="square,hexagon,circle")
     p_sweep.add_argument("--dims-mm", required=True, help="comma list of sides/radii (mm)")
@@ -512,13 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_bands = sub.add_parser(
-        "bands", parents=[common], help="extract sensitivity bands from a response curve"
+        "bands", parents=[output, fmt], help="extract sensitivity bands from a response curve"
     )
     p_bands.add_argument("--curve", help="curve CSV; defaults to the bundled sample")
     p_bands.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB)
     p_bands.set_defaults(handler=_cmd_bands)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="synthesize a slide recording")
+    p_sim = sub.add_parser("simulate", parents=[materials], help="synthesize a slide recording")
+    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed for synthesis")
     p_sim.add_argument("--material", required=True)
     _add_section_flags(p_sim)
     p_sim.add_argument("--length-mm", type=float, required=True)
@@ -540,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_an = sub.add_parser(
-        "analyze", parents=[common], help="spectra, band AUC, and baseline-normalized ratios"
+        "analyze", parents=[output], help="spectra, band AUC, and baseline-normalized ratios"
     )
     p_an.add_argument("files", nargs="*", help="WAV files or globs (with .json sidecars)")
     p_an.add_argument("--manifest", help="dataset manifest JSON")

@@ -3,15 +3,17 @@
 WAV support is PCM mono at any rate (the bench recordings run at
 500 kHz), 16/32-bit integer or 32-bit float, via scipy.io.wavfile.
 The manifest is a JSON file describing objects and their recorded
-observations; see README for the schema.  Motor telemetry rides along
-as opaque CSV paths.
+observations; `validate_manifest` documents the schema.  Motor telemetry
+rides along as opaque CSV paths.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -133,14 +135,24 @@ def write_recording_bundle(
 
 
 def read_recording_bundle(wav_path: str | Path) -> Recording:
-    """Read a WAV and, when a same-stem .json sidecar exists, its labels."""
+    """Read a WAV and, when a same-stem .json sidecar exists, its labels.
+
+    A sidecar that is not a JSON object with an object ``meta`` of valid
+    labels raises ManifestError naming the sidecar.
+    """
     wav_path = Path(wav_path)
     rec = read_wav(wav_path)
     sidecar_path = wav_path.with_suffix(".json")
     if sidecar_path.is_file():
-        data = json.loads(sidecar_path.read_text())
-        meta = RecordingMeta.from_dict(data.get("meta", {}))
-        rec = Recording(samples=rec.samples, sample_rate=rec.sample_rate, meta=meta)
+        try:
+            data = json.loads(sidecar_path.read_text())
+            raw_meta = data.get("meta", {}) if isinstance(data, dict) else None
+            if not isinstance(raw_meta, dict):
+                raise ValueError("expected a JSON object with an object 'meta'")
+            meta = RecordingMeta.from_dict(raw_meta)
+        except (ValueError, RecursionError) as exc:
+            raise ManifestError(f"{sidecar_path}: bad sidecar ({exc})", errors=[str(exc)]) from exc
+        rec = replace(rec, meta=meta)
     return rec
 
 
@@ -185,9 +197,6 @@ class Manifest:
     objects: tuple[ObjectEntry, ...]
     observations: tuple[Observation, ...]
 
-    def object_ids(self) -> set[str]:
-        return {o.id for o in self.objects}
-
     def recording_count(self) -> int:
         return sum(
             len(p.channel_files) for obs in self.observations for p in obs.procedures
@@ -207,6 +216,32 @@ class ManifestValidation:
         return not self.errors
 
 
+def _json_objects(container: dict, key: str, prefix: str, errors: list[str]):
+    """Yield (location, entry) for each JSON object in the list container[key].
+
+    A missing list counts as empty; anything else is recorded in `errors`.
+    """
+    entries = container.get(key, [])
+    if not isinstance(entries, list):
+        errors.append(f"{prefix}{key} must be a list")
+        return
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            yield f"{prefix}{key}[{i}]", entry
+        else:
+            errors.append(f"{prefix}{key}[{i}]: must be a JSON object")
+
+
+def _path_problem(rel) -> str | None:
+    """Why `rel` cannot name a file inside the manifest directory, or None."""
+    if not isinstance(rel, str) or not rel:
+        return "must be a non-empty string"
+    norm = os.path.normpath(rel)
+    if os.path.isabs(norm) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+        return "must be a relative path inside the manifest directory"
+    return None
+
+
 def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRecord | None:
     name = raw.get("procedure")
     try:
@@ -216,7 +251,7 @@ def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRe
         return None
 
     codes = raw.get("force_codes", [])
-    if not isinstance(codes, list) or not all(isinstance(c, int) for c in codes):
+    if not isinstance(codes, list) or not all(type(c) is int for c in codes):
         errors.append(f"{where}: force_codes must be a list of integers")
         return None
     bad = [c for c in codes if not 0 <= c <= 4095]
@@ -236,7 +271,7 @@ def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRe
     if not isinstance(channels, dict):
         errors.append(f"{where}: channel_files must be a mapping")
         return None
-    for channel in channels:
+    for channel, rel in channels.items():
         try:
             Microphone(channel)
         except ValueError:
@@ -245,10 +280,22 @@ def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRe
                 f"(expected {[m.value for m in Microphone]})"
             )
             return None
+        problem = _path_problem(rel)
+        if problem:
+            errors.append(f"{where}: channel {channel} path {rel!r} {problem}")
+            return None
 
     duration = raw.get("duration_s")
-    if duration is not None and (not isinstance(duration, (int, float)) or duration <= 0):
-        errors.append(f"{where}: duration_s must be a positive number")
+    if duration is not None and (
+        type(duration) not in (int, float) or not 0 < duration < math.inf
+    ):
+        errors.append(f"{where}: duration_s must be a positive finite number")
+        return None
+
+    telemetry = raw.get("motor_telemetry_path")
+    problem = None if telemetry is None else _path_problem(telemetry)
+    if problem:
+        errors.append(f"{where}: motor_telemetry_path {telemetry!r} {problem}")
         return None
 
     return ProcedureRecord(
@@ -256,13 +303,34 @@ def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRe
         force_codes=tuple(codes),
         channel_files=dict(channels),
         duration=duration,
-        motor_telemetry_path=raw.get("motor_telemetry_path"),
+        motor_telemetry_path=telemetry,
     )
 
 
 def validate_manifest(path: str | Path, check_files: bool = True) -> ManifestValidation:
     """Parse and cross-check a manifest file.
 
+    The manifest is a JSON object (schema version 1):
+
+    - ``schema_version``: the integer 1; mandatory.
+    - ``objects``: a list of objects ``{"id", "name", "material_class",
+      "image_path"}``; ``id`` and ``name`` are non-empty strings, ids are
+      unique, the other two are optional labels.
+    - ``observations``: a list of objects with ``object_id`` (an id from
+      ``objects``), ``repetition`` (an integer >= 1),
+      ``fingerprint_material`` (a non-empty string, default "Default")
+      and ``procedures``, a list of objects with:
+
+      - ``procedure``: LateralMotion, Enclosure, Pressure or
+        UnsupportedHolding;
+      - ``force_codes``: a list of integers in [0, 4095];
+      - ``duration_s``: a positive finite number, or null (Enclosure
+        then defaults to ENCLOSURE_DEFAULT_DURATION);
+      - ``channel_files``: a mapping of microphone (Left, Right, Palm) to
+        WAV path;
+      - ``motor_telemetry_path``: a CSV path, or null.
+
+    Paths are relative to the manifest's directory and may not leave it.
     Schema violations, duplicate/dangling ids, and missing audio files are
     errors; departures from the collection conventions (more than five
     repetitions, unusual force codes, missing telemetry files) are
@@ -275,7 +343,7 @@ def validate_manifest(path: str | Path, check_files: bool = True) -> ManifestVal
         return result
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         result.errors.append(f"{path}: invalid JSON ({exc})")
         return result
     if not isinstance(data, dict):
@@ -298,8 +366,7 @@ def _validate_manifest_data(
 
     objects: list[ObjectEntry] = []
     seen_ids: set[str] = set()
-    for i, raw in enumerate(data.get("objects", [])):
-        where = f"objects[{i}]"
+    for where, raw in _json_objects(data, "objects", "", result.errors):
         obj_id = raw.get("id")
         name = raw.get("name")
         if not isinstance(obj_id, str) or not obj_id:
@@ -323,15 +390,18 @@ def _validate_manifest_data(
 
     observations: list[Observation] = []
     reps_per_object: dict[str, int] = {}
-    for i, raw in enumerate(data.get("observations", [])):
-        where = f"observations[{i}]"
+    for where, raw in _json_objects(data, "observations", "", result.errors):
         obj_id = raw.get("object_id")
-        if obj_id not in seen_ids:
+        if not isinstance(obj_id, str) or obj_id not in seen_ids:
             result.errors.append(f"{where}: dangling object_id {obj_id!r}")
             continue
         repetition = raw.get("repetition")
-        if not isinstance(repetition, int) or repetition < 1:
+        if type(repetition) is not int or repetition < 1:
             result.errors.append(f"{where}: repetition must be an integer >= 1")
+            continue
+        material = raw.get("fingerprint_material", "Default")
+        if not isinstance(material, str) or not material:
+            result.errors.append(f"{where}: fingerprint_material must be a non-empty string")
             continue
         if repetition > MAX_REPETITIONS:
             result.warnings.append(
@@ -341,24 +411,21 @@ def _validate_manifest_data(
         reps_per_object[obj_id] = reps_per_object.get(obj_id, 0) + 1
 
         procedures = []
-        for j, raw_proc in enumerate(raw.get("procedures", [])):
-            record = _parse_procedure(
-                raw_proc, f"{where}.procedures[{j}]", result.errors, result.warnings
-            )
+        for proc_where, raw_proc in _json_objects(raw, "procedures", f"{where}.", result.errors):
+            record = _parse_procedure(raw_proc, proc_where, result.errors, result.warnings)
             if record is None:
                 continue
             if check_files:
                 for channel, rel in record.channel_files.items():
                     if not (base_dir / rel).is_file():
                         result.errors.append(
-                            f"{where}.procedures[{j}]: missing audio file {rel!r} "
-                            f"for channel {channel}"
+                            f"{proc_where}: missing audio file {rel!r} for channel {channel}"
                         )
                 if record.motor_telemetry_path and not (
                     base_dir / record.motor_telemetry_path
                 ).is_file():
                     result.warnings.append(
-                        f"{where}.procedures[{j}]: telemetry file "
+                        f"{proc_where}: telemetry file "
                         f"{record.motor_telemetry_path!r} not found"
                     )
             procedures.append(record)
@@ -368,7 +435,7 @@ def _validate_manifest_data(
                 object_id=obj_id,
                 repetition=repetition,
                 procedures=tuple(procedures),
-                fingerprint_material=raw.get("fingerprint_material", "Default"),
+                fingerprint_material=material,
             )
         )
 
@@ -385,7 +452,6 @@ def _validate_manifest_data(
             objects=tuple(objects),
             observations=tuple(observations),
         )
-    return result
 
 
 def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
@@ -405,15 +471,7 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
     data = {
         "schema_version": manifest.schema_version,
-        "objects": [
-            {
-                "id": o.id,
-                "name": o.name,
-                "material_class": o.material_class,
-                "image_path": o.image_path,
-            }
-            for o in manifest.objects
-        ],
+        "objects": [asdict(o) for o in manifest.objects],
         "observations": [
             {
                 "object_id": obs.object_id,
@@ -434,53 +492,6 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def manifest_from_mapping(mapping_path: str | Path) -> Manifest:
-    """Adapt an existing recording archive to the manifest schema.
-
-    The mapping file looks exactly like a manifest except that every
-    ``channel_files`` value may be a glob pattern (relative to the mapping
-    file); each pattern must resolve to exactly one file.  Returns the
-    resolved Manifest, ready for `write_manifest`.
-    """
-    mapping_path = Path(mapping_path)
-    if not mapping_path.is_file():
-        raise ManifestError(f"mapping file not found: {mapping_path}", errors=[])
-    try:
-        data = json.loads(mapping_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{mapping_path}: invalid JSON ({exc})", errors=[str(exc)]) from exc
-
-    base = mapping_path.parent
-    errors: list[str] = []
-    for i, obs in enumerate(data.get("observations", [])):
-        for j, proc in enumerate(obs.get("procedures", [])):
-            resolved = {}
-            for channel, pattern in proc.get("channel_files", {}).items():
-                matches = sorted(base.glob(pattern)) if any(c in pattern for c in "*?[") else [
-                    base / pattern
-                ]
-                matches = [m for m in matches if m.is_file()]
-                if len(matches) != 1:
-                    errors.append(
-                        f"observations[{i}].procedures[{j}]: pattern {pattern!r} for "
-                        f"channel {channel} matched {len(matches)} files, need exactly 1"
-                    )
-                    continue
-                resolved[channel] = str(matches[0].relative_to(base))
-            proc["channel_files"] = resolved
-    if errors:
-        raise ManifestError(
-            f"{mapping_path}: {len(errors)} unresolved channel pattern(s)", errors=errors
-        )
-
-    resolved_path = mapping_path.with_suffix(".resolved.json")
-    resolved_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    try:
-        return load_manifest(resolved_path)
-    finally:
-        resolved_path.unlink(missing_ok=True)
 
 
 def load_recordings(manifest: Manifest, base_dir: str | Path) -> list[Recording]:
@@ -505,7 +516,5 @@ def load_recordings(manifest: Manifest, base_dir: str | Path) -> list[Recording]
                     microphone=channel,
                     repetition=obs.repetition,
                 )
-                recordings.append(
-                    Recording(samples=rec.samples, sample_rate=rec.sample_rate, meta=meta)
-                )
+                recordings.append(replace(rec, meta=meta))
     return recordings

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -30,28 +30,15 @@ class Segment(str, Enum):
     PALM = "Palm"
 
 
-# Published search ranges for solid square beams (mm).  Rigid covers the
-# GPa-modulus materials (PLA, ST45B); flexible covers the MPa-modulus
-# ones (TPU).
-RIGID_SIDE_RANGE_MM = (0.4, 1.0)
-RIGID_LENGTH_RANGE_MM = (3.4, 4.0)
-FLEXIBLE_SIDE_RANGE_MM = (2.0, 2.6)
-FLEXIBLE_LENGTH_RANGE_MM = (1.4, 2.0)
-
-# Finger-clearance caps (mm): the longest beam each hand segment can
-# carry without blocking flexion.  Inputs to the layout selection, not
-# derived here.
-RIGID_SEGMENT_CAPS_MM = {
-    Segment.FINGER_TIP: 4.0,
-    Segment.FINGER_PHALANX: 3.5,
-    Segment.THUMB_PHALANX: 3.2,
-    Segment.PALM: 3.5,
-}
-FLEXIBLE_SEGMENT_CAPS_MM = {
-    Segment.FINGER_TIP: 2.0,
-    Segment.FINGER_PHALANX: 1.8,
-    Segment.THUMB_PHALANX: 1.6,
-    Segment.PALM: 1.8,
+# Per stiffness class: the published search ranges for solid square beams
+# (side mm, length mm) and the finger-clearance caps (mm, in Segment order),
+# i.e. the longest beam each hand segment can carry without blocking
+# flexion.  Rigid covers the GPa-modulus materials (PLA, ST45B); flexible
+# covers the MPa-modulus ones (TPU).  The caps are inputs to the layout
+# selection, not derived here.
+_CLASS_REFERENCE_MM = {
+    "rigid": ((0.4, 1.0), (3.4, 4.0), (4.0, 3.5, 3.2, 3.5)),
+    "flexible": ((2.0, 2.6), (1.4, 2.0), (2.0, 1.8, 1.6, 1.8)),
 }
 
 # Materials stiffer than this are "rigid" for range selection.
@@ -88,9 +75,7 @@ class DesignConstraints:
     target_band: SensitivityBand | tuple[float, float]
     side_range: tuple[float, float]
     length_range: tuple[float, float]
-    target_peak: float | None = None
     max_length_per_segment: dict[Segment, float] | None = None
-    supported_printing: bool = True
 
     def __post_init__(self):
         _band_bounds(self.target_band)  # validates
@@ -102,7 +87,7 @@ class DesignConstraints:
             raise ValueError(
                 f"length_range must be non-empty and positive, got {self.length_range}"
             )
-        min_side = self.printer.min_side(self.supported_printing)
+        min_side = self.printer.min_side()
         if s_lo < min_side:
             raise ValueError(
                 f"side_range minimum {s_lo} m is below the printable width {min_side} m"
@@ -129,12 +114,6 @@ class FeasibleRegion:
     side_envelope: tuple[float, float]
     length_envelope: tuple[float, float]
     grid_step: float
-
-    def sides(self) -> np.ndarray:
-        return np.array([p.side for p in self.grid])
-
-    def lengths(self) -> np.ndarray:
-        return np.array([p.length for p in self.grid])
 
 
 def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -332,29 +311,21 @@ def segment_layouts(
 
 
 def reference_design_constraints(
-    material: Material,
-    printer: PrinterConstraints | None = None,
-    target_band: SensitivityBand = MIC_LOW_BAND,
+    material: Material, target_band: SensitivityBand = MIC_LOW_BAND
 ) -> DesignConstraints:
     """Published search ranges for the material's stiffness class."""
-    if material_class(material) == "rigid":
-        sides, lengths = RIGID_SIDE_RANGE_MM, RIGID_LENGTH_RANGE_MM
-    else:
-        sides, lengths = FLEXIBLE_SIDE_RANGE_MM, FLEXIBLE_LENGTH_RANGE_MM
+    sides, lengths, _ = _CLASS_REFERENCE_MM[material_class(material)]
     return DesignConstraints(
         material=material,
-        printer=printer if printer is not None else default_printer_constraints(),
+        printer=default_printer_constraints(),
         target_band=target_band,
         side_range=(mm_to_m(sides[0]), mm_to_m(sides[1])),
         length_range=(mm_to_m(lengths[0]), mm_to_m(lengths[1])),
-        target_peak=target_band.peak_frequency if isinstance(target_band, SensitivityBand) else None,
     )
 
 
 def reference_layout_constraints(
-    material: Material,
-    printer: PrinterConstraints | None = None,
-    target_band: SensitivityBand = MIC_LOW_BAND,
+    material: Material, target_band: SensitivityBand = MIC_LOW_BAND
 ) -> DesignConstraints:
     """Search constraints for the final per-segment layouts.
 
@@ -363,21 +334,13 @@ def reference_layout_constraints(
     thumb cap of the rigid class sits below the published length range),
     and the class's clearance caps are attached.
     """
-    base = reference_design_constraints(material, printer, target_band)
-    caps_mm = (
-        RIGID_SEGMENT_CAPS_MM
-        if material_class(material) == "rigid"
-        else FLEXIBLE_SEGMENT_CAPS_MM
-    )
-    caps = {seg: mm_to_m(v) for seg, v in caps_mm.items()}
+    base = reference_design_constraints(material, target_band)
+    caps_mm = _CLASS_REFERENCE_MM[material_class(material)][2]
+    caps = {seg: mm_to_m(v) for seg, v in zip(Segment, caps_mm)}
     length_lo = min(base.length_range[0], min(caps.values()))
-    return DesignConstraints(
-        material=base.material,
-        printer=base.printer,
-        target_band=base.target_band,
-        side_range=base.side_range,
+    return replace(
+        base,
         length_range=(length_lo, base.length_range[1]),
-        target_peak=base.target_peak,
         max_length_per_segment=caps,
     )
 

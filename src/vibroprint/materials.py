@@ -8,6 +8,7 @@ for the file grammar.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -165,11 +166,16 @@ _CONFIG_KEYS = {"density_g_cm3", "density_range_g_cm3", "youngs_modulus_mpa"}
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise MaterialConfigError(
             f"material '{section}': value for '{key}' is not a number: {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise MaterialConfigError(
+            f"material '{section}': value for '{key}' must be finite, got {raw!r}"
+        )
+    return value
 
 
 def _material_from_section(name: str, entries: dict[str, str]) -> Material:
@@ -237,7 +243,8 @@ def load_material_config(path: str | Path) -> list[Material]:
     if not path.is_file():
         raise MaterialConfigError(f"material config not found: {path}")
 
-    parser = configparser.ConfigParser()
+    # Values are plain numbers; without interpolation a stray '%' reads as text.
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case as written
     try:
         parser.read_string(path.read_text(), source=str(path))

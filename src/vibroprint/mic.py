@@ -91,9 +91,6 @@ class SensitivityBand:
     def width(self) -> float:
         return self.high - self.low
 
-    def __contains__(self, frequency: float) -> bool:
-        return self.low <= frequency <= self.high
-
 
 # The microphone's low sensitive band: [3.2, 26] kHz peaking at 9 kHz.
 # Used as the default design target.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,21 @@ def _per_mode(value, modes: int, name: str) -> tuple[float, ...]:
     if len(values) != modes:
         raise ValueError(f"{name} needs {modes} entries, got {len(values)}")
     return values
+
+
+def _mode_parameters(
+    modes: int, duration: float, damping, amplitudes
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Check the mode count, duration and damping range; expand per-mode values."""
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    damping = _per_mode(damping, modes, "damping")
+    for zeta in damping:
+        if not 0.0 < zeta < 1.0:
+            raise ValueError(f"damping must be in (0, 1), got {zeta}")
+    return damping, _per_mode(amplitudes, modes, "amplitudes")
 
 
 @dataclass(frozen=True)
@@ -67,27 +82,16 @@ class SlideScenario:
             raise ValueError(f"pitch must be positive, got {self.pitch}")
         if self.velocity <= 0:
             raise ValueError(f"velocity must be positive, got {self.velocity}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.modes < 1:
-            raise ValueError(f"modes must be >= 1, got {self.modes}")
-        if self.mode_amplitudes is DEFAULT_MODE_AMPLITUDES and self.modes != 3:
-            object.__setattr__(
-                self, "mode_amplitudes", tuple(0.5**k for k in range(self.modes))
-            )
-        object.__setattr__(
-            self, "damping_ratio", _per_mode(self.damping_ratio, self.modes, "damping_ratio")
+        amplitudes = self.mode_amplitudes
+        if amplitudes is DEFAULT_MODE_AMPLITUDES and self.modes != 3:
+            amplitudes = tuple(0.5**k for k in range(self.modes))
+        damping, amplitudes = _mode_parameters(
+            self.modes, self.duration, self.damping_ratio, amplitudes
         )
-        object.__setattr__(
-            self,
-            "mode_amplitudes",
-            _per_mode(self.mode_amplitudes, self.modes, "mode_amplitudes"),
-        )
-        for zeta in self.damping_ratio:
-            if not 0.0 < zeta < 1.0:
-                raise ValueError(f"damping_ratio must be in (0, 1), got {zeta}")
+        object.__setattr__(self, "damping_ratio", damping)
+        object.__setattr__(self, "mode_amplitudes", amplitudes)
         if self.hand is not None and self.velocity > self.hand.max_velocity:
             raise ValueError(
                 f"velocity {self.velocity} m/s exceeds the hand's maximum "
@@ -140,15 +144,7 @@ def impulse_response(
 
     y(t) = sum_n A_n exp(-2 pi f_n zeta_n t) sin(2 pi f_n sqrt(1 - zeta_n^2) t)
     """
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    damping = _per_mode(damping, modes, "damping")
-    amplitudes = _per_mode(amplitudes, modes, "amplitudes")
-    for zeta in damping:
-        if not 0.0 < zeta < 1.0:
-            raise ValueError(f"damping must be in (0, 1), got {zeta}")
+    damping, amplitudes = _mode_parameters(modes, duration, damping, amplitudes)
     freqs = _mode_frequencies(beam, modes, rate)
     n_samples = max(2, int(round(duration * rate)))
     samples = _ring_down(freqs, damping, amplitudes, n_samples, rate)
@@ -216,19 +212,13 @@ def slide_signal(scenario: SlideScenario, meta: RecordingMeta | None = None) -> 
             0.0, noise_sigma(scenario.noise_floor_db, n_samples), n_samples
         )
 
-    base = {
-        "object": None,
-        "exploration_procedure": Procedure.LATERAL_MOTION.value,
-        "force_code": None,
-        "fingerprint_material": scenario.beam.material.name,
-        "microphone": None,
-        "repetition": None,
-    }
+    labels = RecordingMeta(
+        exploration_procedure=Procedure.LATERAL_MOTION.value,
+        fingerprint_material=scenario.beam.material.name,
+    )
     if meta is not None:
-        for key, value in meta.to_dict().items():
-            if value is not None:
-                base[key] = value
-    return Recording(samples=samples, sample_rate=rate, meta=RecordingMeta(**base))
+        labels = replace(labels, **{k: v for k, v in meta.to_dict().items() if v is not None})
+    return Recording(samples=samples, sample_rate=rate, meta=labels)
 
 
 def scenario_to_dict(scenario: SlideScenario) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from scipy.io import wavfile
 
 import vibroprint as vp
+from vibroprint.cli import run
 from vibroprint.dataset import ENCLOSURE_DEFAULT_DURATION
 from vibroprint.errors import ManifestError, WavFormatError
 
@@ -135,6 +136,32 @@ def test_bundle_without_sidecar_has_empty_meta(tmp_path, random_recording):
     path = tmp_path / "plain.wav"
     vp.write_wav(random_recording, path)
     assert vp.read_recording_bundle(path).meta == vp.RecordingMeta()
+
+
+# Nested past the interpreter's recursion limit, so json.loads raises RecursionError.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        "[]",
+        '{"meta": "x"}',
+        '{"meta": {"repetition": "2"}}',
+        '{"meta": {"object": ["a"]}}',
+        "{",
+        DEEP_JSON,
+    ],
+    ids=["list", "meta_string", "repetition_string", "object_list", "truncated", "too_deep"],
+)
+def test_malformed_sidecar_names_its_path(tmp_path, random_recording, capsys, sidecar):
+    path = tmp_path / "rec.wav"
+    vp.write_wav(random_recording, path)
+    (tmp_path / "rec.json").write_text(sidecar)
+    with pytest.raises(ManifestError, match="rec.json"):
+        vp.read_recording_bundle(path)
+    assert run(["analyze", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "rec.json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +421,67 @@ def test_load_recordings_yields_one_per_declared_channel(tmp_path):
     assert all(r.meta.object == "wooden stick" for r in recs)
     assert all(r.meta.fingerprint_material == "ST45B" for r in recs)
     assert all(r.meta.force_code == 400 for r in recs)
+
+
+def _first_observation(data):
+    return data["observations"][0]
+
+
+def _first_procedure(data):
+    return data["observations"][0]["procedures"][0]
+
+
+# Each case turns the minimal manifest into one the validator must reject.
+# OUTSIDE_WAV stands for the absolute path of a WAV outside the manifest directory.
+OUTSIDE_WAV = "<outside.wav>"
+MALFORMED_MANIFESTS = {
+    "objects_entry_not_object": lambda d: d.update(objects=["a"]),
+    "objects_not_list": lambda d: d.update(objects=5),
+    "observations_not_list": lambda d: d.update(observations={"a": 1}),
+    "observation_not_object": lambda d: d.update(observations=["obs"]),
+    "procedures_not_list": lambda d: _first_observation(d).update(procedures="LateralMotion"),
+    "procedure_not_object": lambda d: _first_observation(d).update(procedures=[3]),
+    "object_id_list": lambda d: _first_observation(d).update(object_id=["obj1"]),
+    "channel_path_list": lambda d: _first_procedure(d).update(channel_files={"Left": ["rec.wav"]}),
+    "repetition_bool": lambda d: _first_observation(d).update(repetition=True),
+    "force_code_bool": lambda d: _first_procedure(d).update(force_codes=[True]),
+    "duration_bool": lambda d: _first_procedure(d).update(duration_s=True),
+    "duration_nan": lambda d: _first_procedure(d).update(duration_s=float("nan")),
+    "material_not_string": lambda d: _first_observation(d).update(fingerprint_material=7),
+    "channel_outside_dir": lambda d: _first_procedure(d).update(
+        channel_files={"Left": "../outside.wav"}
+    ),
+    "channel_dotdot_inside": lambda d: _first_procedure(d).update(
+        channel_files={"Left": "sub/../../outside.wav"}
+    ),
+    "channel_absolute": lambda d: _first_procedure(d).update(channel_files={"Left": OUTSIDE_WAV}),
+    "telemetry_outside_dir": lambda d: _first_procedure(d).update(
+        motor_telemetry_path="../outside.csv"
+    ),
+    "telemetry_not_string": lambda d: _first_procedure(d).update(motor_telemetry_path=5),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_MANIFESTS.values(), ids=list(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_a_validation_error(tmp_path, capsys, mutate):
+    # Files just outside the manifest directory exist, so only the path rule can reject them.
+    vp.write_wav(vp.Recording(np.zeros(100), FS), tmp_path / "outside.wav", "int16")
+    (tmp_path / "outside.csv").write_text("t,x\n")
+    manifest_dir = tmp_path / "dataset"
+    (manifest_dir / "sub").mkdir(parents=True)
+    path = minimal_manifest(manifest_dir)
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data).replace(OUTSIDE_WAV, str(tmp_path / "outside.wav")))
+
+    result = vp.validate_manifest(path)
+    assert result.errors and result.manifest is None
+    assert run(["analyze", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "manifest error" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_manifest_is_a_validation_error(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(DEEP_JSON)
+    result = vp.validate_manifest(path)
+    assert any("invalid JSON" in e for e in result.errors)

@@ -1,0 +1,141 @@
+"""Property tests: each file loader returns a value or raises a VibroprintError.
+
+Inputs are mostly well-formed with arbitrary JSON or text spliced in at
+any level, so the generated files reach the deep validation paths.  Runs
+are derandomized and keep no example database, so the suite stays
+deterministic and writes nothing into the working tree.
+"""
+
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import vibroprint as vp  # noqa: E402
+from vibroprint.errors import VibroprintError  # noqa: E402
+
+# Hypothesis caches what it reads from local sources under ./.hypothesis
+# unless told otherwise, and does so while pytest collects; keep that cache
+# out of the work tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "vibroprint-hypothesis")
+
+PROPERTY_SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def field(good):
+    """A well-formed value, or any JSON value in its place."""
+    return good | json_value
+
+
+def record(**fields):
+    return st.fixed_dictionaries({}, optional={k: field(v) for k, v in fields.items()})
+
+
+paths = st.sampled_from(["rec.wav", "../rec.wav", "/rec.wav", "sub/../rec.wav", ""])
+procedure = record(
+    procedure=st.sampled_from([p.value for p in vp.Procedure]),
+    force_codes=st.lists(st.integers(-1, 5000), max_size=3),
+    duration_s=st.floats(),
+    channel_files=st.dictionaries(
+        st.sampled_from(["Left", "Right", "Palm", "Top"]), field(paths), max_size=3
+    ),
+    motor_telemetry_path=paths,
+)
+observation = record(
+    object_id=st.sampled_from(["o1", "o2"]),
+    repetition=st.integers(0, 7),
+    fingerprint_material=st.sampled_from(["Default", "PLA", ""]),
+    procedures=st.lists(field(procedure), max_size=2),
+)
+manifest_data = field(
+    record(
+        schema_version=st.just(1),
+        objects=st.lists(field(record(id=st.just("o1"), name=st.just("cup"))), max_size=2),
+        observations=st.lists(field(observation), max_size=3),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("loaders")
+    vp.write_wav(vp.Recording(np.zeros(100), 500e3), path / "rec.wav", "int16")
+    return path
+
+
+@PROPERTY_SETTINGS
+@given(data=manifest_data)
+def test_manifest_loader_returns_or_raises_domain_error(scratch_dir, data):
+    path = scratch_dir / "manifest.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            manifest = vp.load_manifest(path)
+        except VibroprintError:
+            return
+    assert isinstance(manifest, vp.Manifest)
+
+
+number_text = st.floats().map(repr) | st.integers(-100, 30000).map(str)
+curve_cell = number_text | st.text(max_size=5)
+curve_text = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(row) for row in rows]) + "\n",
+    st.sampled_from(["frequency_hz,amplitude_db", "distance_m,amplitude_db", "x,y", ""]),
+    st.lists(st.lists(curve_cell, min_size=1, max_size=3), max_size=6),
+)
+
+
+@PROPERTY_SETTINGS
+@given(text=curve_text)
+def test_curve_loader_returns_or_raises_domain_error(scratch_dir, text):
+    path = scratch_dir / "curve.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        curve = vp.load_response_curve(path)
+    except VibroprintError:
+        return
+    assert isinstance(curve, vp.ResponseCurve)
+
+
+material_value = (
+    number_text
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", "1.1 1.3", "1,2", "5%", "%(x)s"])
+    | st.text(max_size=6)
+)
+material_key = st.sampled_from(
+    ["density_g_cm3", "density_range_g_cm3", "youngs_modulus_mpa", "bogus"]
+)
+material_section = st.builds(
+    lambda name, entries: f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()),
+    st.sampled_from(["PLA", "Resin", "DEFAULT"]),
+    st.dictionaries(material_key, material_value, max_size=4),
+)
+
+
+@PROPERTY_SETTINGS
+@given(sections=st.lists(material_section, max_size=3), junk=st.just("") | st.text(max_size=10))
+def test_material_loader_returns_or_raises_domain_error(scratch_dir, sections, junk):
+    path = scratch_dir / "materials.cfg"
+    path.write_text("".join(sections) + junk, encoding="utf-8")
+    try:
+        catalog = vp.load_material_config(path)
+    except VibroprintError:
+        return
+    assert all(isinstance(m, vp.Material) for m in catalog)

@@ -3,6 +3,7 @@
 import pytest
 
 import vibroprint as vp
+from vibroprint.cli import run
 from vibroprint.errors import MaterialConfigError
 from vibroprint.units import (
     g_cm3_to_kg_m3,
@@ -118,6 +119,26 @@ def test_config_malformed_entries_name_offender(tmp_path, body, key):
 def test_config_missing_file():
     with pytest.raises(MaterialConfigError, match="not found"):
         vp.load_material_config("/nonexistent/materials.cfg")
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("[M]\ndensity_g_cm3 = nan\nyoungs_modulus_mpa = 100\n", "density_g_cm3"),
+        ("[M]\ndensity_g_cm3 = 1.0\nyoungs_modulus_mpa = inf\n", "youngs_modulus_mpa"),
+        ("[M]\ndensity_range_g_cm3 = 1.0 inf\nyoungs_modulus_mpa = 100\n", "density_range_g_cm3"),
+        ("[M]\ndensity_g_cm3 = 1.0\nyoungs_modulus_mpa = 5%\n", "youngs_modulus_mpa"),
+    ],
+    ids=["nan_density", "inf_modulus", "inf_density_range", "percent_modulus"],
+)
+def test_config_rejects_non_finite_values(tmp_path, body, key):
+    cfg = tmp_path / "materials.cfg"
+    cfg.write_text(body)
+    with pytest.raises(MaterialConfigError, match=key):
+        vp.load_material_config(cfg)
+    argv = ["freq", "--materials", str(cfg), "--material", "M", "--square-side-mm", "1.0"]
+    assert run(argv + ["--length-mm", "3.5", "--output-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "freq.csv").exists()
 
 
 def test_config_unit_round_trip(tmp_path):
