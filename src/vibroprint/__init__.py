@@ -43,7 +43,6 @@ from .dataset import (
 from .design import (
     DesignConstraints,
     FeasibleRegion,
-    GridPoint,
     Segment,
     SegmentLayout,
     SweepRow,

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .beams import BeamSpec, CrossSection, frequency_bounds, nominal_frequency
+from .beams import (
+    BeamSpec, CrossSection, area, frequency_bounds, mode_constant, nominal_frequency, second_moment
+)
 from .errors import EmptyRegionError, LayoutError
 from .materials import Material, PrinterConstraints, default_printer_constraints
 from .mic import MIC_LOW_BAND, SensitivityBand
@@ -56,7 +58,7 @@ def _band_bounds(band) -> tuple[float, float]:
     if isinstance(band, SensitivityBand):
         return (band.low, band.high)
     lo, hi = band
-    if lo > hi:
+    if not lo <= hi:  # also rejects NaN
         raise ValueError(f"target band must satisfy low <= high, got [{lo}, {hi}]")
     return (float(lo), float(hi))
 
@@ -99,18 +101,12 @@ class DesignConstraints:
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    """One feasible (side, length) cell with its first-mode bounds (Hz)."""
-
-    side: float
-    length: float
-    freq_low: float
-    freq_high: float
-
-
-@dataclass(frozen=True)
 class FeasibleRegion:
-    grid: tuple[GridPoint, ...]
+    """Kept cells as columns: `grid` is a read-only numpy record array with
+    fields `side`, `length` (m), `freq_low` and `freq_high` (Hz), one record
+    per kept cell in side-major order.  The envelopes are plain floats."""
+
+    grid: np.recarray
     side_envelope: tuple[float, float]
     length_envelope: tuple[float, float]
     grid_step: float
@@ -127,53 +123,61 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
 def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_GRID_STEP) -> FeasibleRegion:
     """Exhaustive grid scan of side x length for solid square beams.
 
-    A point is kept iff its whole first-mode frequency interval (over the
-    material's density bounds) lies inside the target band.  Raises
-    EmptyRegionError with nearest-miss diagnostics when nothing fits.
+    A cell is kept iff its whole first-mode frequency interval (over the
+    material's density bounds) lies inside the target band.  One broadcast
+    over the grid in `beams.natural_frequency`'s operation order, so each
+    cell equals the per-beam value bit for bit.  Raises EmptyRegionError
+    with nearest-miss diagnostics (the first closest cell, side-major) when
+    nothing fits.
     """
     s_lo, s_hi = constraints.side_range
     l_lo, l_hi = constraints.length_range
-    if grid_step <= 0:
+    if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     for name, width in (("side_range", s_hi - s_lo), ("length_range", l_hi - l_lo)):
         if width > 0 and grid_step > width:
             raise ValueError(f"grid_step {grid_step} exceeds the {name} width {width}")
 
     band_lo, band_hi = constraints.band_bounds
-    kept: list[GridPoint] = []
-    nearest: tuple[float, GridPoint] | None = None
+    material = constraints.material
+    rho_min, rho_max = material.density_bounds
+    sides = _axis_grid(s_lo, s_hi, grid_step)
+    lengths = _axis_grid(l_lo, l_hi, grid_step)
+    # Per-axis factors as Python floats (numpy's x**4 can differ in the last bit).
+    sections = [CrossSection.square(side) for side in sides.tolist()]
+    ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
+    a = np.array([area(s) for s in sections])[:, None]
+    l4 = np.array([length**4 for length in lengths.tolist()])
+    k = mode_constant(1).beta_l ** 2 / (2.0 * math.pi)
+    f_lo = k * np.sqrt(ei / (rho_max * a * l4))
+    f_hi = k * np.sqrt(ei / (rho_min * a * l4))
+    miss = np.maximum(np.maximum(band_lo - f_lo, f_hi - band_hi), 0.0)
 
-    for side in _axis_grid(s_lo, s_hi, grid_step):
-        for length in _axis_grid(l_lo, l_hi, grid_step):
-            beam = BeamSpec(constraints.material, CrossSection.square(float(side)), float(length))
-            f_lo, f_hi = frequency_bounds(beam, 1)
-            point = GridPoint(float(side), float(length), f_lo, f_hi)
-            miss = max(band_lo - f_lo, f_hi - band_hi, 0.0)
-            if miss == 0.0:
-                kept.append(point)
-            elif nearest is None or miss < nearest[0]:
-                nearest = (miss, point)
-
-    if not kept:
-        assert nearest is not None
-        miss, point = nearest
+    keep = miss == 0.0
+    if not keep.any():
+        i, j = np.unravel_index(np.argmin(miss), miss.shape)
+        side, length = sides[i].item(), lengths[j].item()
+        lo, hi, distance = f_lo[i, j].item(), f_hi[i, j].item(), miss[i, j].item()
         raise EmptyRegionError(
             f"no (side, length) grid point lands in [{band_lo}, {band_hi}] Hz; "
-            f"closest miss: side {m_to_mm(point.side):.3g} mm, "
-            f"length {m_to_mm(point.length):.3g} mm at "
-            f"[{point.freq_low:.4g}, {point.freq_high:.4g}] Hz ({miss:.4g} Hz outside)",
-            nearest_side=point.side,
-            nearest_length=point.length,
-            nearest_frequency=(point.freq_low, point.freq_high),
-            distance=miss,
+            f"closest miss: side {m_to_mm(side):.3g} mm, "
+            f"length {m_to_mm(length):.3g} mm at "
+            f"[{lo:.4g}, {hi:.4g}] Hz ({distance:.4g} Hz outside)",
+            nearest_side=side,
+            nearest_length=length,
+            nearest_frequency=(lo, hi),
+            distance=distance,
         )
 
-    sides = [p.side for p in kept]
-    lengths = [p.length for p in kept]
+    i, j = np.nonzero(keep)
+    grid = np.rec.fromarrays(
+        [sides[i], lengths[j], f_lo[keep], f_hi[keep]], names="side,length,freq_low,freq_high"
+    )
+    grid.flags.writeable = False
     return FeasibleRegion(
-        grid=tuple(kept),
-        side_envelope=(min(sides), max(sides)),
-        length_envelope=(min(lengths), max(lengths)),
+        grid=grid,
+        side_envelope=(grid.side.min().item(), grid.side.max().item()),
+        length_envelope=(grid.length.min().item(), grid.length.max().item()),
         grid_step=grid_step,
     )
 
@@ -271,10 +275,9 @@ def segment_layouts(
     if not caps:
         raise ValueError("no segment clearance caps given")
 
-    region = feasible_region(constraints, grid_step)
-    side_star = max(p.side for p in region.grid)
+    grid = feasible_region(constraints, grid_step).grid
     side_tol = grid_step * 1e-6
-    column = [p for p in region.grid if abs(p.side - side_star) <= side_tol]
+    column = grid[np.abs(grid.side - grid.side.max()) <= side_tol]
 
     layouts: list[SegmentLayout] = []
     failures: dict[str, str] = {}
@@ -282,24 +285,15 @@ def segment_layouts(
         if segment not in caps:
             continue
         cap = caps[segment]
-        fitting = [p for p in column if p.length <= cap + side_tol]
-        if not fitting:
+        fits = column.length <= cap + side_tol
+        if not fits.any():
             failures[segment.value] = (
                 f"clearance cap {m_to_mm(cap):.3g} mm admits no feasible length "
-                f"(region lengths start at {m_to_mm(min(p.length for p in column)):.3g} mm)"
+                f"(region lengths start at {m_to_mm(column.length.min().item()):.3g} mm)"
             )
             continue
-        best = max(fitting, key=lambda p: p.length)
-        layouts.append(
-            SegmentLayout(
-                segment=segment,
-                side=best.side,
-                length=best.length,
-                pitch=2.0 * best.side,
-                freq_low=best.freq_low,
-                freq_high=best.freq_high,
-            )
-        )
+        side, length, f_lo, f_hi = column[np.argmax(np.where(fits, column.length, -np.inf))].tolist()
+        layouts.append(SegmentLayout(segment, side, length, 2.0 * side, f_lo, f_hi))
 
     if failures:
         raise LayoutError(
@@ -345,20 +339,22 @@ def reference_layout_constraints(
     )
 
 
+def _mm_labels(values: np.ndarray) -> list[str]:
+    """`.6g` mm text of each value, formatted once per distinct value."""
+    axis, index = np.unique(values, return_inverse=True)
+    labels = [f"{m_to_mm(v):.6g}" for v in axis.tolist()]
+    return [labels[i] for i in index.tolist()]
+
+
 def write_feasible_csv(region: FeasibleRegion, path: str | Path) -> None:
     """Columns: side_mm, length_mm, frequency_hz_min, frequency_hz_max."""
+    grid = region.grid
+    rows = zip(
+        _mm_labels(grid.side), _mm_labels(grid.length), grid.freq_low.tolist(), grid.freq_high.tolist()
+    )
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["side_mm", "length_mm", "frequency_hz_min", "frequency_hz_max"])
-        for p in region.grid:
-            writer.writerow(
-                [
-                    f"{m_to_mm(p.side):.6g}",
-                    f"{m_to_mm(p.length):.6g}",
-                    repr(p.freq_low),
-                    repr(p.freq_high),
-                ]
-            )
+        fh.write("side_mm,length_mm,frequency_hz_min,frequency_hz_max\r\n")
+        fh.writelines(f"{side},{length},{lo!r},{hi!r}\r\n" for side, length, lo, hi in rows)
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:

@@ -219,6 +219,11 @@ def _material_from_section(name: str, entries: dict[str, str]) -> Material:
         raise MaterialConfigError(
             f"material '{name}': needs 'density_g_cm3' or 'density_range_g_cm3'"
         )
+    youngs_modulus = mpa_to_pa(e_mpa)
+    if not all(map(math.isfinite, (rho, youngs_modulus, *(density_range or ())))):
+        raise MaterialConfigError(
+            f"material '{name}': values overflow when converted to kg/m3 and Pa"
+        )
     if rho <= 0:
         raise MaterialConfigError(f"material '{name}': density_g_cm3 must be positive")
     if density_range is not None and not density_range[0] <= rho <= density_range[1]:
@@ -227,7 +232,7 @@ def _material_from_section(name: str, entries: dict[str, str]) -> Material:
         )
 
     return Material(
-        name=name, density=rho, youngs_modulus=mpa_to_pa(e_mpa), density_range=density_range
+        name=name, density=rho, youngs_modulus=youngs_modulus, density_range=density_range
     )
 
 
@@ -247,7 +252,11 @@ def load_material_config(path: str | Path) -> list[Material]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case as written
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise MaterialConfigError(f"cannot decode {path}: {exc}") from None
+    try:
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise MaterialConfigError(f"cannot parse {path}: {exc}") from exc
 

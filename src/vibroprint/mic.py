@@ -180,27 +180,32 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
     if not path.is_file():
         raise CurveFormatError(f"curve file not found: {path}")
 
+    try:
+        with path.open(newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CurveFormatError(f"cannot decode {path}: {exc}") from None
+
     rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.lstrip().startswith("#"))
+    reader = csv.reader(line for line in lines if not line.lstrip().startswith("#"))
+    try:
+        header = tuple(h.strip() for h in next(reader))
+    except StopIteration:
+        raise CurveFormatError(f"{path}: empty curve file") from None
+    if header not in (FREQUENCY_HEADER, DISTANCE_HEADER):
+        raise CurveFormatError(
+            f"{path}: header must be {','.join(FREQUENCY_HEADER)} or "
+            f"{','.join(DISTANCE_HEADER)}, got {','.join(header)}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise CurveFormatError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise CurveFormatError(f"{path}: empty curve file") from None
-        if header not in (FREQUENCY_HEADER, DISTANCE_HEADER):
-            raise CurveFormatError(
-                f"{path}: header must be {','.join(FREQUENCY_HEADER)} or "
-                f"{','.join(DISTANCE_HEADER)}, got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CurveFormatError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise CurveFormatError(f"{path}:{lineno}: non-numeric value {row!r}") from None
+            rows.append((float(row[0]), float(row[1])))
+        except ValueError:
+            raise CurveFormatError(f"{path}:{lineno}: non-numeric value {row!r}") from None
 
     if len(rows) < 2:
         raise CurveFormatError(f"{path}: curve needs at least 2 data rows")

@@ -1,10 +1,12 @@
 """Feasibility search, sweeps, and segment layouts."""
 
 import csv
+from dataclasses import replace
 
 import pytest
 
 import vibroprint as vp
+from vibroprint.cli import run
 from vibroprint.errors import EmptyRegionError, LayoutError
 from vibroprint.units import m_to_mm, mm_to_m
 
@@ -127,6 +129,162 @@ def test_constraints_validation(materials):
             side_range=(mm_to_m(0.4), mm_to_m(1.0)),
             length_range=(mm_to_m(3.4), mm_to_m(4.0)),
         )
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
+def test_grid_step_must_be_finite(materials, step):
+    constraints = vp.reference_design_constraints(materials["ST45B"])
+    with pytest.raises(ValueError, match="grid_step must be positive"):
+        vp.feasible_region(constraints, step)
+
+
+def test_cli_rejects_nan_grid_step(tmp_path, capsys):
+    argv = ["design", "--material", "ST45B", "--grid-step-mm", "nan", "--output-dir", str(tmp_path)]
+    assert run(argv) == 1
+    assert "grid_step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("band", [(3200.0, float("nan")), (float("nan"), 26000.0)])
+def test_nan_band_is_rejected(materials, band):
+    with pytest.raises(ValueError, match="low <= high"):
+        vp.DesignConstraints(
+            material=materials["ST45B"],
+            printer=vp.default_printer_constraints(),
+            target_band=band,
+            side_range=(mm_to_m(0.4), mm_to_m(1.0)),
+            length_range=(mm_to_m(3.4), mm_to_m(4.0)),
+        )
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the per-cell scan, one BeamSpec and frequency_bounds call per cell
+
+
+def scalar_scan(constraints, step):
+    """(kept cells in side-major order, (miss, cell) of the first strictly smallest miss)."""
+    band_lo, band_hi = constraints.band_bounds
+    kept, nearest = [], None
+    for side in vp.design._axis_grid(*constraints.side_range, step):
+        for length in vp.design._axis_grid(*constraints.length_range, step):
+            beam = vp.BeamSpec(constraints.material, vp.CrossSection.square(float(side)), float(length))
+            f_lo, f_hi = vp.frequency_bounds(beam, 1)
+            cell = (float(side), float(length), f_lo, f_hi)
+            miss = max(band_lo - f_lo, f_hi - band_hi, 0.0)
+            if miss == 0.0:
+                kept.append(cell)
+            elif nearest is None or miss < nearest[0]:
+                nearest = (miss, cell)
+    return kept, nearest
+
+
+ORACLE_STEP = mm_to_m(0.01)
+CLIPPED_BAND = vp.SensitivityBand(8000.0, 18000.0, 9000.0, -30.0)
+
+
+def region_cells(region):
+    cells = region.grid.tolist()
+    assert all(type(v) is float for cell in cells for v in cell)
+    return cells
+
+
+@pytest.mark.parametrize("name", ["PLA", "ST45B", "TPU"])
+def test_scan_matches_scalar_oracle_exactly(materials, name):
+    for constraints in (
+        vp.reference_design_constraints(materials[name]),
+        vp.reference_layout_constraints(materials[name]),
+    ):
+        kept, _ = scalar_scan(constraints, ORACLE_STEP)
+        assert region_cells(vp.feasible_region(constraints, ORACLE_STEP)) == kept
+
+
+def test_clipped_band_matches_scalar_oracle_exactly(materials):
+    constraints = vp.reference_layout_constraints(materials["ST45B"], target_band=CLIPPED_BAND)
+    kept, nearest = scalar_scan(constraints, ORACLE_STEP)
+    region = vp.feasible_region(constraints, ORACLE_STEP)
+    assert nearest is not None  # the band clips the grid, so the mask drops cells
+    assert region_cells(region) == kept
+    sides = [cell[0] for cell in kept]
+    lengths = [cell[1] for cell in kept]
+    assert region.side_envelope == (min(sides), max(sides))
+    assert region.length_envelope == (min(lengths), max(lengths))
+
+
+def test_kept_lengths_are_the_closed_form_interval(materials):
+    # Solid square: f1 = c * side / length^2, so a side keeps exactly the lengths in
+    # [sqrt(c_high * side / band_high), sqrt(c_low * side / band_low)], one contiguous run.
+    constraints = vp.reference_layout_constraints(materials["PLA"], target_band=CLIPPED_BAND)
+    c_low, c_high = vp.frequency_bounds(vp.BeamSpec(materials["PLA"], vp.CrossSection.square(1.0), 1.0))
+    region = vp.feasible_region(constraints, ORACLE_STEP)
+    lengths = list(vp.design._axis_grid(*constraints.length_range, ORACLE_STEP))
+    by_side = {}
+    for p in region.grid:
+        by_side.setdefault(p.side, []).append(lengths.index(p.length))
+    assert len(by_side) > 1
+    for side, index in by_side.items():
+        assert index == list(range(index[0], index[-1] + 1))
+        shortest = (c_high * side / CLIPPED_BAND.high) ** 0.5
+        longest = (c_low * side / CLIPPED_BAND.low) ** 0.5
+        inside = [i for i, length in enumerate(lengths) if shortest < length < longest]
+        assert set(inside) <= set(index)
+        assert index[0] >= inside[0] - 1 and index[-1] <= inside[-1] + 1
+
+
+def test_band_edge_on_a_cell_keeps_that_cell(materials):
+    # ST45B has a point density, so a degenerate band at one cell's computed
+    # frequency has miss == 0.0 exactly there.
+    constraints = vp.reference_design_constraints(materials["ST45B"])
+    side = float(vp.design._axis_grid(*constraints.side_range, STEP)[3])
+    length = float(vp.design._axis_grid(*constraints.length_range, STEP)[3])
+    beam = vp.BeamSpec(materials["ST45B"], vp.CrossSection.square(side), length)
+    f, _ = vp.frequency_bounds(beam)
+    constraints = replace(constraints, target_band=(f, f))
+    kept, _ = scalar_scan(constraints, STEP)
+    region = vp.feasible_region(constraints, STEP)
+    assert (side, length, f, f) in region_cells(region)
+    assert region_cells(region) == kept
+
+
+def test_nearest_miss_matches_scalar_oracle(materials):
+    constraints = vp.DesignConstraints(
+        material=materials["ST45B"],
+        printer=vp.default_printer_constraints(),
+        target_band=(17000.0, 17000.0),
+        side_range=(mm_to_m(0.4), mm_to_m(1.0)),
+        length_range=(mm_to_m(3.4), mm_to_m(4.0)),
+    )
+    kept, (miss, (side, length, f_lo, f_hi)) = scalar_scan(constraints, STEP)
+    assert kept == []
+    with pytest.raises(EmptyRegionError) as excinfo:
+        vp.feasible_region(constraints, STEP)
+    err = excinfo.value
+    assert (err.nearest_side, err.nearest_length) == (side, length)
+    assert err.nearest_frequency == (f_lo, f_hi)
+    assert err.distance == miss
+    assert all(type(v) is float for v in (err.nearest_side, err.nearest_length, err.distance))
+
+
+def test_nearest_miss_tie_goes_to_the_first_cell(materials):
+    # f1 ~ side / length^2 and scaling by powers of two is exact, so the corner
+    # cells (0.5, 2.0) and (2.0, 4.0) mm share one frequency bit for bit.
+    material = materials["ST45B"]
+    first = vp.BeamSpec(material, vp.CrossSection.square(mm_to_m(0.5)), mm_to_m(2.0))
+    last = vp.BeamSpec(material, vp.CrossSection.square(mm_to_m(2.0)), mm_to_m(4.0))
+    f, _ = vp.frequency_bounds(first)
+    assert vp.frequency_bounds(last) == (f, f)
+    constraints = vp.DesignConstraints(
+        material=material,
+        printer=vp.default_printer_constraints(),
+        target_band=(1.001 * f, 1.001 * f),
+        side_range=(mm_to_m(0.5), mm_to_m(2.0)),
+        length_range=(mm_to_m(2.0), mm_to_m(4.0)),
+    )
+    step = mm_to_m(0.5)
+    _, (miss, (side, length, _, _)) = scalar_scan(constraints, step)
+    with pytest.raises(EmptyRegionError) as excinfo:
+        vp.feasible_region(constraints, step)
+    err = excinfo.value
+    assert (err.nearest_side, err.nearest_length) == (side, length) == (first.section.outer, first.length)
+    assert err.nearest_frequency == (f, f) and err.distance == miss
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,36 @@ def test_config_rejects_non_finite_values(tmp_path, body, key):
     assert not (tmp_path / "freq.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[M]\ndensity_g_cm3 = 1e306\nyoungs_modulus_mpa = 100\n",
+        "[M]\ndensity_g_cm3 = 1.0\nyoungs_modulus_mpa = 1e303\n",
+        "[M]\ndensity_range_g_cm3 = 1.0 1e306\nyoungs_modulus_mpa = 100\n",
+        "[M]\ndensity_range_g_cm3 = 1e305 1.7e305\nyoungs_modulus_mpa = 100\n",
+    ],
+    ids=["density", "modulus", "density_range", "range_midpoint"],
+)
+def test_config_rejects_values_that_overflow_in_si(tmp_path, body, capsys):
+    cfg = tmp_path / "materials.cfg"
+    cfg.write_text(body)
+    with pytest.raises(MaterialConfigError, match="overflow"):
+        vp.load_material_config(cfg)
+    argv = ["freq", "--materials", str(cfg), "--material", "M", "--square-side-mm", "1"]
+    assert run(argv + ["--length-mm", "4", "--output-dir", str(tmp_path)]) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_config_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "materials.cfg"
+    cfg.write_bytes(b"[M]\ndensity_g_cm3 = 1.0\xff\nyoungs_modulus_mpa = 100\n")
+    with pytest.raises(MaterialConfigError, match="materials.cfg"):
+        vp.load_material_config(cfg)
+    argv = ["freq", "--materials", str(cfg), "--material", "M", "--square-side-mm", "1"]
+    assert run(argv + ["--length-mm", "4", "--output-dir", str(tmp_path)]) == 1
+    assert str(cfg) in capsys.readouterr().err
+
+
 def test_config_unit_round_trip(tmp_path):
     # bench units -> SI -> bench units survives within 1e-12 relative
     cfg = tmp_path / "materials.cfg"

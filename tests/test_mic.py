@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vibroprint as vp
+from vibroprint.cli import run
 from vibroprint.errors import CurveDomainError, CurveFormatError
 
 THRESHOLD = -42.0
@@ -207,6 +208,15 @@ def test_load_curve_rejects_malformed(tmp_path, body, message):
 def test_load_curve_missing_file():
     with pytest.raises(CurveFormatError, match="not found"):
         vp.load_response_curve("/nonexistent/curve.csv")
+
+
+def test_load_curve_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"frequency_hz,amplitude_db\n100,-70\xff\n200,-42\n")
+    with pytest.raises(CurveFormatError, match="curve.csv"):
+        vp.load_response_curve(path)
+    assert run(["bands", "--curve", str(path), "--output-dir", str(tmp_path)]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_bundled_curve_edges_match_analytic_crossings():
