@@ -15,7 +15,6 @@ from .beams import (
     BeamSpec,
     CrossSection,
     FrequencyInterval,
-    ModeConstant,
     Shape,
     area,
     frequency_bounds,
@@ -32,7 +31,7 @@ from .dataset import (
     ObjectEntry,
     ProcedureRecord,
     load_manifest,
-    load_recordings,
+    manifest_channels,
     read_recording_bundle,
     read_wav,
     validate_manifest,

@@ -44,8 +44,8 @@ class CrossSection:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", Shape(self.shape))
-        if self.outer <= 0:
-            raise ValueError(f"outer dimension must be positive, got {self.outer}")
+        if not 0 < self.outer < math.inf:
+            raise ValueError(f"outer dimension must be positive and finite, got {self.outer}")
         if self.inner is not None and not 0 < self.inner < self.outer:
             raise ValueError(
                 f"hollow inner dimension must be in (0, outer), got {self.inner}"
@@ -127,14 +127,8 @@ class BeamSpec:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-
-
-@dataclass(frozen=True)
-class ModeConstant:
-    mode_index: int
-    beta_l: float
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
 
 def _characteristic(x: float) -> float:
@@ -171,7 +165,7 @@ def _fixed_free_root(n: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def mode_constant(n: int) -> ModeConstant:
+def mode_constant(n: int) -> float:
     """n-th root (beta_n l) of the fixed-free characteristic equation.
 
     Roots are found by bisection and cached; mode 1 is 1.875104...
@@ -180,7 +174,7 @@ def mode_constant(n: int) -> ModeConstant:
         raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    return ModeConstant(mode_index=n, beta_l=_fixed_free_root(n))
+    return _fixed_free_root(n)
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ def natural_frequency(beam: BeamSpec, n: int = 1) -> float | FrequencyInterval:
     FrequencyInterval for materials with a density range (frequency is
     decreasing in density, so low = f(rho_max), high = f(rho_min)).
     """
-    beta_l = mode_constant(n).beta_l
+    beta_l = mode_constant(n)
     e = beam.material.youngs_modulus
     i = second_moment(beam.section)
     a = area(beam.section)

@@ -25,7 +25,7 @@ from . import __version__
 from .beams import BeamSpec, CrossSection, Shape, frequency_bounds, nominal_frequency
 from .dataset import (
     load_manifest,
-    load_recordings,
+    manifest_channels,
     read_recording_bundle,
     write_recording_bundle,
 )
@@ -41,7 +41,7 @@ from .design import (
     write_layout_csv,
     write_sweep_csv,
 )
-from .errors import VibroprintError
+from .errors import SpectrumGridError, VibroprintError
 from .materials import builtin_materials, get_material, load_material_config
 from .mic import (
     DEFAULT_THRESHOLD_DB,
@@ -340,12 +340,12 @@ def _cmd_simulate(args, argv) -> int:
 # analyze
 
 
-def _load_analysis_inputs(args):
+def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
+    """(WAV path, manifest labels) per input; glob inputs take their sidecar's labels."""
     if args.manifest and args.files:
         raise _UsageError("give either --manifest or WAV files, not both")
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        return load_recordings(manifest, Path(args.manifest).parent)
+        return manifest_channels(load_manifest(args.manifest), Path(args.manifest).parent)
     if not args.files:
         raise _UsageError("analyze needs --manifest or at least one WAV file/glob")
     paths: list[Path] = []
@@ -355,35 +355,52 @@ def _load_analysis_inputs(args):
             paths.extend(Path(p) for p in matched)
         else:
             paths.append(Path(pattern))
-    with ThreadPoolExecutor(max_workers=min(_ANALYZE_WORKERS, max(1, len(paths)))) as pool:
-        return list(pool.map(read_recording_bundle, paths))
+    return [(path, None) for path in paths]
 
 
 def _cmd_analyze(args, argv) -> int:
     out_dir = _output_dir(args)
-    recordings = _load_analysis_inputs(args)
+    inputs = _analysis_inputs(args)
     band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
 
-    def to_entry(rec):
+    def analyze_one(item):
+        """(AucEntry, (sample rate, samples), Spectrum under --write-spectra) of one WAV."""
+        rec = read_recording_bundle(*item)
         meta = rec.meta
         if meta.microphone is None or meta.fingerprint_material is None:
             raise VibroprintError(
                 "recording lacks microphone/fingerprint_material labels; "
                 "supply a manifest or sidecar metadata"
             )
-        return AucEntry(
+        spec = spectrum(rec, args.window)
+        entry = AucEntry(
             microphone=meta.microphone,
             fingerprint_material=meta.fingerprint_material,
-            auc=band_auc(spectrum(rec, args.window), band),
+            auc=band_auc(spec, band),
             object=meta.object,
             repetition=meta.repetition,
         )
+        return entry, (rec.sample_rate, rec.samples.size), spec if args.write_spectra else None
 
-    with ThreadPoolExecutor(max_workers=min(_ANALYZE_WORKERS, max(1, len(recordings)))) as pool:
-        entries = list(pool.map(to_entry, recordings))
+    # Threads beyond the cores only add interpreter-lock hand-offs between
+    # the file reads and the FFTs.
+    workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, max(1, len(inputs)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(analyze_one, inputs))
+
+    # Noise and tonal peaks scale differently with record length and rate, so
+    # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.
+    grids: dict[str, tuple[float, int]] = {}
+    for entry, grid, _ in results:
+        first = grids.setdefault(entry.microphone, grid)
+        if grid != first:
+            raise SpectrumGridError(
+                f"microphone {entry.microphone!r} mixes recordings of (sample rate Hz, samples) "
+                f"{first} and {grid}; their AUCs are not comparable"
+            )
 
     report = normalize_against_baseline(
-        entries, baseline_material=args.baseline_material, band=band
+        [entry for entry, _, _ in results], baseline_material=args.baseline_material, band=band
     )
     write_auc_csv(report, out_dir / "auc.csv")
     (out_dir / "ratios.json").write_text(
@@ -392,15 +409,10 @@ def _cmd_analyze(args, argv) -> int:
 
     if args.write_spectra:
         groups: dict[tuple[str, str], list] = {}
-        for r in recordings:
-            groups.setdefault((r.meta.microphone, r.meta.fingerprint_material), []).append(r)
-        for (mic, mat), group_recs in sorted(groups.items()):
-            try:
-                mean = mean_spectrum([spectrum(r, args.window) for r in group_recs])
-            except VibroprintError as exc:
-                print(f"skipping mean spectrum for ({mic}, {mat}): {exc}", file=sys.stderr)
-                continue
-            write_spectrum_csv(mean, out_dir / f"mean_spectrum_{mic}_{mat}.csv")
+        for entry, _, spec in results:
+            groups.setdefault((entry.microphone, entry.fingerprint_material), []).append(spec)
+        for (mic, mat), specs in sorted(groups.items()):
+            write_spectrum_csv(mean_spectrum(specs), out_dir / f"mean_spectrum_{mic}_{mat}.csv")
 
     for (mic, mat), stats in sorted(report.groups.items()):
         print(

@@ -134,16 +134,19 @@ def write_recording_bundle(
     return sidecar_path
 
 
-def read_recording_bundle(wav_path: str | Path) -> Recording:
-    """Read a WAV and, when a same-stem .json sidecar exists, its labels.
+def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = None) -> Recording:
+    """Read a WAV with its labels.
 
-    A sidecar that is not a JSON object with an object ``meta`` of valid
-    labels raises ManifestError naming the sidecar.
+    The labels are `meta` when given (a manifest's, from
+    `manifest_channels`); otherwise those of the same-stem .json sidecar
+    when one exists, else empty.  A sidecar that is not a JSON object with
+    an object ``meta`` of valid labels raises ManifestError naming the
+    sidecar.
     """
     wav_path = Path(wav_path)
     rec = read_wav(wav_path)
     sidecar_path = wav_path.with_suffix(".json")
-    if sidecar_path.is_file():
+    if meta is None and sidecar_path.is_file():
         try:
             data = json.loads(sidecar_path.read_text())
             raw_meta = data.get("meta", {}) if isinstance(data, dict) else None
@@ -152,8 +155,7 @@ def read_recording_bundle(wav_path: str | Path) -> Recording:
             meta = RecordingMeta.from_dict(raw_meta)
         except (ValueError, RecursionError) as exc:
             raise ManifestError(f"{sidecar_path}: bad sidecar ({exc})", errors=[str(exc)]) from exc
-        rec = replace(rec, meta=meta)
-    return rec
+    return rec if meta is None else replace(rec, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -494,27 +496,29 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def load_recordings(manifest: Manifest, base_dir: str | Path) -> list[Recording]:
-    """One labeled Recording per declared (observation, procedure, channel).
+def manifest_channels(manifest: Manifest, base_dir: str | Path) -> list[tuple[Path, RecordingMeta]]:
+    """(WAV path, labels) per declared (observation, procedure, channel).
 
-    Channels load in Left/Right/Palm order within each procedure so the
-    result is deterministic.
+    Paths resolve against `base_dir`, the manifest's directory.  Channels
+    come in Left/Right/Palm order within each procedure so the result is
+    deterministic; pass each pair to `read_recording_bundle`.
     """
     base_dir = Path(base_dir)
     names = {o.id: o.name for o in manifest.objects}
     order = {m.value: i for i, m in enumerate(Microphone)}
-    recordings: list[Recording] = []
-    for obs in manifest.observations:
-        for proc in obs.procedures:
-            for channel in sorted(proc.channel_files, key=order.__getitem__):
-                rec = read_wav(base_dir / proc.channel_files[channel])
-                meta = RecordingMeta(
-                    object=names.get(obs.object_id, obs.object_id),
-                    exploration_procedure=proc.procedure.value,
-                    force_code=proc.force_codes[0] if len(proc.force_codes) == 1 else None,
-                    fingerprint_material=obs.fingerprint_material,
-                    microphone=channel,
-                    repetition=obs.repetition,
-                )
-                recordings.append(replace(rec, meta=meta))
-    return recordings
+    return [
+        (
+            base_dir / proc.channel_files[channel],
+            RecordingMeta(
+                object=names.get(obs.object_id, obs.object_id),
+                exploration_procedure=proc.procedure.value,
+                force_code=proc.force_codes[0] if len(proc.force_codes) == 1 else None,
+                fingerprint_material=obs.fingerprint_material,
+                microphone=channel,
+                repetition=obs.repetition,
+            ),
+        )
+        for obs in manifest.observations
+        for proc in obs.procedures
+        for channel in sorted(proc.channel_files, key=order.__getitem__)
+    ]

@@ -148,7 +148,7 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
     ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
     a = np.array([area(s) for s in sections])[:, None]
     l4 = np.array([length**4 for length in lengths.tolist()])
-    k = mode_constant(1).beta_l ** 2 / (2.0 * math.pi)
+    k = mode_constant(1) ** 2 / (2.0 * math.pi)
     f_lo = k * np.sqrt(ei / (rho_max * a * l4))
     f_hi = k * np.sqrt(ei / (rho_min * a * l4))
     miss = np.maximum(np.maximum(band_lo - f_lo, f_hi - band_hi), 0.0)

@@ -125,7 +125,6 @@ class Spectrum:
     magnitudes: np.ndarray
     resolution: float
     window: str
-    reference: float = REFERENCE_AMPLITUDE
 
     @property
     def nyquist(self) -> float:
@@ -134,7 +133,7 @@ class Spectrum:
     @property
     def amplitudes_db(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(self.magnitudes / self.reference)
+            return 20.0 * np.log10(self.magnitudes / REFERENCE_AMPLITUDE)
 
 
 def _window_values(window: str, n: int) -> np.ndarray:
@@ -174,8 +173,6 @@ def mean_spectrum(specs: list[Spectrum]) -> Spectrum:
             raise SpectrumGridError(
                 "spectra use different frequency grids; record length or rate differs"
             )
-        if s.reference != first.reference:
-            raise SpectrumGridError("spectra use different dB references")
     window = first.window if all(s.window == first.window for s in specs) else "mixed"
     mags = np.mean([s.magnitudes for s in specs], axis=0)
     return Spectrum(
@@ -183,7 +180,6 @@ def mean_spectrum(specs: list[Spectrum]) -> Spectrum:
         magnitudes=mags,
         resolution=first.resolution,
         window=window,
-        reference=first.reference,
     )
 
 
@@ -237,7 +233,7 @@ def dominant_frequency(spec: Spectrum, search_band: tuple[float, float]) -> tupl
 
     if amp <= 0.0:
         return (freq, -math.inf)
-    return (freq, 20.0 * math.log10(amp / spec.reference))
+    return (freq, 20.0 * math.log10(amp / REFERENCE_AMPLITUDE))
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ def _mode_parameters(
     """Check the mode count, duration and damping range; expand per-mode values."""
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     damping = _per_mode(damping, modes, "damping")
     for zeta in damping:
         if not 0.0 < zeta < 1.0:
@@ -78,12 +78,16 @@ class SlideScenario:
     hand: RobotHandSpec | None = None
 
     def __post_init__(self):
-        if self.pitch <= 0:
-            raise ValueError(f"pitch must be positive, got {self.pitch}")
-        if self.velocity <= 0:
-            raise ValueError(f"velocity must be positive, got {self.velocity}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        for name in ("pitch", "velocity", "sample_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # At most one strike per sample, so the strike loop ends.
+        if self.excitation_rate > self.sample_rate:
+            raise ValueError(
+                f"strike rate velocity / pitch = {self.excitation_rate:.4g} Hz exceeds "
+                f"the sample rate {self.sample_rate} Hz"
+            )
         amplitudes = self.mode_amplitudes
         if amplitudes is DEFAULT_MODE_AMPLITUDES and self.modes != 3:
             amplitudes = tuple(0.5**k for k in range(self.modes))

@@ -80,7 +80,7 @@ def test_criterion_01_mode_constants():
     with criterion(1, "fixed-free mode constants match 1.875104 and the bisection oracle, < 1 ms"):
         _fixed_free_root.cache_clear()
         start = time.perf_counter()
-        got = [vp.mode_constant(n).beta_l for n in (1, 2, 3)]
+        got = [vp.mode_constant(n) for n in (1, 2, 3)]
         elapsed = time.perf_counter() - start
         assert abs(got[0] - 1.875104) < 1e-6
         for value, n in zip(got, (1, 2, 3)):

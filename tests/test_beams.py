@@ -132,6 +132,21 @@ def test_invalid_sections_rejected(bad):
         bad()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: vp.CrossSection.square(v),
+        lambda v: vp.CrossSection.circle(v),
+        lambda v: vp.BeamSpec(vp.get_material("TPU"), vp.CrossSection.square(1 * MM), v),
+    ],
+    ids=["square_side", "circle_radius", "beam_length"],
+)
+def test_non_finite_sizes_rejected(make, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        make(value)
+
+
 def test_wall_thickness():
     assert vp.CrossSection.square(1 * MM).wall_thickness is None
     assert vp.CrossSection.square(1 * MM, 0.5 * MM).wall_thickness == pytest.approx(0.25 * MM)
@@ -143,17 +158,17 @@ def test_wall_thickness():
 
 
 def test_first_mode_constant_matches_published_value():
-    assert vp.mode_constant(1).beta_l == pytest.approx(1.875104, abs=1e-6)
+    assert vp.mode_constant(1) == pytest.approx(1.875104, abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mode_constants_match_independent_solver(n):
-    assert vp.mode_constant(n).beta_l == pytest.approx(beta_oracle(n), abs=1e-9)
+    assert vp.mode_constant(n) == pytest.approx(beta_oracle(n), abs=1e-9)
 
 
 def test_mode_constants_frozen_values():
-    assert vp.mode_constant(2).beta_l == pytest.approx(4.694091, abs=1e-6)
-    assert vp.mode_constant(3).beta_l == pytest.approx(7.854757, abs=1e-6)
+    assert vp.mode_constant(2) == pytest.approx(4.694091, abs=1e-6)
+    assert vp.mode_constant(3) == pytest.approx(7.854757, abs=1e-6)
 
 
 def test_mode_constant_residual_small():
@@ -161,12 +176,12 @@ def test_mode_constant_residual_small():
     # root, because a one-ulp error in x is amplified by cosh(x) > 1e8; the
     # roots themselves stay at machine precision (see the solver test).
     for n in range(1, 7):
-        x = vp.mode_constant(n).beta_l
+        x = vp.mode_constant(n)
         assert abs(math.cos(x) * math.cosh(x) + 1.0) < 1e-6
 
 
 def test_mode_constants_strictly_increasing():
-    values = [vp.mode_constant(n).beta_l for n in range(1, 12)]
+    values = [vp.mode_constant(n) for n in range(1, 12)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -174,7 +189,7 @@ def test_high_mode_roots_approach_asymptote():
     # cos(x) -> -sech(x) pins roots ever closer to (n - 1/2) pi; the solver
     # must not overflow there.
     for n in (10, 50, 300):
-        x = vp.mode_constant(n).beta_l
+        x = vp.mode_constant(n)
         assert x == pytest.approx((n - 0.5) * math.pi, abs=1e-3)
 
 
@@ -288,7 +303,7 @@ def test_unit_boundary_path_equivalence(materials):
 def test_higher_modes_increase_frequency(st45b_beam):
     f1 = vp.natural_frequency(st45b_beam, 1)
     f2 = vp.natural_frequency(st45b_beam, 2)
-    b1, b2 = vp.mode_constant(1).beta_l, vp.mode_constant(2).beta_l
+    b1, b2 = vp.mode_constant(1), vp.mode_constant(2)
     assert f2 == pytest.approx(f1 * (b2 / b1) ** 2, rel=1e-9)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vibroprint as vp
+import vibroprint.cli
 from vibroprint.cli import run
 from vibroprint.units import mm_to_m
 
@@ -363,6 +364,27 @@ def test_simulate_seed_changes_output(tmp_path):
     assert (d1 / "slide.wav").read_bytes() != (d2 / "slide.wav").read_bytes()
 
 
+SIMULATE_TPU = ["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freq", "--material", "PLA", "--square-side-mm", "nan", "--length-mm", "3"],
+        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "inf"],
+        ["sweep", "--material", "PLA", "--dims-mm", "1,nan", "--length-range-mm", "2", "4"],
+        [*SIMULATE_TPU, "--sample-rate-hz", "inf"],
+        [*SIMULATE_TPU, "--velocity-mm-s", "inf"],
+        [*SIMULATE_TPU, "--velocity-mm-s", "1e300"],
+    ],
+    ids=["side_nan", "length_inf", "sweep_dim_nan", "rate_inf", "velocity_inf", "velocity_huge"],
+)
+def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -461,6 +483,98 @@ def test_analyze_mean_spectra_artifacts(tmp_path):
     spec_csv = out / "mean_spectrum_Left_Default.csv"
     assert spec_csv.exists()
     assert read_csv(spec_csv)[0] == ["frequency_hz", "magnitude", "amplitude_db"]
+
+
+def group_manifest(data):
+    """A manifest over make_group_dataset's Default and ST45B recordings."""
+    manifest = {
+        "schema_version": 1,
+        "objects": [{"id": "apple", "name": "porcelain apple"}],
+        "observations": [
+            {
+                "object_id": "apple",
+                "repetition": rep,
+                "fingerprint_material": material,
+                "procedures": [
+                    {
+                        "procedure": "LateralMotion",
+                        "force_codes": [400],
+                        "channel_files": {"Left": f"{material}_{rep}.wav"},
+                    }
+                ],
+            }
+            for material in ("Default", "ST45B")
+            for rep in (1, 2)
+        ],
+    }
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return data / "manifest.json"
+
+
+@pytest.mark.parametrize("source", ["glob", "manifest"])
+def test_analyze_computes_each_spectrum_once(tmp_path, monkeypatch, source):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    inputs = [str(data / "*.wav")] if source == "glob" else ["--manifest", str(group_manifest(data))]
+    calls = []
+    spectrum = vibroprint.cli.spectrum
+
+    def counted(rec, window="hann"):
+        calls.append(rec.samples.size)
+        return spectrum(rec, window)
+
+    monkeypatch.setattr(vibroprint.cli, "spectrum", counted)
+    out = tmp_path / "out"
+    assert run(["analyze", *inputs, "--write-spectra", "--output-dir", str(out)]) == 0
+    assert len(calls) == len(read_csv(out / "auc.csv")) - 1 == 4
+    assert sorted(p.name for p in out.glob("mean_spectrum_*.csv")) == [
+        "mean_spectrum_Left_Default.csv",
+        "mean_spectrum_Left_ST45B.csv",
+    ]
+
+
+def write_slide(path, microphone, material, duration, sample_rate=500e3):
+    beam = vp.BeamSpec(vp.get_material("TPU"), vp.CrossSection.square(mm_to_m(2.6)), mm_to_m(2.0))
+    scenario = vp.SlideScenario(
+        beam=beam,
+        pitch=mm_to_m(5.2),
+        velocity=mm_to_m(953.3),
+        duration=duration,
+        mode_amplitudes=(0.02, 0.01, 0.005),
+        sample_rate=sample_rate,
+        seed=1,
+    )
+    meta = vp.RecordingMeta(microphone=microphone, fingerprint_material=material)
+    vp.write_recording_bundle(vp.slide_signal(scenario, meta=meta), path)
+
+
+@pytest.mark.parametrize(
+    "duration, sample_rate, other",
+    [(0.08, 500e3, "(500000.0, 40000)"), (0.02, 400e3, "(400000.0, 8000)")],
+    ids=["record_length", "sample_rate"],
+)
+def test_analyze_rejects_mixed_grids_within_a_microphone(
+    tmp_path, capsys, duration, sample_rate, other
+):
+    # The same skin twice: only the grid differs, so a ratio other than 1 is bias.
+    write_slide(tmp_path / "a.wav", "Left", "Default", 0.02)
+    write_slide(tmp_path / "b.wav", "Left", "ST45B", duration, sample_rate)
+    code = run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'Left'" in err and "(500000.0, 10000)" in err and other in err
+    assert not (tmp_path / "out" / "auc.csv").exists()
+
+
+def test_analyze_allows_one_grid_per_microphone(tmp_path, capsys):
+    for mic, duration in (("Left", 0.02), ("Right", 0.08)):
+        for material in ("Default", "ST45B"):
+            write_slide(tmp_path / f"{mic}_{material}.wav", mic, material, duration)
+    out = tmp_path / "out"
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(out)]) == 0
+    mics = json.loads((out / "ratios.json").read_text())["microphones"]
+    for mic in ("Left", "Right"):
+        assert mics[mic]["groups"]["ST45B"]["normalized_mean"] == pytest.approx(1.0)
 
 
 def test_analyze_missing_baseline_is_domain_error(tmp_path, capsys):

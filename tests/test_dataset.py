@@ -138,6 +138,14 @@ def test_bundle_without_sidecar_has_empty_meta(tmp_path, random_recording):
     assert vp.read_recording_bundle(path).meta == vp.RecordingMeta()
 
 
+def test_given_labels_replace_the_sidecar(tmp_path, random_recording):
+    path = tmp_path / "rec.wav"
+    vp.write_wav(random_recording, path)
+    (tmp_path / "rec.json").write_text("{")  # never read when labels are given
+    meta = vp.RecordingMeta(microphone="Right", fingerprint_material="TPU")
+    assert vp.read_recording_bundle(path, meta).meta == meta
+
+
 # Nested past the interpreter's recursion limit, so json.loads raises RecursionError.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -391,7 +399,7 @@ def test_manifest_round_trip_is_structurally_identical(tmp_path):
     assert again == manifest
 
 
-def test_load_recordings_yields_one_per_declared_channel(tmp_path):
+def test_manifest_channels_yields_one_per_declared_channel(tmp_path):
     for name in ("a.wav", "b.wav", "c.wav"):
         vp.write_wav(vp.Recording(np.zeros(64), FS), tmp_path / name, "int16")
     data = {
@@ -415,7 +423,7 @@ def test_load_recordings_yields_one_per_declared_channel(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(data))
     manifest = vp.load_manifest(path)
-    recs = vp.load_recordings(manifest, tmp_path)
+    recs = [vp.read_recording_bundle(*item) for item in vp.manifest_channels(manifest, tmp_path)]
     assert len(recs) == manifest.recording_count() == 3
     assert [r.meta.microphone for r in recs] == ["Left", "Right", "Palm"]
     assert all(r.meta.object == "wooden stick" for r in recs)

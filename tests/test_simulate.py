@@ -191,6 +191,25 @@ def test_scenario_validation(tpu_beam):
         one_mode_scenario(tpu_beam, modes=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["pitch", "velocity", "sample_rate", "duration"])
+def test_scenario_rejects_non_finite_values(tpu_beam, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        one_mode_scenario(tpu_beam, **{field: value})
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf], ids=["nan", "inf"])
+def test_impulse_rejects_non_finite_duration(tpu_beam, duration):
+    with pytest.raises(ValueError, match="duration must be positive"):
+        vp.impulse_response(tpu_beam, modes=1, duration=duration)
+
+
+@pytest.mark.parametrize("velocity", [1e300, 2.0 * FS * mm_to_m(5.2)], ids=["huge", "two_per_sample"])
+def test_more_than_one_strike_per_sample_is_rejected(tpu_beam, velocity):
+    with pytest.raises(ValueError, match="exceeds the sample rate"):
+        one_mode_scenario(tpu_beam, velocity=velocity)
+
+
 def test_velocity_capped_by_hand_spec(tpu_beam):
     with pytest.raises(ValueError, match="exceeds the hand"):
         one_mode_scenario(tpu_beam, velocity=1.0, hand=vp.RH8D_HAND)
