@@ -18,11 +18,11 @@ from .beams import (
     Shape,
     area,
     frequency_bounds,
+    modal_frequencies,
     mode_constant,
     natural_frequency,
     nominal_frequency,
     second_moment,
-    tip_deflection,
 )
 from .dataset import (
     Manifest,
@@ -70,8 +70,6 @@ from .materials import (
     Material,
     PrinterConstraints,
     Process,
-    RH8D_HAND,
-    RobotHandSpec,
     builtin_materials,
     default_printer_constraints,
     get_material,
@@ -82,7 +80,6 @@ from .mic import (
     MIC_LOW_BAND,
     ResponseCurve,
     SensitivityBand,
-    attenuation_at,
     bundled_mic_curve,
     load_response_curve,
     sensitive_bands,

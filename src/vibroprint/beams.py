@@ -9,14 +9,25 @@ where beta_n l solves the fixed-free characteristic equation
 cos(x) cosh(x) = -1, E is Young's modulus (Pa), I the second moment of
 area (m^4), rho the density (kg/m^3), A the section area (m^2), and l
 the beam length (m).
+
+`modal_frequencies` is the one evaluation of this relation: the scalar
+helpers read its 1x1 case and the design search and sweep broadcast it
+over whole grids.  Its per-section E I and rho A and per-length l^4 are
+Python floats, combined in the order of the formula above, so every cell
+equals the scalar expression evaluated in Python arithmetic bit for bit
+(numpy's `x**4` can differ from Python's in the last bit, which would
+change the written design tables).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+import numpy as np
 
 from .materials import Material
 
@@ -190,8 +201,29 @@ class FrequencyInterval:
     nominal: float
 
 
-def _frequency(e: float, i: float, rho: float, a: float, length: float, beta_l: float) -> float:
-    return beta_l**2 / (2.0 * math.pi) * math.sqrt(e * i / (rho * a * length**4))
+def modal_frequencies(
+    material: Material, sections: Sequence[CrossSection], lengths: Sequence[float], n: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode-n frequencies (Hz) of every (section, length) pair.
+
+    Returns (low, high, nominal) arrays of shape (len(sections),
+    len(lengths)), at the maximum, minimum and nominal density; for a
+    point-density material all three are equal.  This is the library's
+    one evaluation of the modal relation; see the module docstring for
+    why its factors are Python floats.
+    """
+    k = mode_constant(n) ** 2 / (2.0 * math.pi)
+    rho_min, rho_max = material.density_bounds
+    rho = np.array([rho_max, rho_min, material.density])[:, None, None]
+    ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
+    a = np.array([area(s) for s in sections])[:, None]
+    l4 = np.array([length**4 for length in np.asarray(lengths, dtype=float).tolist()])
+    low, high, nominal = k * np.sqrt(ei / (rho * a * l4))
+    return low, high, nominal
+
+
+def _beam_frequencies(beam: BeamSpec, n: int) -> tuple[float, float, float]:
+    return tuple(f.item() for f in modal_frequencies(beam.material, [beam.section], [beam.length], n))
 
 
 def natural_frequency(beam: BeamSpec, n: int = 1) -> float | FrequencyInterval:
@@ -201,42 +233,19 @@ def natural_frequency(beam: BeamSpec, n: int = 1) -> float | FrequencyInterval:
     FrequencyInterval for materials with a density range (frequency is
     decreasing in density, so low = f(rho_max), high = f(rho_min)).
     """
-    beta_l = mode_constant(n)
-    e = beam.material.youngs_modulus
-    i = second_moment(beam.section)
-    a = area(beam.section)
+    low, high, nominal = _beam_frequencies(beam, n)
     if beam.material.density_range is None:
-        return _frequency(e, i, beam.material.density, a, beam.length, beta_l)
-    rho_min, rho_max = beam.material.density_range
-    return FrequencyInterval(
-        low=_frequency(e, i, rho_max, a, beam.length, beta_l),
-        high=_frequency(e, i, rho_min, a, beam.length, beta_l),
-        nominal=_frequency(e, i, beam.material.density, a, beam.length, beta_l),
-    )
+        return nominal
+    return FrequencyInterval(low=low, high=high, nominal=nominal)
 
 
 def frequency_bounds(beam: BeamSpec, n: int = 1) -> tuple[float, float]:
     """(low, high) frequency over the material's density bounds; collapses
     to a width-zero pair for point densities."""
-    f = natural_frequency(beam, n)
-    if isinstance(f, FrequencyInterval):
-        return (f.low, f.high)
-    return (f, f)
+    low, high, _ = _beam_frequencies(beam, n)
+    return (low, high)
 
 
 def nominal_frequency(beam: BeamSpec, n: int = 1) -> float:
     """Frequency at the nominal density, as a plain float."""
-    f = natural_frequency(beam, n)
-    return f.nominal if isinstance(f, FrequencyInterval) else f
-
-
-def tip_deflection(beam: BeamSpec, force: float) -> float:
-    """Static end-load tip deflection delta = F l^3 / (3 E I) (m).
-
-    Linear-elastic small-deflection estimate only.
-    """
-    if force < 0:
-        raise ValueError(f"force must be >= 0, got {force}")
-    e = beam.material.youngs_modulus
-    i = second_moment(beam.section)
-    return force * beam.length**3 / (3.0 * e * i)
+    return _beam_frequencies(beam, n)[2]

@@ -500,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_section_flags(p_sim)
     p_sim.add_argument("--length-mm", type=float, required=True)
     p_sim.add_argument("--pitch-mm", type=float, help="beam spacing; default 2 x side")
+    # The default is the RH8D hand's maximum finger velocity.
     p_sim.add_argument("--velocity-mm-s", type=float, default=953.3)
     p_sim.add_argument("--duration-s", type=float, default=0.5)
     p_sim.add_argument("--modes", type=int, default=3)

@@ -16,9 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beams import (
-    BeamSpec, CrossSection, area, frequency_bounds, mode_constant, nominal_frequency, second_moment
-)
+from .beams import CrossSection, modal_frequencies
 from .errors import EmptyRegionError, LayoutError
 from .materials import Material, PrinterConstraints, default_printer_constraints
 from .mic import MIC_LOW_BAND, SensitivityBand
@@ -124,9 +122,9 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
     """Exhaustive grid scan of side x length for solid square beams.
 
     A cell is kept iff its whole first-mode frequency interval (over the
-    material's density bounds) lies inside the target band.  One broadcast
-    over the grid in `beams.natural_frequency`'s operation order, so each
-    cell equals the per-beam value bit for bit.  Raises EmptyRegionError
+    material's density bounds) lies inside the target band.  The whole
+    grid is one `beams.modal_frequencies` call, so each cell equals the
+    per-beam value bit for bit.  Raises EmptyRegionError
     with nearest-miss diagnostics (the first closest cell, side-major) when
     nothing fits.
     """
@@ -139,18 +137,10 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
             raise ValueError(f"grid_step {grid_step} exceeds the {name} width {width}")
 
     band_lo, band_hi = constraints.band_bounds
-    material = constraints.material
-    rho_min, rho_max = material.density_bounds
     sides = _axis_grid(s_lo, s_hi, grid_step)
     lengths = _axis_grid(l_lo, l_hi, grid_step)
-    # Per-axis factors as Python floats (numpy's x**4 can differ in the last bit).
     sections = [CrossSection.square(side) for side in sides.tolist()]
-    ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
-    a = np.array([area(s) for s in sections])[:, None]
-    l4 = np.array([length**4 for length in lengths.tolist()])
-    k = mode_constant(1) ** 2 / (2.0 * math.pi)
-    f_lo = k * np.sqrt(ei / (rho_max * a * l4))
-    f_hi = k * np.sqrt(ei / (rho_min * a * l4))
+    f_lo, f_hi, _ = modal_frequencies(constraints.material, sections, lengths)
     miss = np.maximum(np.maximum(band_lo - f_lo, f_hi - band_hi), 0.0)
 
     keep = miss == 0.0
@@ -214,26 +204,24 @@ def frequency_sweep(
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     l_lo, l_hi = length_range
-    if not 0 < l_lo <= l_hi:
-        raise ValueError(f"length_range must be positive and ordered, got {length_range}")
-    lengths = [l_lo] if l_lo == l_hi else list(np.linspace(l_lo, l_hi, steps))
+    if not 0 < l_lo <= l_hi < math.inf:
+        raise ValueError(f"length_range must be positive, finite and ordered, got {length_range}")
+    lengths = [l_lo] if l_lo == l_hi else np.linspace(l_lo, l_hi, steps).tolist()
 
-    rows = []
-    for section in sections:
-        for length in lengths:
-            beam = BeamSpec(material, section, float(length))
-            f_lo, f_hi = frequency_bounds(beam, 1)
-            rows.append(
-                SweepRow(
-                    shape=section.shape.value + ("_hollow" if section.hollow else ""),
-                    dimension=section.outer,
-                    length=float(length),
-                    freq_low=f_lo,
-                    freq_high=f_hi,
-                    freq_nominal=nominal_frequency(beam, 1),
-                )
-            )
-    return SweepTable(rows=tuple(rows), band=band)
+    low, high, nominal = (f.tolist() for f in modal_frequencies(material, sections, lengths))
+    rows = tuple(
+        SweepRow(
+            shape=section.shape.value + ("_hollow" if section.hollow else ""),
+            dimension=section.outer,
+            length=length,
+            freq_low=f_lo,
+            freq_high=f_hi,
+            freq_nominal=f_nom,
+        )
+        for section, lows, highs, nominals in zip(sections, low, high, nominal)
+        for length, f_lo, f_hi, f_nom in zip(lengths, lows, highs, nominals)
+    )
+    return SweepTable(rows=rows, band=band)
 
 
 @dataclass(frozen=True)

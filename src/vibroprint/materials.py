@@ -1,4 +1,4 @@
-"""Printable materials, printer process limits, and the robot hand envelope.
+"""Printable materials and printer process limits.
 
 All stored values are SI.  Material config files use bench units
 (g/cm3, MPa) and are converted once on load; see `load_material_config`
@@ -92,54 +92,6 @@ def default_printer_constraints(process: Process = Process.FDM) -> PrinterConstr
         min_side_unsupported=mm_to_m(0.6),
         min_hole_diameter=mm_to_m(0.75),
     )
-
-
-@dataclass(frozen=True)
-class RobotHandSpec:
-    """Operating envelope of the robot hand driving the fingerprints.
-
-    Velocities in m/s, torques in N*m, masses in kg.  Force settings are
-    opaque 12-bit controller codes (no documented mapping to newtons),
-    so they are kept dimensionless.
-    """
-
-    max_velocity: float
-    torque_at_max_velocity: float
-    max_force_torque: float
-    velocity_at_max_force: float
-    finger_mass: float
-    thumb_mass: float
-    force_code_max: int = 4095
-
-    def __post_init__(self):
-        for field_name in (
-            "max_velocity",
-            "torque_at_max_velocity",
-            "max_force_torque",
-            "velocity_at_max_force",
-            "finger_mass",
-            "thumb_mass",
-        ):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
-        if not 0 < self.force_code_max <= 4095:
-            raise ValueError(f"force_code_max must be in (0, 4095], got {self.force_code_max}")
-
-    def valid_force_code(self, code: int) -> bool:
-        return 0 <= code <= self.force_code_max
-
-
-# RH8D estimates: 953.3 mm/s at 134.5 N*mm, 473.5 N*mm at 270.7 mm/s,
-# finger 10.9 g, thumb 8.9 g.  Derived from motor specs by the hand's
-# cable-pulley transmission; stored as given, not recomputed.
-RH8D_HAND = RobotHandSpec(
-    max_velocity=0.9533,
-    torque_at_max_velocity=0.1345,
-    max_force_torque=0.4735,
-    velocity_at_max_force=0.2707,
-    finger_mass=10.9e-3,
-    thumb_mass=8.9e-3,
-)
 
 
 # Datasheet constants for the three tested materials.  PLA density is

@@ -1,15 +1,13 @@
 """Contact microphone response curves and sensitivity-band extraction.
 
-A response curve is a sampled (x, amplitude dB) polyline; interpolation
-between samples is linear in both axes.  The same type serves the
-frequency response (x = Hz) and the distance-attenuation measurement
-(x = m).
+A response curve is a sampled (frequency Hz, amplitude dB) polyline;
+interpolation between samples is linear in both axes.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +16,6 @@ import numpy as np
 from .errors import CurveDomainError, CurveFormatError
 
 FREQUENCY_HEADER = ("frequency_hz", "amplitude_db")
-DISTANCE_HEADER = ("distance_m", "amplitude_db")
 
 # Amplitude threshold (dB) that defines the microphone's usable bands:
 # the mean of its measured amplitude range.
@@ -160,21 +157,11 @@ def sensitive_bands(curve: ResponseCurve, threshold_db: float) -> list[Sensitivi
     return bands
 
 
-def attenuation_at(distance_curve: ResponseCurve, d: float) -> float:
-    """Amplitude (dB) of the distance-attenuation curve at distance d (m).
-
-    Pure interpolation; d outside the measured span is an error rather
-    than an extrapolation.
-    """
-    return distance_curve.interpolate(d)
-
-
 def load_response_curve(path: str | Path) -> ResponseCurve:
     """Read a two-column curve CSV.
 
-    Header must be ``frequency_hz,amplitude_db`` or
-    ``distance_m,amplitude_db``; rows sorted ascending in the first
-    column.  Lines starting with '#' are comments.
+    Header must be ``frequency_hz,amplitude_db``; rows sorted ascending
+    in frequency.  Lines starting with '#' are comments.
     """
     path = Path(path)
     if not path.is_file():
@@ -192,10 +179,9 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
         header = tuple(h.strip() for h in next(reader))
     except StopIteration:
         raise CurveFormatError(f"{path}: empty curve file") from None
-    if header not in (FREQUENCY_HEADER, DISTANCE_HEADER):
+    if header != FREQUENCY_HEADER:
         raise CurveFormatError(
-            f"{path}: header must be {','.join(FREQUENCY_HEADER)} or "
-            f"{','.join(DISTANCE_HEADER)}, got {','.join(header)}"
+            f"{path}: header must be {','.join(FREQUENCY_HEADER)}, got {','.join(header)}"
         )
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -210,7 +196,7 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
     if len(rows) < 2:
         raise CurveFormatError(f"{path}: curve needs at least 2 data rows")
     try:
-        return ResponseCurve.from_points(rows, x_name=header[0])
+        return ResponseCurve.from_points(rows)
     except ValueError as exc:
         raise CurveFormatError(f"{path}: {exc}") from exc
 

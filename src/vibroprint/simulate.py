@@ -18,7 +18,6 @@ import numpy as np
 
 from .beams import BeamSpec, nominal_frequency
 from .errors import NyquistError
-from .materials import RobotHandSpec
 from .signals import REFERENCE_AMPLITUDE, Procedure, Recording, RecordingMeta
 
 DEFAULT_DAMPING_RATIO = 0.02
@@ -39,13 +38,15 @@ def _per_mode(value, modes: int, name: str) -> tuple[float, ...]:
 
 
 def _mode_parameters(
-    modes: int, duration: float, damping, amplitudes
+    modes: int, duration: float, sample_rate: float, damping, amplitudes
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Check the mode count, duration and damping range; expand per-mode values."""
+    """Check the mode count, duration, sample rate and damping range; expand
+    per-mode values."""
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
-    if not 0 < duration < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration}")
+    for name, value in (("duration", duration), ("sample_rate", sample_rate)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     damping = _per_mode(damping, modes, "damping")
     for zeta in damping:
         if not 0.0 < zeta < 1.0:
@@ -75,31 +76,25 @@ class SlideScenario:
     noise_floor_db: float | None = DEFAULT_NOISE_FLOOR_DB
     sample_rate: float = 500e3
     seed: int = 0
-    hand: RobotHandSpec | None = None
 
     def __post_init__(self):
-        for name in ("pitch", "velocity", "sample_rate"):
+        for name in ("pitch", "velocity"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        amplitudes = self.mode_amplitudes
+        if amplitudes is DEFAULT_MODE_AMPLITUDES and self.modes != 3:
+            amplitudes = tuple(0.5**k for k in range(self.modes))
+        damping, amplitudes = _mode_parameters(
+            self.modes, self.duration, self.sample_rate, self.damping_ratio, amplitudes
+        )
+        object.__setattr__(self, "damping_ratio", damping)
+        object.__setattr__(self, "mode_amplitudes", amplitudes)
         # At most one strike per sample, so the strike loop ends.
         if self.excitation_rate > self.sample_rate:
             raise ValueError(
                 f"strike rate velocity / pitch = {self.excitation_rate:.4g} Hz exceeds "
                 f"the sample rate {self.sample_rate} Hz"
-            )
-        amplitudes = self.mode_amplitudes
-        if amplitudes is DEFAULT_MODE_AMPLITUDES and self.modes != 3:
-            amplitudes = tuple(0.5**k for k in range(self.modes))
-        damping, amplitudes = _mode_parameters(
-            self.modes, self.duration, self.damping_ratio, amplitudes
-        )
-        object.__setattr__(self, "damping_ratio", damping)
-        object.__setattr__(self, "mode_amplitudes", amplitudes)
-        if self.hand is not None and self.velocity > self.hand.max_velocity:
-            raise ValueError(
-                f"velocity {self.velocity} m/s exceeds the hand's maximum "
-                f"{self.hand.max_velocity} m/s"
             )
 
     @property
@@ -148,7 +143,7 @@ def impulse_response(
 
     y(t) = sum_n A_n exp(-2 pi f_n zeta_n t) sin(2 pi f_n sqrt(1 - zeta_n^2) t)
     """
-    damping, amplitudes = _mode_parameters(modes, duration, damping, amplitudes)
+    damping, amplitudes = _mode_parameters(modes, duration, rate, damping, amplitudes)
     freqs = _mode_frequencies(beam, modes, rate)
     n_samples = max(2, int(round(duration * rate)))
     samples = _ring_down(freqs, damping, amplitudes, n_samples, rate)

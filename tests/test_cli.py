@@ -373,11 +373,12 @@ SIMULATE_TPU = ["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--l
         ["freq", "--material", "PLA", "--square-side-mm", "nan", "--length-mm", "3"],
         ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "inf"],
         ["sweep", "--material", "PLA", "--dims-mm", "1,nan", "--length-range-mm", "2", "4"],
+        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "2", "inf"],
         [*SIMULATE_TPU, "--sample-rate-hz", "inf"],
         [*SIMULATE_TPU, "--velocity-mm-s", "inf"],
         [*SIMULATE_TPU, "--velocity-mm-s", "1e300"],
     ],
-    ids=["side_nan", "length_inf", "sweep_dim_nan", "rate_inf", "velocity_inf", "velocity_huge"],
+    ids=["side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf", "velocity_huge"],
 )
 def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
     assert run([*argv, "--output-dir", str(tmp_path)]) == 1

@@ -400,6 +400,32 @@ def test_doubling_lengths_quarters_frequencies(materials):
         assert r2.freq_nominal == pytest.approx(r1.freq_nominal / 4.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["PLA", "ST45B", "TPU"])
+@pytest.mark.parametrize("length_range_mm", [(1.4, 4.0), (3.5, 3.5)], ids=["span", "degenerate"])
+def test_sweep_matches_per_beam_frequencies_exactly(materials, name, length_range_mm):
+    material = materials[name]
+    sections = [
+        vp.CrossSection.square(mm_to_m(1.0)),
+        vp.CrossSection.hexagon(mm_to_m(0.8), mm_to_m(0.4)),
+        vp.CrossSection.circle(mm_to_m(0.5)),
+    ]
+    length_range = tuple(mm_to_m(v) for v in length_range_mm)
+    table = vp.frequency_sweep(material, sections, length_range, 9)
+    lengths = sorted({row.length for row in table.rows})
+    assert len(table.rows) == len(sections) * len(lengths)
+    assert len(lengths) == (1 if length_range_mm[0] == length_range_mm[1] else 9)
+    for row, (section, length) in zip(table.rows, ((s, x) for s in sections for x in lengths)):
+        beam = vp.BeamSpec(material, section, length)
+        assert (row.shape, row.dimension, row.length) == (
+            section.shape.value + ("_hollow" if section.hollow else ""),
+            section.outer,
+            length,
+        )
+        assert (row.freq_low, row.freq_high) == vp.frequency_bounds(beam)
+        assert row.freq_nominal == vp.nominal_frequency(beam)
+        assert all(type(v) is float for v in (row.length, row.freq_low, row.freq_high, row.freq_nominal))
+
+
 def test_sweep_requires_two_steps(materials):
     with pytest.raises(ValueError):
         vp.frequency_sweep(

@@ -189,7 +189,7 @@ def test_config_unit_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Printer and hand
+# Printer
 
 
 def test_default_printer_constraints():
@@ -205,28 +205,3 @@ def test_printer_constraints_validation():
         vp.PrinterConstraints(vp.Process.FDM, 0.6e-3, 0.4e-3, 0.75e-3)
     with pytest.raises(ValueError):
         vp.PrinterConstraints(vp.Process.FDM, 0.4e-3, 0.6e-3, 0.0)
-
-
-def test_rh8d_hand_envelope():
-    hand = vp.RH8D_HAND
-    assert hand.max_velocity == pytest.approx(0.9533)
-    assert hand.torque_at_max_velocity == pytest.approx(0.1345)
-    assert hand.max_force_torque == pytest.approx(0.4735)
-    assert hand.velocity_at_max_force == pytest.approx(0.2707)
-    assert hand.finger_mass == pytest.approx(10.9e-3)
-    assert hand.thumb_mass == pytest.approx(8.9e-3)
-    assert hand.force_code_max == 4095
-    assert hand.valid_force_code(400)
-    assert not hand.valid_force_code(5000)
-
-
-def test_hand_spec_validation():
-    with pytest.raises(ValueError):
-        vp.RobotHandSpec(
-            max_velocity=0.0,
-            torque_at_max_velocity=0.1,
-            max_force_torque=0.4,
-            velocity_at_max_force=0.2,
-            finger_mass=0.01,
-            thumb_mass=0.009,
-        )

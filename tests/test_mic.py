@@ -1,4 +1,4 @@
-"""Response curves, band extraction, and distance attenuation."""
+"""Response curves and band extraction."""
 
 import numpy as np
 import pytest
@@ -151,22 +151,14 @@ def test_sensitivity_band_validation():
         vp.SensitivityBand(low=5.0, high=10.0, peak_frequency=12.0, peak_amplitude=-30.0)
 
 
-def test_attenuation_identity_at_samples():
-    d = curve((0.0, -10.0), (0.1, -16.0), (0.2, -26.0), x_name="distance_m")
-    assert vp.attenuation_at(d, 0.1) == pytest.approx(-16.0)
-
-
-def test_attenuation_midpoint_is_mean():
-    d = curve((0.0, -10.0), (0.2, -26.0), x_name="distance_m")
-    assert vp.attenuation_at(d, 0.1) == pytest.approx(-18.0)
-
-
-def test_attenuation_rejects_out_of_domain():
-    d = curve((0.05, -10.0), (0.2, -26.0), x_name="distance_m")
+def test_interpolate_is_linear_and_rejects_out_of_domain():
+    c = curve((500.0, -10.0), (1000.0, -16.0), (2000.0, -26.0))
+    assert c.interpolate(1000.0) == pytest.approx(-16.0)
+    assert c.interpolate(1500.0) == pytest.approx(-21.0)
+    with pytest.raises(CurveDomainError, match="frequency_hz=3000.0"):
+        c.interpolate(3000.0)
     with pytest.raises(CurveDomainError):
-        vp.attenuation_at(d, 0.3)
-    with pytest.raises(CurveDomainError):
-        vp.attenuation_at(d, 0.0)
+        c.interpolate(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +173,14 @@ def test_load_curve_round_trip(tmp_path):
     assert c.x_name == "frequency_hz"
 
 
-def test_load_distance_curve_header(tmp_path):
+def test_load_curve_rejects_distance_header(tmp_path, capsys):
     path = tmp_path / "att.csv"
     path.write_text("distance_m,amplitude_db\n0.0,-10\n0.2,-26\n")
-    assert vp.load_response_curve(path).x_name == "distance_m"
+    with pytest.raises(CurveFormatError, match="att.csv: header must be frequency_hz,amplitude_db"):
+        vp.load_response_curve(path)
+    assert run(["bands", "--curve", str(path), "--output-dir", str(tmp_path)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["att.csv"]
 
 
 @pytest.mark.parametrize(

@@ -210,11 +210,10 @@ def test_more_than_one_strike_per_sample_is_rejected(tpu_beam, velocity):
         one_mode_scenario(tpu_beam, velocity=velocity)
 
 
-def test_velocity_capped_by_hand_spec(tpu_beam):
-    with pytest.raises(ValueError, match="exceeds the hand"):
-        one_mode_scenario(tpu_beam, velocity=1.0, hand=vp.RH8D_HAND)
-    # At the published maximum it passes.
-    one_mode_scenario(tpu_beam, velocity=vp.RH8D_HAND.max_velocity, hand=vp.RH8D_HAND)
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -5.0], ids=["inf", "nan", "zero", "negative"])
+def test_impulse_rejects_bad_rate(tpu_beam, rate):
+    with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+        vp.impulse_response(tpu_beam, modes=1, rate=rate)
 
 
 def test_default_mode_shapes_follow_mode_count(tpu_beam):

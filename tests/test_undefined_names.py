@@ -1,11 +1,15 @@
-"""Static guard: no function in the package reads a global name that does not exist.
+"""Static guards against names a refactor leaves behind.
 
 A name left behind by a refactor (a variable of the old function, a helper
-that was renamed) only raises NameError when its line runs. This walks the
-symbol table of every module with the stdlib ``symtable`` and reports each
-free global name that is neither bound at module level nor a builtin.
+that was renamed) only raises NameError when its line runs. The first guard
+walks the symbol table of every module with the stdlib ``symtable`` and
+reports each free global name that is neither bound at module level nor a
+builtin. The second walks each module's syntax tree with the stdlib ``ast``
+and reports each module-level import that nothing in the module reads, such
+as the import of a deleted class.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -42,3 +46,32 @@ def test_no_undefined_global_names():
 def test_guard_reports_a_stale_name():
     source = "import os\n\ndef f(base_dir):\n    base_dir = path.parent\n    return os.sep\n"
     assert undefined_globals(source, "m.py") == ["m.py:f:path"]
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    """Return ``file:name`` for each name a module-level import binds but the module never reads."""
+    tree = ast.parse(source, filename)
+    imported = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{Path(filename).name}:{name}" for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    # The package's __init__ imports names to re-export them, not to read them.
+    paths = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert paths, f"no modules found under {PACKAGE_DIR}"
+    found = [name for path in paths for name in unused_imports(path.read_text(), str(path))]
+    assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_guard_reports_an_unused_import():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport sys as system\n"
+        "from math import pi, tau\n\ndef f():\n    return os.sep, tau\n"
+    )
+    assert unused_imports(source, "m.py") == ["m.py:system", "m.py:pi"]
