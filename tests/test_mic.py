@@ -151,10 +151,18 @@ def test_sensitivity_band_validation():
         vp.SensitivityBand(low=5.0, high=10.0, peak_frequency=12.0, peak_amplitude=-30.0)
 
 
-def test_interpolate_is_linear_and_rejects_out_of_domain():
+def test_attenuation_identity_at_samples():
     c = curve((500.0, -10.0), (1000.0, -16.0), (2000.0, -26.0))
     assert c.interpolate(1000.0) == pytest.approx(-16.0)
+
+
+def test_attenuation_midpoint_is_mean():
+    c = curve((1000.0, -16.0), (2000.0, -26.0))
     assert c.interpolate(1500.0) == pytest.approx(-21.0)
+
+
+def test_attenuation_rejects_out_of_domain():
+    c = curve((500.0, -10.0), (2000.0, -26.0))
     with pytest.raises(CurveDomainError, match="frequency_hz=3000.0"):
         c.interpolate(3000.0)
     with pytest.raises(CurveDomainError):
