@@ -25,17 +25,11 @@ from .beams import (
     second_moment,
 )
 from .dataset import (
-    Manifest,
     ManifestValidation,
-    Observation,
-    ObjectEntry,
-    ProcedureRecord,
     load_manifest,
-    manifest_channels,
     read_recording_bundle,
     read_wav,
     validate_manifest,
-    write_manifest,
     write_recording_bundle,
     write_wav,
 )

@@ -217,7 +217,13 @@ def modal_frequencies(
     rho = np.array([rho_max, rho_min, material.density])[:, None, None]
     ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
     a = np.array([area(s) for s in sections])[:, None]
-    l4 = np.array([length**4 for length in np.asarray(lengths, dtype=float).tolist()])
+    lengths = np.asarray(lengths, dtype=float).tolist()
+    try:
+        l4 = np.array([length**4 for length in lengths])
+    except OverflowError:
+        raise ValueError(
+            f"length {max(lengths, key=abs)!r} m is too large: its fourth power overflows"
+        ) from None
     low, high, nominal = k * np.sqrt(ei / (rho * a * l4))
     return low, high, nominal
 

@@ -23,12 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .beams import BeamSpec, CrossSection, Shape, frequency_bounds, nominal_frequency
-from .dataset import (
-    load_manifest,
-    manifest_channels,
-    read_recording_bundle,
-    write_recording_bundle,
-)
+from .dataset import load_manifest, read_recording_bundle, write_recording_bundle
 from .design import (
     Segment,
     feasible_region,
@@ -345,7 +340,7 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
     if args.manifest and args.files:
         raise _UsageError("give either --manifest or WAV files, not both")
     if args.manifest:
-        return manifest_channels(load_manifest(args.manifest), Path(args.manifest).parent)
+        return load_manifest(args.manifest)
     if not args.files:
         raise _UsageError("analyze needs --manifest or at least one WAV file/glob")
     paths: list[Path] = []

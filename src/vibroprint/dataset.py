@@ -3,8 +3,10 @@
 WAV support is PCM mono at any rate (the bench recordings run at
 500 kHz), 16/32-bit integer or 32-bit float, via scipy.io.wavfile.
 The manifest is a JSON file describing objects and their recorded
-observations; `validate_manifest` documents the schema.  Motor telemetry
-rides along as opaque CSV paths.
+observations; `validate_manifest` documents the schema, and
+`load_manifest` turns it into one (WAV path, labels) pair per declared
+channel for `read_recording_bundle`.  Durations and motor telemetry paths
+are validated but not kept.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,20 +35,14 @@ EXPECTED_FORCE_CODES = {
     Procedure.PRESSURE: {400, 500, 600, 700},
 }
 
-ENCLOSURE_DEFAULT_DURATION = 2.0  # s
-
 MAX_REPETITIONS = 5
 
 _INT_SCALES = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 _ENCODINGS = ("int16", "int32", "float32")
 
 
-def read_wav(path: str | Path) -> Recording:
-    """Read a mono PCM WAV into a [-1, 1] float Recording.
-
-    Metadata is left empty; callers fill it from the manifest or sidecar.
-    """
-    path = Path(path)
+def _decode_wav(path: Path) -> tuple[np.ndarray, float]:
+    """(samples in [-1, 1] as float64, sample rate) of a mono PCM WAV."""
     if not path.is_file():
         raise WavFormatError(f"WAV file not found: {path}")
     try:
@@ -74,7 +70,15 @@ def read_wav(path: str | Path) -> Recording:
             f"{path}: unsupported sample encoding {data.dtype}; "
             "expected int16, int32, or float32"
         )
-    return Recording(samples=samples, sample_rate=float(rate))
+    return samples, float(rate)
+
+
+def read_wav(path: str | Path) -> Recording:
+    """Read a mono PCM WAV into a [-1, 1] float Recording.
+
+    Metadata is left empty; `read_recording_bundle` reads a WAV with its labels.
+    """
+    return Recording(*_decode_wav(Path(path)))
 
 
 def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> None:
@@ -137,15 +141,16 @@ def write_recording_bundle(
 def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = None) -> Recording:
     """Read a WAV with its labels.
 
-    The labels are `meta` when given (a manifest's, from
-    `manifest_channels`); otherwise those of the same-stem .json sidecar
-    when one exists, else empty.  A sidecar that is not a JSON object with
-    an object ``meta`` of valid labels raises ManifestError naming the
-    sidecar.
+    The labels are `meta` when given (one of `load_manifest`'s pairs);
+    otherwise those of the same-stem .json sidecar when one exists, else
+    empty.  A sidecar that is not a JSON object with an object ``meta`` of
+    valid labels raises ManifestError naming the sidecar, but only once the
+    WAV itself has passed every check.
     """
     wav_path = Path(wav_path)
-    rec = read_wav(wav_path)
+    samples, rate = _decode_wav(wav_path)
     sidecar_path = wav_path.with_suffix(".json")
+    bad_sidecar = None
     if meta is None and sidecar_path.is_file():
         try:
             data = json.loads(sidecar_path.read_text())
@@ -154,62 +159,29 @@ def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = Non
                 raise ValueError("expected a JSON object with an object 'meta'")
             meta = RecordingMeta.from_dict(raw_meta)
         except (ValueError, RecursionError) as exc:
-            raise ManifestError(f"{sidecar_path}: bad sidecar ({exc})", errors=[str(exc)]) from exc
-    return rec if meta is None else replace(rec, meta=meta)
+            bad_sidecar = exc
+    # A bad WAV is reported before a bad sidecar, so the Recording checks its samples first.
+    rec = Recording(samples, rate, RecordingMeta() if meta is None else meta)
+    if bad_sidecar is not None:
+        raise ManifestError(
+            f"{sidecar_path}: bad sidecar ({bad_sidecar})", errors=[str(bad_sidecar)]
+        ) from bad_sidecar
+    return rec
 
 
 # ---------------------------------------------------------------------------
-# Manifest
-
-
-@dataclass(frozen=True)
-class ObjectEntry:
-    id: str
-    name: str
-    material_class: str | None = None
-    image_path: str | None = None
-
-
-@dataclass(frozen=True)
-class ProcedureRecord:
-    procedure: Procedure
-    force_codes: tuple[int, ...]
-    channel_files: dict[str, str]
-    duration: float | None = None
-    motor_telemetry_path: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "procedure", Procedure(self.procedure))
-        object.__setattr__(self, "force_codes", tuple(int(c) for c in self.force_codes))
-        if self.procedure is Procedure.ENCLOSURE and self.duration is None:
-            object.__setattr__(self, "duration", ENCLOSURE_DEFAULT_DURATION)
-
-
-@dataclass(frozen=True)
-class Observation:
-    object_id: str
-    repetition: int
-    procedures: tuple[ProcedureRecord, ...]
-    fingerprint_material: str = "Default"
-
-
-@dataclass(frozen=True)
-class Manifest:
-    schema_version: int
-    objects: tuple[ObjectEntry, ...]
-    observations: tuple[Observation, ...]
-
-    def recording_count(self) -> int:
-        return sum(
-            len(p.channel_files) for obs in self.observations for p in obs.procedures
-        )
+# Dataset manifest
 
 
 @dataclass
 class ManifestValidation:
-    """Outcome of validate_manifest: errors block, warnings do not."""
+    """Outcome of validate_manifest: errors block, warnings do not.
 
-    manifest: Manifest | None
+    `channels` holds one (WAV path, labels) pair per declared channel, or
+    None when there are errors.
+    """
+
+    channels: list[tuple[Path, RecordingMeta]] | None
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -244,22 +216,30 @@ def _path_problem(rel) -> str | None:
     return None
 
 
-def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRecord | None:
+def _procedure_channels(
+    raw: dict, where: str, base_dir: Path, labels: dict, errors, warnings_out
+) -> list[tuple[Path, RecordingMeta]]:
+    """Validate one procedure; return its (WAV path, labels) pairs.
+
+    `labels` holds the observation's object, fingerprint_material and
+    repetition.  Channels come in Left/Right/Palm order; a schema error
+    yields no pairs.
+    """
     name = raw.get("procedure")
     try:
         procedure = Procedure(name)
     except ValueError:
         errors.append(f"{where}: unknown procedure {name!r}")
-        return None
+        return []
 
     codes = raw.get("force_codes", [])
     if not isinstance(codes, list) or not all(type(c) is int for c in codes):
         errors.append(f"{where}: force_codes must be a list of integers")
-        return None
+        return []
     bad = [c for c in codes if not 0 <= c <= 4095]
     if bad:
         errors.append(f"{where}: force code(s) {bad} outside the 12-bit range [0, 4095]")
-        return None
+        return []
     expected = EXPECTED_FORCE_CODES.get(procedure)
     if expected is not None:
         unusual = sorted(set(codes) - expected)
@@ -272,7 +252,7 @@ def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRe
     channels = raw.get("channel_files", {})
     if not isinstance(channels, dict):
         errors.append(f"{where}: channel_files must be a mapping")
-        return None
+        return []
     for channel, rel in channels.items():
         try:
             Microphone(channel)
@@ -281,35 +261,48 @@ def _parse_procedure(raw: dict, where: str, errors, warnings_out) -> ProcedureRe
                 f"{where}: unknown microphone channel {channel!r} "
                 f"(expected {[m.value for m in Microphone]})"
             )
-            return None
+            return []
         problem = _path_problem(rel)
         if problem:
             errors.append(f"{where}: channel {channel} path {rel!r} {problem}")
-            return None
+            return []
 
     duration = raw.get("duration_s")
     if duration is not None and (
         type(duration) not in (int, float) or not 0 < duration < math.inf
     ):
         errors.append(f"{where}: duration_s must be a positive finite number")
-        return None
+        return []
 
     telemetry = raw.get("motor_telemetry_path")
     problem = None if telemetry is None else _path_problem(telemetry)
     if problem:
         errors.append(f"{where}: motor_telemetry_path {telemetry!r} {problem}")
-        return None
+        return []
 
-    return ProcedureRecord(
-        procedure=procedure,
-        force_codes=tuple(codes),
-        channel_files=dict(channels),
-        duration=duration,
-        motor_telemetry_path=telemetry,
-    )
+    for channel, rel in channels.items():
+        if not (base_dir / rel).is_file():
+            errors.append(f"{where}: missing audio file {rel!r} for channel {channel}")
+    if telemetry is not None and not (base_dir / telemetry).is_file():
+        warnings_out.append(f"{where}: telemetry file {telemetry!r} not found")
+
+    force_code = codes[0] if len(codes) == 1 else None
+    return [
+        (
+            base_dir / channels[mic.value],
+            RecordingMeta(
+                exploration_procedure=procedure.value,
+                force_code=force_code,
+                microphone=mic.value,
+                **labels,
+            ),
+        )
+        for mic in Microphone
+        if mic.value in channels
+    ]
 
 
-def validate_manifest(path: str | Path, check_files: bool = True) -> ManifestValidation:
+def validate_manifest(path: str | Path) -> ManifestValidation:
     """Parse and cross-check a manifest file.
 
     The manifest is a JSON object (schema version 1):
@@ -326,8 +319,7 @@ def validate_manifest(path: str | Path, check_files: bool = True) -> ManifestVal
       - ``procedure``: LateralMotion, Enclosure, Pressure or
         UnsupportedHolding;
       - ``force_codes``: a list of integers in [0, 4095];
-      - ``duration_s``: a positive finite number, or null (Enclosure
-        then defaults to ENCLOSURE_DEFAULT_DURATION);
+      - ``duration_s``: a positive finite number, or null;
       - ``channel_files``: a mapping of microphone (Left, Right, Palm) to
         WAV path;
       - ``motor_telemetry_path``: a CSV path, or null.
@@ -337,9 +329,16 @@ def validate_manifest(path: str | Path, check_files: bool = True) -> ManifestVal
     errors; departures from the collection conventions (more than five
     repetitions, unusual force codes, missing telemetry files) are
     warnings.
+
+    Without errors, the result's `channels` lists one (WAV path, labels)
+    pair per declared channel, ready for `read_recording_bundle`: in file
+    order of observations and procedures, Left/Right/Palm within each
+    procedure.  The labels are the object's name, the observation's
+    fingerprint_material and repetition, the procedure, its force code
+    when it declares exactly one, and the microphone.
     """
     path = Path(path)
-    result = ManifestValidation(manifest=None)
+    result = ManifestValidation(channels=None)
     if not path.is_file():
         result.errors.append(f"manifest not found: {path}")
         return result
@@ -351,23 +350,20 @@ def validate_manifest(path: str | Path, check_files: bool = True) -> ManifestVal
     if not isinstance(data, dict):
         result.errors.append(f"{path}: top level must be a JSON object")
         return result
-    _validate_manifest_data(data, path.parent, check_files, result)
+    _validate_manifest_data(data, path.parent, result)
     return result
 
 
-def _validate_manifest_data(
-    data: dict, base_dir: Path, check_files: bool, result: ManifestValidation
-) -> None:
+def _validate_manifest_data(data: dict, base_dir: Path, result: ManifestValidation) -> None:
     version = data.get("schema_version")
     if version is None:
         result.errors.append("schema_version field is mandatory")
-    elif version != SCHEMA_VERSION:
+    elif type(version) is not int or version != SCHEMA_VERSION:
         result.errors.append(
             f"unsupported schema_version {version!r}; this toolkit reads {SCHEMA_VERSION}"
         )
 
-    objects: list[ObjectEntry] = []
-    seen_ids: set[str] = set()
+    names: dict[str, str] = {}
     for where, raw in _json_objects(data, "objects", "", result.errors):
         obj_id = raw.get("id")
         name = raw.get("name")
@@ -377,24 +373,16 @@ def _validate_manifest_data(
         if not isinstance(name, str) or not name:
             result.errors.append(f"{where} ({obj_id}): 'name' must be a non-empty string")
             continue
-        if obj_id in seen_ids:
+        if obj_id in names:
             result.errors.append(f"{where}: duplicate object id {obj_id!r}")
             continue
-        seen_ids.add(obj_id)
-        objects.append(
-            ObjectEntry(
-                id=obj_id,
-                name=name,
-                material_class=raw.get("material_class"),
-                image_path=raw.get("image_path"),
-            )
-        )
+        names[obj_id] = name
 
-    observations: list[Observation] = []
+    channels: list[tuple[Path, RecordingMeta]] = []
     reps_per_object: dict[str, int] = {}
     for where, raw in _json_objects(data, "observations", "", result.errors):
         obj_id = raw.get("object_id")
-        if not isinstance(obj_id, str) or obj_id not in seen_ids:
+        if not isinstance(obj_id, str) or obj_id not in names:
             result.errors.append(f"{where}: dangling object_id {obj_id!r}")
             continue
         repetition = raw.get("repetition")
@@ -412,34 +400,11 @@ def _validate_manifest_data(
             )
         reps_per_object[obj_id] = reps_per_object.get(obj_id, 0) + 1
 
-        procedures = []
+        labels = {"object": names[obj_id], "fingerprint_material": material, "repetition": repetition}
         for proc_where, raw_proc in _json_objects(raw, "procedures", f"{where}.", result.errors):
-            record = _parse_procedure(raw_proc, proc_where, result.errors, result.warnings)
-            if record is None:
-                continue
-            if check_files:
-                for channel, rel in record.channel_files.items():
-                    if not (base_dir / rel).is_file():
-                        result.errors.append(
-                            f"{proc_where}: missing audio file {rel!r} for channel {channel}"
-                        )
-                if record.motor_telemetry_path and not (
-                    base_dir / record.motor_telemetry_path
-                ).is_file():
-                    result.warnings.append(
-                        f"{proc_where}: telemetry file "
-                        f"{record.motor_telemetry_path!r} not found"
-                    )
-            procedures.append(record)
-
-        observations.append(
-            Observation(
-                object_id=obj_id,
-                repetition=repetition,
-                procedures=tuple(procedures),
-                fingerprint_material=material,
+            channels += _procedure_channels(
+                raw_proc, proc_where, base_dir, labels, result.errors, result.warnings
             )
-        )
 
     for obj_id, count in sorted(reps_per_object.items()):
         if count > MAX_REPETITIONS:
@@ -449,16 +414,15 @@ def _validate_manifest_data(
             )
 
     if not result.errors:
-        result.manifest = Manifest(
-            schema_version=SCHEMA_VERSION,
-            objects=tuple(objects),
-            observations=tuple(observations),
-        )
+        result.channels = channels
 
 
-def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
-    """validate_manifest that raises on errors and warns on warnings."""
-    result = validate_manifest(path, check_files=check_files)
+def load_manifest(path: str | Path) -> list[tuple[Path, RecordingMeta]]:
+    """validate_manifest that raises on errors and warns on warnings.
+
+    Returns the manifest's (WAV path, labels) pairs; see validate_manifest.
+    """
+    result = validate_manifest(path)
     for message in result.warnings:
         warnings.warn(message, stacklevel=2)
     if not result.ok:
@@ -466,59 +430,4 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             f"{path}: {len(result.errors)} manifest error(s); first: {result.errors[0]}",
             errors=result.errors,
         )
-    assert result.manifest is not None
-    return result.manifest
-
-
-def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    data = {
-        "schema_version": manifest.schema_version,
-        "objects": [asdict(o) for o in manifest.objects],
-        "observations": [
-            {
-                "object_id": obs.object_id,
-                "repetition": obs.repetition,
-                "fingerprint_material": obs.fingerprint_material,
-                "procedures": [
-                    {
-                        "procedure": p.procedure.value,
-                        "force_codes": list(p.force_codes),
-                        "duration_s": p.duration,
-                        "channel_files": dict(sorted(p.channel_files.items())),
-                        "motor_telemetry_path": p.motor_telemetry_path,
-                    }
-                    for p in obs.procedures
-                ],
-            }
-            for obs in manifest.observations
-        ],
-    }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def manifest_channels(manifest: Manifest, base_dir: str | Path) -> list[tuple[Path, RecordingMeta]]:
-    """(WAV path, labels) per declared (observation, procedure, channel).
-
-    Paths resolve against `base_dir`, the manifest's directory.  Channels
-    come in Left/Right/Palm order within each procedure so the result is
-    deterministic; pass each pair to `read_recording_bundle`.
-    """
-    base_dir = Path(base_dir)
-    names = {o.id: o.name for o in manifest.objects}
-    order = {m.value: i for i, m in enumerate(Microphone)}
-    return [
-        (
-            base_dir / proc.channel_files[channel],
-            RecordingMeta(
-                object=names.get(obs.object_id, obs.object_id),
-                exploration_procedure=proc.procedure.value,
-                force_code=proc.force_codes[0] if len(proc.force_codes) == 1 else None,
-                fingerprint_material=obs.fingerprint_material,
-                microphone=channel,
-                repetition=obs.repetition,
-            ),
-        )
-        for obs in manifest.observations
-        for proc in obs.procedures
-        for channel in sorted(proc.channel_files, key=order.__getitem__)
-    ]
+    return result.channels

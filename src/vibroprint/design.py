@@ -81,11 +81,13 @@ class DesignConstraints:
         _band_bounds(self.target_band)  # validates
         s_lo, s_hi = self.side_range
         l_lo, l_hi = self.length_range
-        if not 0 < s_lo <= s_hi:
-            raise ValueError(f"side_range must be non-empty and positive, got {self.side_range}")
-        if not 0 < l_lo <= l_hi:
+        if not 0 < s_lo <= s_hi < math.inf:
             raise ValueError(
-                f"length_range must be non-empty and positive, got {self.length_range}"
+                f"side_range must be non-empty, positive and finite, got {self.side_range}"
+            )
+        if not 0 < l_lo <= l_hi < math.inf:
+            raise ValueError(
+                f"length_range must be non-empty, positive and finite, got {self.length_range}"
             )
         min_side = self.printer.min_side()
         if s_lo < min_side:

@@ -346,3 +346,13 @@ def test_modal_frequencies_match_scalar_formula_exactly(materials, name, n):
 def test_beam_requires_positive_length(materials):
     with pytest.raises(ValueError):
         vp.BeamSpec(materials["TPU"], vp.CrossSection.square(1 * MM), 0.0)
+
+
+def test_huge_length_is_a_value_error_naming_it(materials):
+    beam = vp.BeamSpec(materials["PLA"], vp.CrossSection.square(1 * MM), 1e97)
+    with pytest.raises(ValueError, match=r"length 1e\+97 m is too large"):
+        vp.nominal_frequency(beam)
+    with pytest.raises(ValueError, match=r"length 1e\+97 m is too large"):
+        vp.modal_frequencies(materials["PLA"], [vp.CrossSection.square(1 * MM)], [1e-3, 1e97])
+    # The largest lengths whose fourth power is still a float keep their value.
+    assert vp.nominal_frequency(vp.BeamSpec(materials["PLA"], vp.CrossSection.square(1 * MM), 1e77)) > 0

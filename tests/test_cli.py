@@ -365,6 +365,7 @@ def test_simulate_seed_changes_output(tmp_path):
 
 
 SIMULATE_TPU = ["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0"]
+DESIGN_PLA = ["design", "--material", "PLA"]
 
 
 @pytest.mark.parametrize(
@@ -377,8 +378,15 @@ SIMULATE_TPU = ["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--l
         [*SIMULATE_TPU, "--sample-rate-hz", "inf"],
         [*SIMULATE_TPU, "--velocity-mm-s", "inf"],
         [*SIMULATE_TPU, "--velocity-mm-s", "1e300"],
+        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "1e100"],
+        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1", "1e100"],
+        [*DESIGN_PLA, "--side-range-mm", "0.4", "inf", "--length-range-mm", "3", "4"],
+        [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "inf"],
     ],
-    ids=["side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf", "velocity_huge"],
+    ids=[
+        "side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf",
+        "velocity_huge", "length_huge", "sweep_length_huge", "design_side_inf", "design_length_inf",
+    ],
 )
 def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
     assert run([*argv, "--output-dir", str(tmp_path)]) == 1
@@ -410,6 +418,8 @@ def make_group_dataset(out_dir, scale_by_material={"Default": 1.0, "ST45B": 4.0}
                 scenario,
                 meta=vp.RecordingMeta(
                     object="apple",
+                    exploration_procedure="LateralMotion",
+                    force_code=400,
                     fingerprint_material=material,
                     microphone="Left",
                     repetition=rep,
@@ -418,6 +428,32 @@ def make_group_dataset(out_dir, scale_by_material={"Default": 1.0, "ST45B": 4.0}
             vp.write_recording_bundle(
                 rec, out_dir / f"{material}_{rep}.wav", scenario=vp.scenario_to_dict(scenario)
             )
+
+
+def group_manifest(data):
+    """A manifest over make_group_dataset's Default and ST45B recordings."""
+    manifest = {
+        "schema_version": 1,
+        "objects": [{"id": "apple", "name": "apple"}],
+        "observations": [
+            {
+                "object_id": "apple",
+                "repetition": rep,
+                "fingerprint_material": material,
+                "procedures": [
+                    {
+                        "procedure": "LateralMotion",
+                        "force_codes": [400],
+                        "channel_files": {"Left": f"{material}_{rep}.wav"},
+                    }
+                ],
+            }
+            for material in ("Default", "ST45B")
+            for rep in (1, 2)
+        ],
+    }
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return data / "manifest.json"
 
 
 def test_analyze_glob_inputs(tmp_path, capsys):
@@ -445,34 +481,27 @@ def test_analyze_glob_inputs(tmp_path, capsys):
 def test_analyze_manifest_inputs(tmp_path):
     data = tmp_path / "data"
     make_group_dataset(data)
-    manifest = {
-        "schema_version": 1,
-        "objects": [{"id": "apple", "name": "porcelain apple"}],
-        "observations": [
-            {
-                "object_id": "apple",
-                "repetition": rep,
-                "fingerprint_material": material,
-                "procedures": [
-                    {
-                        "procedure": "LateralMotion",
-                        "force_codes": [400],
-                        "channel_files": {"Left": f"{material}_{rep}.wav"},
-                    }
-                ],
-            }
-            for material in ("Default", "ST45B")
-            for rep in (1, 2)
-        ],
-    }
-    (data / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "out"
-    code = run(["analyze", "--manifest", str(data / "manifest.json"), "--output-dir", str(out)])
+    code = run(["analyze", "--manifest", str(group_manifest(data)), "--output-dir", str(out)])
     assert code == 0
     ratios = json.loads((out / "ratios.json").read_text())
     assert ratios["microphones"]["Left"]["groups"]["ST45B"]["normalized_mean"] == pytest.approx(
         4.0, rel=0.01
     )
+
+
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_glob_and_manifest_inputs_give_identical_artifacts(tmp_path, window):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    artifacts = []
+    for source, inputs in (("glob", [str(data / "*.wav")]), ("manifest", ["--manifest", str(group_manifest(data))])):
+        out = tmp_path / source
+        assert run(["analyze", *inputs, "--window", window, "--write-spectra", "--output-dir", str(out)]) == 0
+        names = ["auc.csv", "ratios.json", *sorted(p.name for p in out.glob("mean_spectrum_*.csv"))]
+        artifacts.append({name: (out / name).read_bytes() for name in names})
+    assert len(artifacts[0]) == 4
+    assert artifacts[0] == artifacts[1]
 
 
 def test_analyze_mean_spectra_artifacts(tmp_path):
@@ -484,32 +513,6 @@ def test_analyze_mean_spectra_artifacts(tmp_path):
     spec_csv = out / "mean_spectrum_Left_Default.csv"
     assert spec_csv.exists()
     assert read_csv(spec_csv)[0] == ["frequency_hz", "magnitude", "amplitude_db"]
-
-
-def group_manifest(data):
-    """A manifest over make_group_dataset's Default and ST45B recordings."""
-    manifest = {
-        "schema_version": 1,
-        "objects": [{"id": "apple", "name": "porcelain apple"}],
-        "observations": [
-            {
-                "object_id": "apple",
-                "repetition": rep,
-                "fingerprint_material": material,
-                "procedures": [
-                    {
-                        "procedure": "LateralMotion",
-                        "force_codes": [400],
-                        "channel_files": {"Left": f"{material}_{rep}.wav"},
-                    }
-                ],
-            }
-            for material in ("Default", "ST45B")
-            for rep in (1, 2)
-        ],
-    }
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    return data / "manifest.json"
 
 
 @pytest.mark.parametrize("source", ["glob", "manifest"])

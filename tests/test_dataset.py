@@ -8,7 +8,6 @@ from scipy.io import wavfile
 
 import vibroprint as vp
 from vibroprint.cli import run
-from vibroprint.dataset import ENCLOSURE_DEFAULT_DURATION
 from vibroprint.errors import ManifestError, WavFormatError
 
 FS = 500e3
@@ -146,6 +145,39 @@ def test_given_labels_replace_the_sidecar(tmp_path, random_recording):
     assert vp.read_recording_bundle(path, meta).meta == meta
 
 
+@pytest.mark.parametrize("labels", ["sidecar", "given"])
+def test_bundle_read_builds_one_recording(tmp_path, random_recording, monkeypatch, labels):
+    meta = vp.RecordingMeta(microphone="Right", fingerprint_material="TPU")
+    path = tmp_path / "rec.wav"
+    vp.write_recording_bundle(vp.Recording(random_recording.samples, FS, meta), path)
+    calls = []
+    post_init = vp.Recording.__post_init__
+
+    def counted(rec):
+        calls.append(rec)
+        post_init(rec)
+
+    monkeypatch.setattr(vp.Recording, "__post_init__", counted)
+    assert vp.read_recording_bundle(path, meta if labels == "given" else None).meta == meta
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "samples, error, message",
+    [
+        (np.zeros(0, dtype=np.int16), WavFormatError, "zero-length"),
+        (np.array([0.0, np.nan, 0.5], dtype=np.float32), ValueError, "samples must all be finite"),
+    ],
+    ids=["decoder_rejects", "recording_rejects"],
+)
+def test_bad_wav_is_reported_before_bad_sidecar(tmp_path, samples, error, message):
+    path = tmp_path / "rec.wav"
+    wavfile.write(path, 48000, samples)
+    (tmp_path / "rec.json").write_text("{")
+    with pytest.raises(error, match=message):
+        vp.read_recording_bundle(path)
+
+
 # Nested past the interpreter's recursion limit, so json.loads raises RecursionError.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -173,7 +205,7 @@ def test_malformed_sidecar_names_its_path(tmp_path, random_recording, capsys, si
 
 
 # ---------------------------------------------------------------------------
-# Manifest helpers
+# Dataset manifest
 
 
 def minimal_manifest(tmp_path, **overrides):
@@ -207,7 +239,7 @@ def test_minimal_manifest_is_valid(tmp_path):
     result = vp.validate_manifest(minimal_manifest(tmp_path))
     assert result.ok
     assert result.warnings == []
-    assert result.manifest.recording_count() == 1
+    assert len(result.channels) == 1
 
 
 def test_six_repetitions_warn(tmp_path):
@@ -323,10 +355,6 @@ def test_missing_audio_file_errors(tmp_path):
     ]
     result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
     assert any("missing.wav" in e for e in result.errors)
-    relaxed = vp.validate_manifest(
-        minimal_manifest(tmp_path, observations=observations), check_files=False
-    )
-    assert relaxed.ok
 
 
 def test_missing_telemetry_only_warns(tmp_path):
@@ -349,24 +377,6 @@ def test_missing_telemetry_only_warns(tmp_path):
     assert any("telemetry" in w for w in result.warnings)
 
 
-def test_enclosure_gets_default_duration(tmp_path):
-    observations = [
-        {
-            "object_id": "obj1",
-            "repetition": 1,
-            "procedures": [
-                {
-                    "procedure": "Enclosure",
-                    "force_codes": [300],
-                    "channel_files": {"Left": "rec.wav"},
-                }
-            ],
-        }
-    ]
-    manifest = vp.load_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert manifest.observations[0].procedures[0].duration == ENCLOSURE_DEFAULT_DURATION
-
-
 def test_load_manifest_raises_with_error_list(tmp_path):
     path = minimal_manifest(tmp_path, observations=[{"object_id": "ghost", "repetition": 1, "procedures": []}])
     with pytest.raises(ManifestError) as excinfo:
@@ -374,32 +384,7 @@ def test_load_manifest_raises_with_error_list(tmp_path):
     assert excinfo.value.errors
 
 
-def test_manifest_round_trip_is_structurally_identical(tmp_path):
-    observations = [
-        {
-            "object_id": "obj1",
-            "repetition": 1,
-            "fingerprint_material": "ST45B",
-            "procedures": [
-                {
-                    "procedure": "Pressure",
-                    "force_codes": [400, 500, 600, 700],
-                    "channel_files": {"Left": "rec.wav"},
-                    "duration_s": 3.5,
-                }
-            ],
-        }
-    ]
-    manifest = vp.load_manifest(minimal_manifest(tmp_path, observations=observations))
-    out = tmp_path / "copy.json"
-    vp.write_manifest(manifest, out)
-    wav2 = tmp_path / "rec.wav"  # same directory, file still present
-    assert wav2.exists()
-    again = vp.load_manifest(out)
-    assert again == manifest
-
-
-def test_manifest_channels_yields_one_per_declared_channel(tmp_path):
+def test_load_manifest_yields_one_pair_per_declared_channel(tmp_path):
     for name in ("a.wav", "b.wav", "c.wav"):
         vp.write_wav(vp.Recording(np.zeros(64), FS), tmp_path / name, "int16")
     data = {
@@ -422,9 +407,10 @@ def test_manifest_channels_yields_one_per_declared_channel(tmp_path):
     }
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(data))
-    manifest = vp.load_manifest(path)
-    recs = [vp.read_recording_bundle(*item) for item in vp.manifest_channels(manifest, tmp_path)]
-    assert len(recs) == manifest.recording_count() == 3
+    channels = vp.load_manifest(path)
+    assert [wav for wav, _ in channels] == [tmp_path / "a.wav", tmp_path / "b.wav", tmp_path / "c.wav"]
+    recs = [vp.read_recording_bundle(*item) for item in channels]
+    assert len(recs) == 3
     assert [r.meta.microphone for r in recs] == ["Left", "Right", "Palm"]
     assert all(r.meta.object == "wooden stick" for r in recs)
     assert all(r.meta.fingerprint_material == "ST45B" for r in recs)
@@ -467,6 +453,8 @@ MALFORMED_MANIFESTS = {
         motor_telemetry_path="../outside.csv"
     ),
     "telemetry_not_string": lambda d: _first_procedure(d).update(motor_telemetry_path=5),
+    "schema_version_bool": lambda d: d.update(schema_version=True),
+    "schema_version_float": lambda d: d.update(schema_version=1.0),
 }
 
 
@@ -483,7 +471,7 @@ def test_malformed_manifest_is_a_validation_error(tmp_path, capsys, mutate):
     path.write_text(json.dumps(data).replace(OUTSIDE_WAV, str(tmp_path / "outside.wav")))
 
     result = vp.validate_manifest(path)
-    assert result.errors and result.manifest is None
+    assert result.errors and result.channels is None
     assert run(["analyze", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert "manifest error" in capsys.readouterr().err
 

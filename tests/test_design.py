@@ -131,6 +131,16 @@ def test_constraints_validation(materials):
         )
 
 
+@pytest.mark.parametrize("axis", ["side_range", "length_range"])
+def test_range_bounds_must_be_finite(materials, axis):
+    ranges = {"side_range": (mm_to_m(0.4), mm_to_m(1.0)), "length_range": (mm_to_m(3.4), mm_to_m(4.0))}
+    ranges[axis] = (ranges[axis][0], float("inf"))
+    with pytest.raises(ValueError, match=f"{axis} must be non-empty, positive and finite"):
+        vp.DesignConstraints(
+            material=materials["ST45B"], printer=vp.default_printer_constraints(), target_band=BAND, **ranges
+        )
+
+
 @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
 def test_grid_step_must_be_finite(materials, step):
     constraints = vp.reference_design_constraints(materials["ST45B"])

@@ -87,10 +87,11 @@ def test_manifest_loader_returns_or_raises_domain_error(scratch_dir, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            manifest = vp.load_manifest(path)
+            channels = vp.load_manifest(path)
         except VibroprintError:
             return
-    assert isinstance(manifest, vp.Manifest)
+    assert isinstance(channels, list)
+    assert all(isinstance(wav, Path) and isinstance(meta, vp.RecordingMeta) for wav, meta in channels)
 
 
 number_text = st.floats().map(repr) | st.integers(-100, 30000).map(str)

@@ -11,6 +11,8 @@ as the import of a deleted class.
 
 import ast
 import builtins
+import importlib
+import inspect
 import symtable
 from pathlib import Path
 
@@ -75,3 +77,47 @@ def test_guard_reports_an_unused_import():
         "from math import pi, tau\n\ndef f():\n    return os.sep, tau\n"
     )
     assert unused_imports(source, "m.py") == ["m.py:system", "m.py:pi"]
+
+
+SPANS = PACKAGE_DIR.parents[1] / "benchmarks" / "spans.py"
+
+
+def span_targets(source: str) -> list[tuple[str, str, set[str]]]:
+    """(module, function, argument names its counter hook reads) per entry of ``TARGETS``.
+
+    A hook is None, a lambda or the name of a module-level function; it
+    reads arguments as ``a["name"]`` from its first parameter.
+    """
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    ]
+    found = []
+    for entry in targets.elts:
+        module, function, hook = entry.elts
+        if isinstance(hook, ast.Name):
+            hook = functions[hook.id]
+        reads = set()
+        if not (isinstance(hook, ast.Constant) and hook.value is None):
+            param = hook.args.args[0].arg
+            reads = {
+                node.slice.value
+                for node in ast.walk(hook)
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == param
+            }
+        found.append((module.value, function.value, reads))
+    return found
+
+
+def test_benchmark_span_targets_exist():
+    # The tracer wraps these by name and binds each hook's reads to the call's arguments.
+    targets = span_targets(SPANS.read_text())
+    assert {arg for *_, reads in targets for arg in reads} == {"constraints", "grid_step", "wav_path", "path", "rec"}
+    for module, function, reads in targets:
+        fn = getattr(importlib.import_module(f"vibroprint.{module}"), function, None)
+        assert callable(fn), f"benchmarks/spans.py traces vibroprint.{module}.{function}, which is gone"
+        missing = reads - set(inspect.signature(fn).parameters)
+        assert not missing, f"vibroprint.{module}.{function} takes no argument(s) {sorted(missing)}"
