@@ -210,12 +210,21 @@ def modal_frequencies(
     len(lengths)), at the maximum, minimum and nominal density; for a
     point-density material all three are equal.  This is the library's
     one evaluation of the modal relation; see the module docstring for
-    why its factors are Python floats.
+    why its factors are Python floats.  Raises ValueError naming the size
+    when a fourth power overflows, or when a frequency would not be finite
+    and positive (a size so small or large that a factor underflows or
+    overflows).
     """
     k = mode_constant(n) ** 2 / (2.0 * math.pi)
     rho_min, rho_max = material.density_bounds
     rho = np.array([rho_max, rho_min, material.density])[:, None, None]
-    ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
+    try:
+        ei = np.array([material.youngs_modulus * second_moment(s) for s in sections])[:, None]
+    except OverflowError:
+        big = max(sections, key=lambda s: s.outer)
+        raise ValueError(
+            f"{big.shape.value} dimension {big.outer!r} m is too large: its fourth power overflows"
+        ) from None
     a = np.array([area(s) for s in sections])[:, None]
     lengths = np.asarray(lengths, dtype=float).tolist()
     try:
@@ -224,7 +233,16 @@ def modal_frequencies(
         raise ValueError(
             f"length {max(lengths, key=abs)!r} m is too large: its fourth power overflows"
         ) from None
-    low, high, nominal = k * np.sqrt(ei / (rho * a * l4))
+    with np.errstate(all="ignore"):
+        freqs = k * np.sqrt(ei / (rho * a * l4))
+    ok = (freqs > 0.0) & (freqs < math.inf)
+    if not ok.all():
+        i, j = np.argwhere(~ok.all(axis=0))[0]
+        raise ValueError(
+            f"{sections[i].shape.value} dimension {sections[i].outer!r} m at length "
+            f"{lengths[j]!r} m is out of range: its mode-{n} frequency is not finite and positive"
+        )
+    low, high, nominal = freqs
     return low, high, nominal
 
 

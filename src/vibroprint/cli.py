@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: freq, design, sweep, bands, simulate, analyze.  Flags speak
-bench units (mm, kHz, g/cm3, MPa); files and the library are SI.  Every
-run drops a run_params.json sidecar next to its outputs so results can
-be reproduced from the artifact alone.
+bench units (mm, kHz, g/cm3, MPa); files and the library are SI.  `run`
+writes a run_params.json sidecar next to the outputs of every successful
+subcommand, so results can be reproduced from the artifact alone.  A flag
+that cannot take effect is refused as a usage error, never ignored.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -40,6 +41,7 @@ from .errors import SpectrumGridError, VibroprintError
 from .materials import builtin_materials, get_material, load_material_config
 from .mic import (
     DEFAULT_THRESHOLD_DB,
+    MIC_LOW_BAND,
     SensitivityBand,
     bundled_mic_curve,
     load_response_curve,
@@ -66,10 +68,9 @@ class _UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
 
 
-def _materials_catalog(args):
-    if args.materials:
-        return load_material_config(args.materials)
-    return builtin_materials()
+def _material(args):
+    catalog = load_material_config(args.materials) if args.materials else builtin_materials()
+    return get_material(args.material, catalog)
 
 
 def _output_dir(args) -> Path:
@@ -130,11 +131,12 @@ def _add_section_flags(parser) -> None:
     )
 
 
-def _band_from_args(args) -> SensitivityBand:
-    lo, hi = (khz_to_hz(v) for v in args.band_khz)
-    peak = khz_to_hz(args.band_peak_khz)
-    if not lo <= peak <= hi:
-        peak = 0.5 * (lo + hi)  # default peak flag outside a custom band
+def _band(band_khz, peak_khz: float | None = None) -> SensitivityBand:
+    """The --band-khz band; without a peak, the microphone's 9 kHz if inside it, else its midpoint."""
+    lo, hi = (khz_to_hz(v) for v in band_khz)
+    peak = MIC_LOW_BAND.peak_frequency if peak_khz is None else khz_to_hz(peak_khz)
+    if peak_khz is None and not lo <= peak <= hi:
+        peak = 0.5 * (lo + hi)
     return SensitivityBand(low=lo, high=hi, peak_frequency=peak, peak_amplitude=0.0)
 
 
@@ -142,9 +144,8 @@ def _band_from_args(args) -> SensitivityBand:
 # freq
 
 
-def _cmd_freq(args, argv) -> int:
-    out_dir = _output_dir(args)
-    material = get_material(args.material, _materials_catalog(args))
+def _cmd_freq(args, out_dir: Path) -> None:
+    material = _material(args)
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
     f_lo, f_hi = frequency_bounds(beam, args.mode)
@@ -170,22 +171,24 @@ def _cmd_freq(args, argv) -> int:
             f"f{args.mode} = {hz_to_khz(f_lo):.3f}..{hz_to_khz(f_hi):.3f} kHz "
             f"(nominal {hz_to_khz(nominal):.3f})"
         )
-    _write_run_params(out_dir, args, argv)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # design
 
 
-def _cmd_design(args, argv) -> int:
-    out_dir = _output_dir(args)
-    material = get_material(args.material, _materials_catalog(args))
-    band = _band_from_args(args)
+def _cmd_design(args, out_dir: Path) -> None:
+    material = _material(args)
+    band = _band(args.band_khz)
 
-    if args.side_range_mm or args.length_range_mm:
-        if not (args.side_range_mm and args.length_range_mm):
-            raise _UsageError("--side-range-mm and --length-range-mm go together")
+    custom = args.side_range_mm or args.length_range_mm
+    if custom and not (args.side_range_mm and args.length_range_mm):
+        raise _UsageError("--side-range-mm and --length-range-mm go together")
+    if args.caps_mm and not custom:
+        raise _UsageError("--caps-mm needs --side-range-mm and --length-range-mm")
+    if args.caps_mm and args.no_caps:
+        raise _UsageError("give --caps-mm or --no-caps, not both")
+    if custom:
         caps = {seg: mm_to_m(v) for seg, v in zip(Segment, args.caps_mm)} if args.caps_mm else None
         constraints = replace(
             reference_design_constraints(material, target_band=band),
@@ -214,17 +217,13 @@ def _cmd_design(args, argv) -> int:
         (out_dir / "layout_report.txt").write_text(report + "\n")
         print(report)
 
-    _write_run_params(out_dir, args, argv)
-    return 0
-
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def _cmd_sweep(args, argv) -> int:
-    out_dir = _output_dir(args)
-    material = get_material(args.material, _materials_catalog(args))
+def _cmd_sweep(args, out_dir: Path) -> None:
+    material = _material(args)
 
     shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
     dims = [float(d) for d in args.dims_mm.split(",")]
@@ -234,7 +233,9 @@ def _cmd_sweep(args, argv) -> int:
             raise _UsageError(f"unknown shape {shape!r}; expected square/hexagon/circle")
         sections += [CrossSection(Shape(shape), mm_to_m(dim)) for dim in dims]
 
-    band = _band_from_args(args) if args.band_khz else None
+    if args.band_peak_khz is not None and not args.band_khz:
+        raise _UsageError("--band-peak-khz needs --band-khz")
+    band = _band(args.band_khz, args.band_peak_khz) if args.band_khz else None
     table = frequency_sweep(
         material,
         sections,
@@ -244,16 +245,13 @@ def _cmd_sweep(args, argv) -> int:
     )
     write_sweep_csv(table, out_dir / "sweep.csv")
     print(f"sweep: {len(table.rows)} rows -> {out_dir / 'sweep.csv'}")
-    _write_run_params(out_dir, args, argv)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # bands
 
 
-def _cmd_bands(args, argv) -> int:
-    out_dir = _output_dir(args)
+def _cmd_bands(args, out_dir: Path) -> None:
     curve = load_response_curve(args.curve) if args.curve else bundled_mic_curve()
     bands = sensitive_bands(curve, args.threshold_db)
 
@@ -277,8 +275,6 @@ def _cmd_bands(args, argv) -> int:
             f"band [{hz_to_khz(b.low):.3g}, {hz_to_khz(b.high):.3g}] kHz, "
             f"peak {hz_to_khz(b.peak_frequency):.3g} kHz at {b.peak_amplitude:.1f} dB"
         )
-    _write_run_params(out_dir, args, argv)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +289,18 @@ def _parse_per_mode(raw: str, name: str):
     return values[0] if len(values) == 1 else values
 
 
-def _cmd_simulate(args, argv) -> int:
-    out_dir = _output_dir(args)
-    material = get_material(args.material, _materials_catalog(args))
+def _cmd_simulate(args, out_dir: Path) -> None:
+    material = _material(args)
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
 
     pitch_mm = args.pitch_mm if args.pitch_mm is not None else 2.0 * section.outer * 1e3
     noise = None if args.noise_floor_db.lower() == "none" else float(args.noise_floor_db)
+    if args.amplitudes is None:
+        # half the library default so overlapping ring-downs stay inside [-1, 1]
+        amplitudes = tuple(0.5 ** (k + 1) for k in range(args.modes))
+    else:
+        amplitudes = _parse_per_mode(args.amplitudes, "--amplitudes")
     scenario = SlideScenario(
         beam=beam,
         pitch=mm_to_m(pitch_mm),
@@ -308,7 +308,7 @@ def _cmd_simulate(args, argv) -> int:
         duration=args.duration_s,
         modes=args.modes,
         damping_ratio=_parse_per_mode(args.damping, "--damping"),
-        mode_amplitudes=_parse_per_mode(args.amplitudes, "--amplitudes"),
+        mode_amplitudes=amplitudes,
         noise_floor_db=noise,
         sample_rate=args.sample_rate_hz,
         seed=args.seed,
@@ -327,8 +327,6 @@ def _cmd_simulate(args, argv) -> int:
         f"wrote {wav_path} ({rec.samples.size} samples @ {rec.sample_rate:.0f} Hz, "
         f"strike rate {scenario.excitation_rate:.1f} Hz)"
     )
-    _write_run_params(out_dir, args, argv)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +351,7 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
     return [(path, None) for path in paths]
 
 
-def _cmd_analyze(args, argv) -> int:
-    out_dir = _output_dir(args)
+def _cmd_analyze(args, out_dir: Path) -> None:
     inputs = _analysis_inputs(args)
     band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
 
@@ -364,7 +361,7 @@ def _cmd_analyze(args, argv) -> int:
         meta = rec.meta
         if meta.microphone is None or meta.fingerprint_material is None:
             raise VibroprintError(
-                "recording lacks microphone/fingerprint_material labels; "
+                f"{item[0]}: recording lacks microphone/fingerprint_material labels; "
                 "supply a manifest or sidecar metadata"
             )
         spec = spectrum(rec, args.window)
@@ -414,8 +411,6 @@ def _cmd_analyze(args, argv) -> int:
             f"{mic:>5} {mat:<12} n={stats.count:<3} "
             f"normalized AUC = {stats.normalized_mean:.3f} +/- {stats.normalized_std:.3f}"
         )
-    _write_run_params(out_dir, args, argv)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output-dir", help="artifact directory (default $VIBROPRINT_OUTPUT_DIR or .)")
     materials = argparse.ArgumentParser(add_help=False, parents=[output])
     materials.add_argument("--materials", help="material config file merged over builtins")
+    materials.add_argument("--material", required=True)
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_freq = sub.add_parser("freq", parents=[materials, fmt], help="predict beam natural frequency")
-    p_freq.add_argument("--material", required=True)
     _add_section_flags(p_freq)
     p_freq.add_argument("--length-mm", type=float, required=True)
     p_freq.add_argument("--mode", type=int, default=1)
@@ -450,11 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser(
         "design", parents=[materials], help="feasible (side, length) region and segment layouts"
     )
-    p_design.add_argument("--material", required=True)
     p_design.add_argument(
         "--band-khz", nargs=2, type=float, default=(3.2, 26.0), metavar=("LOW", "HIGH")
     )
-    p_design.add_argument("--band-peak-khz", type=float, default=9.0)
     p_design.add_argument("--side-range-mm", nargs=2, type=float, metavar=("LOW", "HIGH"))
     p_design.add_argument("--length-range-mm", nargs=2, type=float, metavar=("LOW", "HIGH"))
     p_design.add_argument("--grid-step-mm", type=float, default=0.1)
@@ -463,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=4,
         type=float,
         metavar=("TIP", "PHALANX", "THUMB", "PALM"),
-        help="clearance caps; defaults to the material class's reference caps",
+        help="clearance caps, with custom ranges only; custom ranges have no caps without them",
     )
     p_design.add_argument(
         "--no-caps", action="store_true", help="feasibility grid only, skip layouts"
@@ -471,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.set_defaults(handler=_cmd_design)
 
     p_sweep = sub.add_parser("sweep", parents=[materials], help="frequency vs length sweep table")
-    p_sweep.add_argument("--material", required=True)
     p_sweep.add_argument("--shapes", default="square,hexagon,circle")
     p_sweep.add_argument("--dims-mm", required=True, help="comma list of sides/radii (mm)")
     p_sweep.add_argument(
@@ -479,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--steps", type=int, default=25)
     p_sweep.add_argument("--band-khz", nargs=2, type=float, metavar=("LOW", "HIGH"))
-    p_sweep.add_argument("--band-peak-khz", type=float, default=9.0)
+    p_sweep.add_argument(
+        "--band-peak-khz", type=float, help="default 9 kHz if inside --band-khz, else its midpoint"
+    )
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_bands = sub.add_parser(
@@ -491,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[materials], help="synthesize a slide recording")
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed for synthesis")
-    p_sim.add_argument("--material", required=True)
     _add_section_flags(p_sim)
     p_sim.add_argument("--length-mm", type=float, required=True)
     p_sim.add_argument("--pitch-mm", type=float, help="beam spacing; default 2 x side")
@@ -500,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--duration-s", type=float, default=0.5)
     p_sim.add_argument("--modes", type=int, default=3)
     p_sim.add_argument("--damping", default="0.02", help="damping ratio(s), comma list")
-    # half the library default so overlapping ring-downs stay inside [-1, 1]
-    p_sim.add_argument("--amplitudes", default="0.5,0.25,0.125", help="mode amplitudes, comma list")
+    p_sim.add_argument(
+        "--amplitudes", help="mode amplitudes, comma list (default 0.5, 0.25, ... per mode)"
+    )
     p_sim.add_argument("--noise-floor-db", default="-70", help="noise level in dB, or 'none'")
     p_sim.add_argument("--sample-rate-hz", type=float, default=500e3)
     p_sim.add_argument("--encoding", choices=("int16", "int32", "float32"), default="float32")
@@ -536,13 +530,16 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args, argv)
+        out_dir = _output_dir(args)
+        args.handler(args, out_dir)
+        _write_run_params(out_dir, args, argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (VibroprintError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

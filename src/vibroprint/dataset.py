@@ -41,8 +41,12 @@ _INT_SCALES = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 _ENCODINGS = ("int16", "int32", "float32")
 
 
-def _decode_wav(path: Path) -> tuple[np.ndarray, float]:
-    """(samples in [-1, 1] as float64, sample rate) of a mono PCM WAV."""
+def _decode_wav(path: Path, meta: RecordingMeta) -> Recording:
+    """A mono PCM WAV as a Recording of [-1, 1] float64 samples with `meta`.
+
+    Every fault of the file, a non-finite sample included, raises
+    WavFormatError naming it.
+    """
     if not path.is_file():
         raise WavFormatError(f"WAV file not found: {path}")
     try:
@@ -70,7 +74,10 @@ def _decode_wav(path: Path) -> tuple[np.ndarray, float]:
             f"{path}: unsupported sample encoding {data.dtype}; "
             "expected int16, int32, or float32"
         )
-    return samples, float(rate)
+    try:
+        return Recording(samples, float(rate), meta)
+    except ValueError as exc:
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def read_wav(path: str | Path) -> Recording:
@@ -78,7 +85,7 @@ def read_wav(path: str | Path) -> Recording:
 
     Metadata is left empty; `read_recording_bundle` reads a WAV with its labels.
     """
-    return Recording(*_decode_wav(Path(path)))
+    return _decode_wav(Path(path), RecordingMeta())
 
 
 def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> None:
@@ -148,7 +155,6 @@ def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = Non
     WAV itself has passed every check.
     """
     wav_path = Path(wav_path)
-    samples, rate = _decode_wav(wav_path)
     sidecar_path = wav_path.with_suffix(".json")
     bad_sidecar = None
     if meta is None and sidecar_path.is_file():
@@ -160,8 +166,8 @@ def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = Non
             meta = RecordingMeta.from_dict(raw_meta)
         except (ValueError, RecursionError) as exc:
             bad_sidecar = exc
-    # A bad WAV is reported before a bad sidecar, so the Recording checks its samples first.
-    rec = Recording(samples, rate, RecordingMeta() if meta is None else meta)
+    # A bad WAV is reported before a bad sidecar, whose error waits for the decode.
+    rec = _decode_wav(wav_path, RecordingMeta() if meta is None else meta)
     if bad_sidecar is not None:
         raise ManifestError(
             f"{sidecar_path}: bad sidecar ({bad_sidecar})", errors=[str(bad_sidecar)]

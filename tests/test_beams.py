@@ -8,6 +8,7 @@ Oracles used here are coded independently of the library:
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -356,3 +357,23 @@ def test_huge_length_is_a_value_error_naming_it(materials):
         vp.modal_frequencies(materials["PLA"], [vp.CrossSection.square(1 * MM)], [1e-3, 1e97])
     # The largest lengths whose fourth power is still a float keep their value.
     assert vp.nominal_frequency(vp.BeamSpec(materials["PLA"], vp.CrossSection.square(1 * MM), 1e77)) > 0
+
+
+@pytest.mark.parametrize(
+    "section, length, message",
+    [
+        (vp.CrossSection.square(1 * MM), 1e-123, r"square dimension 0\.001 m at length 1e-123 m is out of range"),
+        (vp.CrossSection.square(1e-103), 3 * MM, r"square dimension 1e-103 m at length 0\.003 m is out of range"),
+        (vp.CrossSection.hexagon(1e97), 3 * MM, r"hexagon dimension 1e\+97 m is too large"),
+        (vp.CrossSection.circle(1e97), 3 * MM, r"circle dimension 1e\+97 m is too large"),
+    ],
+    ids=["length_underflow", "side_underflow", "hexagon_overflow", "circle_overflow"],
+)
+def test_extreme_sizes_are_value_errors_naming_them(materials, section, length, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy divide-by-zero warning on the way
+        with pytest.raises(ValueError, match=message):
+            vp.nominal_frequency(vp.BeamSpec(materials["PLA"], section, length))
+        # In a grid, the offending cell is named, not the first one.
+        with pytest.raises(ValueError, match=message):
+            vp.modal_frequencies(materials["PLA"], [vp.CrossSection.square(1 * MM), section], [3 * MM, length])

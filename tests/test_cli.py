@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import vibroprint as vp
 import vibroprint.cli
@@ -249,6 +250,19 @@ def test_sweep_csv_artifact(tmp_path):
     assert [r[0] for r in rows[-3:]] == ["band_low", "band_high", "band_peak"]
 
 
+SWEEP_PLA = ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "3", "5"]
+
+
+@pytest.mark.parametrize(
+    "band, peak, expected",
+    [(["3.2", "26"], [], "9000.0"), (["30", "40"], [], "35000.0"), (["3.2", "26"], ["--band-peak-khz", "12"], "12000.0")],
+    ids=["default_inside", "default_outside", "explicit"],
+)
+def test_sweep_band_peak_row(tmp_path, band, peak, expected):
+    assert run([*SWEEP_PLA, "--band-khz", *band, *peak, "--output-dir", str(tmp_path)]) == 0
+    assert read_csv(tmp_path / "sweep.csv")[-1] == ["band_peak", "", "", "", "", "", expected]
+
+
 def test_sweep_unknown_shape_is_usage_error(tmp_path, capsys):
     code = run(
         [
@@ -267,6 +281,35 @@ def test_sweep_unknown_shape_is_usage_error(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# flags that cannot take effect are refused
+
+
+CUSTOM_RANGES = ["--side-range-mm", "2.0", "2.6", "--length-range-mm", "1.4", "2.0"]
+CAPS = ["--caps-mm", "2.0", "1.8", "1.6", "1.8"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["design", "--material", "TPU", *CAPS], 2, "--caps-mm needs --side-range-mm and --length-range-mm"),
+        (["design", "--material", "TPU", *CAPS, "--no-caps"], 2, "--caps-mm needs --side-range-mm"),
+        (["design", "--material", "TPU", *CUSTOM_RANGES, *CAPS, "--no-caps"], 2, "--caps-mm or --no-caps, not both"),
+        (["design", "--material", "PLA", "--band-peak-khz", "50"], 2, "unrecognized arguments: --band-peak-khz"),
+        ([*SWEEP_PLA, "--band-peak-khz", "9"], 2, "--band-peak-khz needs --band-khz"),
+        ([*SWEEP_PLA, "--band-khz", "3.2", "26", "--band-peak-khz", "50"], 1, "peak_frequency must lie inside the band"),
+    ],
+    ids=[
+        "design_caps_without_ranges", "design_caps_no_caps_without_ranges", "design_caps_and_no_caps",
+        "design_band_peak", "sweep_peak_without_band", "sweep_peak_outside_band",
+    ],
+)
+def test_flags_that_cannot_take_effect_are_refused(tmp_path, capsys, argv, code, message):
+    assert run([*argv, "--output-dir", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +407,15 @@ def test_simulate_seed_changes_output(tmp_path):
     assert (d1 / "slide.wav").read_bytes() != (d2 / "slide.wav").read_bytes()
 
 
+@pytest.mark.parametrize("modes", [1, 2, 4])
+def test_simulate_default_amplitudes_follow_modes(tmp_path, capsys, modes):
+    # Mode 4 of this beam lies above the default rate's Nyquist frequency.
+    extra = ("--modes", str(modes), "--sample-rate-hz", "1000000")
+    assert run(simulate_args(tmp_path, extra=extra)) == 0
+    scenario = json.loads((tmp_path / "slide.json").read_text())["scenario"]
+    assert scenario["mode_amplitudes"] == [0.5 ** (k + 1) for k in range(modes)]
+
+
 SIMULATE_TPU = ["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0"]
 DESIGN_PLA = ["design", "--material", "PLA"]
 
@@ -382,10 +434,16 @@ DESIGN_PLA = ["design", "--material", "PLA"]
         ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1", "1e100"],
         [*DESIGN_PLA, "--side-range-mm", "0.4", "inf", "--length-range-mm", "3", "4"],
         [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "inf"],
+        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "1e-120"],
+        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1e-120", "1e-119"],
+        ["freq", "--material", "PLA", "--square-side-mm", "1e-100", "--length-mm", "3"],
+        ["freq", "--material", "PLA", "--square-side-mm", "1e100", "--length-mm", "3"],
+        ["sweep", "--material", "PLA", "--dims-mm", "1e100", "--length-range-mm", "2", "4"],
     ],
     ids=[
         "side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf",
         "velocity_huge", "length_huge", "sweep_length_huge", "design_side_inf", "design_length_inf",
+        "length_tiny", "sweep_length_tiny", "side_tiny", "side_huge", "sweep_dim_huge",
     ],
 )
 def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
@@ -598,6 +656,20 @@ def test_analyze_unlabeled_wav_is_domain_error(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["nan_sample", "unlabeled"])
+def test_analyze_error_names_the_bad_file(tmp_path, capsys, fault):
+    write_slide(tmp_path / "good.wav", "Left", "Default", 0.02)
+    bad = tmp_path / "bad.wav"
+    if fault == "nan_sample":
+        wavfile.write(bad, 500000, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+    else:
+        vp.write_wav(vp.Recording(np.zeros(256), 500e3), bad)
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err
+    assert "good.wav" not in err
+
+
 def test_analyze_without_inputs_is_usage_error(tmp_path, capsys):
     assert run(["analyze", "--output-dir", str(tmp_path)]) == 2
 
@@ -626,3 +698,73 @@ def test_output_dir_env_default(tmp_path, monkeypatch, capsys):
     code = run(["bands", "--threshold-db", "-42"])
     assert code == 0
     assert (tmp_path / "env_out" / "bands.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# run: the output directory and run_params.json, for every subcommand
+
+
+def contract_argvs(tmp_path):
+    """(success, handler usage error, domain error) argv per subcommand; bands has no usage error."""
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    unlabeled = tmp_path / "plain.wav"
+    vp.write_wav(vp.Recording(np.zeros(256), 500e3), unlabeled)
+    sweep = ["sweep", "--material", "PLA", "--length-range-mm", "3", "5", "--steps", "3"]
+    return {
+        "freq": (
+            ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "4"],
+            ["freq", "--material", "PLA", "--length-mm", "4"],
+            ["freq", "--material", "FL300", "--square-side-mm", "1", "--length-mm", "4"],
+        ),
+        "design": (
+            ["design", "--material", "TPU", "--no-caps"],
+            ["design", "--material", "TPU", "--side-range-mm", "2.0", "2.6"],
+            ["design", "--material", "ST45B", "--band-khz", "100", "100.01"],
+        ),
+        "sweep": (
+            [*sweep, "--dims-mm", "1"],
+            [*sweep, "--dims-mm", "1", "--shapes", "triangle"],
+            [*sweep, "--dims-mm", "1,nan"],
+        ),
+        "bands": (
+            ["bands", "--threshold-db", "-42"],
+            None,
+            ["bands", "--curve", str(tmp_path / "missing.csv")],
+        ),
+        "simulate": (
+            [*SIMULATE_TPU, "--duration-s", "0.02", "--seed", "5"],
+            [*SIMULATE_TPU, "--damping", "x"],
+            [*SIMULATE_TPU, "--sample-rate-hz", "10000"],
+        ),
+        "analyze": (
+            ["analyze", str(data / "*.wav")],
+            ["analyze"],
+            ["analyze", str(unlabeled)],
+        ),
+    }
+
+
+SUBCOMMANDS = ["freq", "design", "sweep", "bands", "simulate", "analyze"]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_success_writes_run_params(tmp_path, capsys, subcommand):
+    argv = [*contract_argvs(tmp_path)[subcommand][0], "--output-dir", str(tmp_path / "out")]
+    assert run(argv) == 0
+    params = json.loads((tmp_path / "out" / "run_params.json").read_text())
+    assert params["tool"] == "vibroprint"
+    assert params["subcommand"] == subcommand
+    assert params["argv"] == argv
+    assert params["seed"] == (5 if subcommand == "simulate" else None)
+
+
+@pytest.mark.parametrize(
+    "subcommand, outcome, code",
+    [(name, 1, 2) for name in SUBCOMMANDS if name != "bands"] + [(name, 2, 1) for name in SUBCOMMANDS],
+)
+def test_failure_leaves_no_run_params(tmp_path, capsys, subcommand, outcome, code):
+    argv = [*contract_argvs(tmp_path)[subcommand][outcome], "--output-dir", str(tmp_path / "out")]
+    assert run(argv) == code
+    assert ("usage error: " if code == 2 else "error: ") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_params.json").exists()

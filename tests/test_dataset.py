@@ -166,7 +166,7 @@ def test_bundle_read_builds_one_recording(tmp_path, random_recording, monkeypatc
     "samples, error, message",
     [
         (np.zeros(0, dtype=np.int16), WavFormatError, "zero-length"),
-        (np.array([0.0, np.nan, 0.5], dtype=np.float32), ValueError, "samples must all be finite"),
+        (np.array([0.0, np.nan, 0.5], dtype=np.float32), WavFormatError, "samples must all be finite"),
     ],
     ids=["decoder_rejects", "recording_rejects"],
 )
