@@ -98,7 +98,6 @@ from .signals import (
 )
 from .simulate import (
     SlideScenario,
-    impulse_response,
     noise_sigma,
     scenario_to_dict,
     slide_signal,

@@ -57,7 +57,13 @@ from .signals import (
     write_auc_csv,
     write_spectrum_csv,
 )
-from .simulate import SlideScenario, scenario_to_dict, slide_signal
+from .simulate import (
+    DEFAULT_DAMPING_RATIO,
+    DEFAULT_NOISE_FLOOR_DB,
+    SlideScenario,
+    scenario_to_dict,
+    slide_signal,
+)
 from .signals import RecordingMeta
 from .units import hz_to_khz, khz_to_hz, mm_to_m
 
@@ -101,6 +107,14 @@ def _write_table(fmt: str, out_dir: Path, stem: str, fieldnames, rows, payload) 
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def _numbers(raw, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-list flag; a malformed list is a usage error naming the flag."""
+    try:
+        return tuple(float(v) for v in str(raw).split(","))
+    except ValueError:
+        raise _UsageError(f"{flag} holds a value that is not a number: {raw!r}") from None
 
 
 def _section_from_args(args) -> CrossSection:
@@ -226,7 +240,7 @@ def _cmd_sweep(args, out_dir: Path) -> None:
     material = _material(args)
 
     shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
-    dims = [float(d) for d in args.dims_mm.split(",")]
+    dims = _numbers(args.dims_mm, "--dims-mm")
     sections = []
     for shape in shapes:
         if shape not in {s.value for s in Shape}:
@@ -281,11 +295,9 @@ def _cmd_bands(args, out_dir: Path) -> None:
 # simulate
 
 
-def _parse_per_mode(raw: str, name: str):
-    try:
-        values = tuple(float(v) for v in raw.split(","))
-    except ValueError:
-        raise _UsageError(f"{name} must be a comma list of numbers, got {raw!r}") from None
+def _per_mode(raw, flag: str):
+    """One number for every mode, or a tuple with one per mode."""
+    values = _numbers(raw, flag)
     return values[0] if len(values) == 1 else values
 
 
@@ -295,19 +307,24 @@ def _cmd_simulate(args, out_dir: Path) -> None:
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
 
     pitch_mm = args.pitch_mm if args.pitch_mm is not None else 2.0 * section.outer * 1e3
-    noise = None if args.noise_floor_db.lower() == "none" else float(args.noise_floor_db)
+    noise = None
+    if str(args.noise_floor_db).lower() != "none":
+        values = _numbers(args.noise_floor_db, "--noise-floor-db")
+        if len(values) != 1:
+            raise _UsageError(f"--noise-floor-db takes one number or 'none', got {args.noise_floor_db!r}")
+        noise = values[0]
     if args.amplitudes is None:
         # half the library default so overlapping ring-downs stay inside [-1, 1]
         amplitudes = tuple(0.5 ** (k + 1) for k in range(args.modes))
     else:
-        amplitudes = _parse_per_mode(args.amplitudes, "--amplitudes")
+        amplitudes = _per_mode(args.amplitudes, "--amplitudes")
     scenario = SlideScenario(
         beam=beam,
         pitch=mm_to_m(pitch_mm),
         velocity=mm_to_m(args.velocity_mm_s),
         duration=args.duration_s,
         modes=args.modes,
-        damping_ratio=_parse_per_mode(args.damping, "--damping"),
+        damping_ratio=_per_mode(args.damping, "--damping"),
         mode_amplitudes=amplitudes,
         noise_floor_db=noise,
         sample_rate=args.sample_rate_hz,
@@ -492,11 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--velocity-mm-s", type=float, default=953.3)
     p_sim.add_argument("--duration-s", type=float, default=0.5)
     p_sim.add_argument("--modes", type=int, default=3)
-    p_sim.add_argument("--damping", default="0.02", help="damping ratio(s), comma list")
+    p_sim.add_argument("--damping", default=DEFAULT_DAMPING_RATIO, help="damping ratio(s), comma list")
     p_sim.add_argument(
         "--amplitudes", help="mode amplitudes, comma list (default 0.5, 0.25, ... per mode)"
     )
-    p_sim.add_argument("--noise-floor-db", default="-70", help="noise level in dB, or 'none'")
+    p_sim.add_argument(
+        "--noise-floor-db", default=DEFAULT_NOISE_FLOOR_DB, help="noise level in dB, or 'none'"
+    )
     p_sim.add_argument("--sample-rate-hz", type=float, default=500e3)
     p_sim.add_argument("--encoding", choices=("int16", "int32", "float32"), default="float32")
     p_sim.add_argument("--name", default="slide", help="output file stem")

@@ -112,12 +112,17 @@ class FeasibleRegion:
     grid_step: float
 
 
-def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _axis_grid(name: str, lo: float, hi: float, step: float) -> np.ndarray:
     width = hi - lo
     n = int(math.floor(width / step + 1e-9))
-    if abs(lo + n * step - hi) <= 1e-9 * max(hi, step):
-        return np.linspace(lo, hi, n + 1)
-    return lo + step * np.arange(n + 1)
+    try:
+        if abs(lo + n * step - hi) <= 1e-9 * max(hi, step):
+            return np.linspace(lo, hi, n + 1)
+        return lo + step * np.arange(n + 1)
+    except ValueError as exc:  # numpy refuses an axis of this many points
+        raise ValueError(
+            f"cannot build the {name} axis [{lo}, {hi}] m at step {step} m: {exc}"
+        ) from None
 
 
 def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_GRID_STEP) -> FeasibleRegion:
@@ -139,8 +144,8 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
             raise ValueError(f"grid_step {grid_step} exceeds the {name} width {width}")
 
     band_lo, band_hi = constraints.band_bounds
-    sides = _axis_grid(s_lo, s_hi, grid_step)
-    lengths = _axis_grid(l_lo, l_hi, grid_step)
+    sides = _axis_grid("side_range", s_lo, s_hi, grid_step)
+    lengths = _axis_grid("length_range", l_lo, l_hi, grid_step)
     sections = [CrossSection.square(side) for side in sides.tolist()]
     f_lo, f_hi, _ = modal_frequencies(constraints.material, sections, lengths)
     miss = np.maximum(np.maximum(band_lo - f_lo, f_hi - band_hi), 0.0)

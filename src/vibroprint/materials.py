@@ -37,12 +37,14 @@ class Material:
     density_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if self.youngs_modulus <= 0:
-            raise ValueError(f"youngs_modulus must be positive, got {self.youngs_modulus}")
+        for name in ("density", "youngs_modulus"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.density_range is not None:
             lo, hi = self.density_range
+            if not hi < math.inf:
+                raise ValueError(f"density_range bounds must be finite, got [{lo}, {hi}]")
             if not (0 < lo <= self.density <= hi):
                 raise ValueError(
                     f"density {self.density} outside declared range [{lo}, {hi}]"

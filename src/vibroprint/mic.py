@@ -7,6 +7,7 @@ interpolation between samples is linear in both axes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -28,7 +29,6 @@ class ResponseCurve:
 
     x: np.ndarray
     amplitude_db: np.ndarray
-    x_name: str = "frequency_hz"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -47,12 +47,11 @@ class ResponseCurve:
         object.__setattr__(self, "amplitude_db", a)
 
     @classmethod
-    def from_points(cls, points, x_name: str = "frequency_hz") -> "ResponseCurve":
+    def from_points(cls, points) -> "ResponseCurve":
         pts = list(points)
         return cls(
             x=np.array([p[0] for p in pts], dtype=float),
             amplitude_db=np.array([p[1] for p in pts], dtype=float),
-            x_name=x_name,
         )
 
     @property
@@ -63,9 +62,7 @@ class ResponseCurve:
         """Linearly interpolated amplitude (dB) at `at`; no extrapolation."""
         lo, hi = self.domain
         if not lo <= at <= hi:
-            raise CurveDomainError(
-                f"{self.x_name}={at} outside curve domain [{lo}, {hi}]"
-            )
+            raise CurveDomainError(f"frequency_hz={at} outside curve domain [{lo}, {hi}]")
         return float(np.interp(at, self.x, self.amplitude_db))
 
 
@@ -104,47 +101,31 @@ def sensitive_bands(curve: ResponseCurve, threshold_db: float) -> list[Sensitivi
     (ties resolved to the lowest frequency).  Zero-width touches are
     dropped.  Returns [] when the whole curve is below threshold.
     """
-    xs = curve.x
-    ys = curve.amplitude_db
+    if not math.isfinite(threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
+    xs, ys = curve.x, curve.amplitude_db
 
-    # Per-segment sub-intervals where the line is at or above threshold.
-    intervals: list[list[float]] = []
-
-    def add(lo: float, hi: float):
-        if intervals and intervals[-1][1] >= lo:
-            intervals[-1][1] = max(intervals[-1][1], hi)
-        else:
-            intervals.append([lo, hi])
-
-    for i in range(len(xs) - 1):
-        x0, x1 = float(xs[i]), float(xs[i + 1])
-        y0, y1 = float(ys[i]), float(ys[i + 1])
-        above0 = y0 >= threshold_db
-        above1 = y1 >= threshold_db
-        if above0 and above1:
-            add(x0, x1)
-        elif above0 or above1:
-            xc = x0 + (threshold_db - y0) * (x1 - x0) / (y1 - y0)
-            if above0:
-                add(x0, xc)
-            else:
-                add(xc, x1)
+    # A band opens at the first sample or at a rising crossing, and closes at
+    # a falling crossing or at the last sample.
+    above = ys >= threshold_db
+    seg = np.flatnonzero(above[:-1] != above[1:])
+    x0, y0 = xs[seg], ys[seg]
+    crossings = x0 + (threshold_db - y0) * (xs[seg + 1] - x0) / (ys[seg + 1] - y0)
+    rising = above[seg + 1]
+    lows = np.concatenate((xs[:1][above[:1]], crossings[rising]))
+    highs = np.concatenate((crossings[~rising], xs[-1:][above[-1:]]))
+    # Rounding can carry a falling crossing onto the next rising one; those
+    # intervals touch and are one band.
+    touch = np.flatnonzero(highs[:-1] >= lows[1:])
+    lows, highs = np.delete(lows, touch + 1), np.delete(highs, touch)
 
     bands = []
-    for lo, hi in intervals:
+    for lo, hi in zip(lows.tolist(), highs.tolist()):
         if not lo < hi:
             continue  # tangent touch, zero measure
-        inside = (xs >= lo) & (xs <= hi)
-        cand_x = np.concatenate(([lo], xs[inside], [hi]))
-        cand_a = np.concatenate(
-            (
-                [np.interp(lo, xs, ys)],
-                ys[inside],
-                [np.interp(hi, xs, ys)],
-            )
-        )
-        order = np.argsort(cand_x, kind="stable")
-        cand_x, cand_a = cand_x[order], cand_a[order]
+        i, j = np.searchsorted(xs, lo, side="left"), np.searchsorted(xs, hi, side="right")
+        cand_x = np.concatenate(([lo], xs[i:j], [hi]))
+        cand_a = np.concatenate(([np.interp(lo, xs, ys)], ys[i:j], [np.interp(hi, xs, ys)]))
         best = int(np.argmax(cand_a))  # first (lowest-x) maximum
         bands.append(
             SensitivityBand(

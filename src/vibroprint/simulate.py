@@ -21,7 +21,6 @@ from .errors import NyquistError
 from .signals import REFERENCE_AMPLITUDE, Procedure, Recording, RecordingMeta
 
 DEFAULT_DAMPING_RATIO = 0.02
-DEFAULT_MODE_AMPLITUDES = (1.0, 0.5, 0.25)
 DEFAULT_NOISE_FLOOR_DB = -70.0
 
 # Ring-downs are truncated once the envelope has decayed by e^-21 (~1e-9).
@@ -37,23 +36,6 @@ def _per_mode(value, modes: int, name: str) -> tuple[float, ...]:
     return values
 
 
-def _mode_parameters(
-    modes: int, duration: float, sample_rate: float, damping, amplitudes
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Check the mode count, duration, sample rate and damping range; expand
-    per-mode values."""
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    for name, value in (("duration", duration), ("sample_rate", sample_rate)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    damping = _per_mode(damping, modes, "damping")
-    for zeta in damping:
-        if not 0.0 < zeta < 1.0:
-            raise ValueError(f"damping must be in (0, 1), got {zeta}")
-    return damping, _per_mode(amplitudes, modes, "amplitudes")
-
-
 @dataclass(frozen=True)
 class SlideScenario:
     """Parameters of one simulated lateral slide (SI units).
@@ -61,7 +43,8 @@ class SlideScenario:
     `pitch` is the center-to-center beam spacing (2 x side in the final
     designs), `velocity` the sliding speed (m/s); beams are struck at
     velocity / pitch per second.  `damping_ratio` and `mode_amplitudes`
-    accept a scalar (applied to every mode) or one value per mode.
+    accept a scalar (applied to every mode) or one value per mode; without
+    `mode_amplitudes`, mode k + 1 gets amplitude 0.5**k.
     `noise_floor_db` sets the expected amplitude-spectrum level of the
     added Gaussian noise (None disables noise).
     """
@@ -72,7 +55,7 @@ class SlideScenario:
     duration: float
     modes: int = 3
     damping_ratio: float | tuple[float, ...] = DEFAULT_DAMPING_RATIO
-    mode_amplitudes: float | tuple[float, ...] = DEFAULT_MODE_AMPLITUDES
+    mode_amplitudes: float | tuple[float, ...] | None = None
     noise_floor_db: float | None = DEFAULT_NOISE_FLOOR_DB
     sample_rate: float = 500e3
     seed: int = 0
@@ -82,14 +65,21 @@ class SlideScenario:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.modes < 1:
+            raise ValueError(f"modes must be >= 1, got {self.modes}")
+        for name in ("duration", "sample_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        damping = _per_mode(self.damping_ratio, self.modes, "damping")
+        for zeta in damping:
+            if not 0.0 < zeta < 1.0:
+                raise ValueError(f"damping must be in (0, 1), got {zeta}")
         amplitudes = self.mode_amplitudes
-        if amplitudes is DEFAULT_MODE_AMPLITUDES and self.modes != 3:
+        if amplitudes is None:
             amplitudes = tuple(0.5**k for k in range(self.modes))
-        damping, amplitudes = _mode_parameters(
-            self.modes, self.duration, self.sample_rate, self.damping_ratio, amplitudes
-        )
         object.__setattr__(self, "damping_ratio", damping)
-        object.__setattr__(self, "mode_amplitudes", amplitudes)
+        object.__setattr__(self, "mode_amplitudes", _per_mode(amplitudes, self.modes, "amplitudes"))
         # At most one strike per sample, so the strike loop ends.
         if self.excitation_rate > self.sample_rate:
             raise ValueError(
@@ -114,44 +104,16 @@ def _mode_frequencies(beam: BeamSpec, modes: int, sample_rate: float) -> list[fl
     return freqs
 
 
-def _ring_down(
-    freqs: list[float],
-    damping: tuple[float, ...],
-    amplitudes: tuple[float, ...],
-    n_samples: int,
-    rate: float,
-) -> np.ndarray:
-    t = np.arange(n_samples) / rate
+def _ring_down(scenario: SlideScenario, freqs: list[float], n_samples: int) -> np.ndarray:
+    """One strike: y(t) = sum_n A_n exp(-2 pi f_n zeta_n t) sin(2 pi f_n sqrt(1 - zeta_n^2) t)."""
+    t = np.arange(n_samples) / scenario.sample_rate
     y = np.zeros(n_samples)
-    for f_n, zeta, amp in zip(freqs, damping, amplitudes):
+    for f_n, zeta, amp in zip(freqs, scenario.damping_ratio, scenario.mode_amplitudes):
         if amp == 0.0:
             continue
         f_damped = f_n * math.sqrt(1.0 - zeta**2)
         y += amp * np.exp(-2.0 * math.pi * f_n * zeta * t) * np.sin(2.0 * math.pi * f_damped * t)
     return y
-
-
-def impulse_response(
-    beam: BeamSpec,
-    modes: int,
-    damping: float | tuple[float, ...] = DEFAULT_DAMPING_RATIO,
-    amplitudes: float | tuple[float, ...] = 1.0,
-    duration: float = 0.05,
-    rate: float = 500e3,
-) -> Recording:
-    """Ring-down of a single strike: damped sinusoids at the beam's modes.
-
-    y(t) = sum_n A_n exp(-2 pi f_n zeta_n t) sin(2 pi f_n sqrt(1 - zeta_n^2) t)
-    """
-    damping, amplitudes = _mode_parameters(modes, duration, rate, damping, amplitudes)
-    freqs = _mode_frequencies(beam, modes, rate)
-    n_samples = max(2, int(round(duration * rate)))
-    samples = _ring_down(freqs, damping, amplitudes, n_samples, rate)
-    return Recording(
-        samples=samples,
-        sample_rate=rate,
-        meta=RecordingMeta(fingerprint_material=beam.material.name),
-    )
 
 
 def noise_sigma(noise_floor_db: float, n_samples: int) -> float:
@@ -191,9 +153,7 @@ def slide_signal(scenario: SlideScenario, meta: RecordingMeta | None = None) -> 
     kernel_len = min(
         n_samples, max(2, int(math.ceil(_DECAY_CUTOFF_TIME_CONSTANTS / slowest * rate)))
     )
-    kernel = _ring_down(
-        freqs, scenario.damping_ratio, scenario.mode_amplitudes, kernel_len, rate
-    )
+    kernel = _ring_down(scenario, freqs, kernel_len)
 
     samples = np.zeros(n_samples)
     strike = 0

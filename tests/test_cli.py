@@ -190,6 +190,14 @@ def test_design_empty_region_is_domain_error(tmp_path, capsys):
     assert "closest miss" in capsys.readouterr().err
 
 
+def test_design_axis_numpy_refuses_names_the_axis(tmp_path, capsys):
+    argv = ["design", "--material", "PLA", "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "1e100"]
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot build the length_range axis [0.003, 1e+97] m at step 0.0001 m" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_design_custom_ranges_and_caps(tmp_path):
     code = run(
         [
@@ -300,10 +308,13 @@ CAPS = ["--caps-mm", "2.0", "1.8", "1.6", "1.8"]
         (["design", "--material", "PLA", "--band-peak-khz", "50"], 2, "unrecognized arguments: --band-peak-khz"),
         ([*SWEEP_PLA, "--band-peak-khz", "9"], 2, "--band-peak-khz needs --band-khz"),
         ([*SWEEP_PLA, "--band-khz", "3.2", "26", "--band-peak-khz", "50"], 1, "peak_frequency must lie inside the band"),
+        (["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0", "--noise-floor-db", "abc"], 2, "--noise-floor-db holds a value that is not a number: 'abc'"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1,x", "--length-range-mm", "3", "5"], 2, "--dims-mm holds a value that is not a number: '1,x'"),
     ],
     ids=[
         "design_caps_without_ranges", "design_caps_no_caps_without_ranges", "design_caps_and_no_caps",
         "design_band_peak", "sweep_peak_without_band", "sweep_peak_outside_band",
+        "simulate_noise_floor_not_a_number", "sweep_dims_not_a_number",
     ],
 )
 def test_flags_that_cannot_take_effect_are_refused(tmp_path, capsys, argv, code, message):
@@ -439,11 +450,13 @@ DESIGN_PLA = ["design", "--material", "PLA"]
         ["freq", "--material", "PLA", "--square-side-mm", "1e-100", "--length-mm", "3"],
         ["freq", "--material", "PLA", "--square-side-mm", "1e100", "--length-mm", "3"],
         ["sweep", "--material", "PLA", "--dims-mm", "1e100", "--length-range-mm", "2", "4"],
+        ["bands", "--threshold-db", "nan"],
     ],
     ids=[
         "side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf",
         "velocity_huge", "length_huge", "sweep_length_huge", "design_side_inf", "design_length_inf",
         "length_tiny", "sweep_length_tiny", "side_tiny", "side_huge", "sweep_dim_huge",
+        "bands_threshold_nan",
     ],
 )
 def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):

@@ -1,5 +1,7 @@
 """Material constants, config parsing, and the hardware envelope types."""
 
+import math
+
 import pytest
 
 import vibroprint as vp
@@ -46,6 +48,12 @@ def test_material_validation():
         vp.Material(name="x", density=1000.0, youngs_modulus=0.0)
     with pytest.raises(ValueError):
         vp.Material(name="x", density=1000.0, youngs_modulus=1e9, density_range=(1100.0, 1200.0))
+    with pytest.raises(ValueError, match="density must be positive and finite, got nan"):
+        vp.Material(name="x", density=math.nan, youngs_modulus=1e9)
+    with pytest.raises(ValueError, match="youngs_modulus must be positive and finite, got inf"):
+        vp.Material(name="x", density=1000.0, youngs_modulus=math.inf)
+    with pytest.raises(ValueError, match="density_range bounds must be finite"):
+        vp.Material(name="x", density=1000.0, youngs_modulus=1e9, density_range=(900.0, math.inf))
 
 
 def test_get_material_is_case_insensitive():

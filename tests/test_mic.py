@@ -1,5 +1,7 @@
 """Response curves and band extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from vibroprint.errors import CurveDomainError, CurveFormatError
 THRESHOLD = -42.0
 
 
-def curve(*points, x_name="frequency_hz"):
-    return vp.ResponseCurve.from_points(points, x_name=x_name)
+def curve(*points):
+    return vp.ResponseCurve.from_points(points)
 
 
 def analytic_crossings(c, threshold):
@@ -25,6 +27,45 @@ def analytic_crossings(c, threshold):
         elif y0 == threshold and y1 != threshold:
             out.append(x0)
     return sorted(set(out))
+
+
+def segment_walk_bands(c, threshold):
+    """Per-segment interval walk with greedy merging: the reference that the
+    array pass in `sensitive_bands` must match exactly."""
+    xs, ys = c.x, c.amplitude_db
+    intervals = []
+
+    def add(lo, hi):
+        if intervals and intervals[-1][1] >= lo:
+            intervals[-1][1] = max(intervals[-1][1], hi)
+        else:
+            intervals.append([lo, hi])
+
+    for i in range(len(xs) - 1):
+        x0, x1 = float(xs[i]), float(xs[i + 1])
+        y0, y1 = float(ys[i]), float(ys[i + 1])
+        above0, above1 = y0 >= threshold, y1 >= threshold
+        if above0 and above1:
+            add(x0, x1)
+        elif above0 or above1:
+            xc = x0 + (threshold - y0) * (x1 - x0) / (y1 - y0)
+            if above0:
+                add(x0, xc)
+            else:
+                add(xc, x1)
+
+    bands = []
+    for lo, hi in intervals:
+        if not lo < hi:
+            continue
+        inside = (xs >= lo) & (xs <= hi)
+        cand_x = np.concatenate(([lo], xs[inside], [hi]))
+        cand_a = np.concatenate(([np.interp(lo, xs, ys)], ys[inside], [np.interp(hi, xs, ys)]))
+        order = np.argsort(cand_x, kind="stable")
+        cand_x, cand_a = cand_x[order], cand_a[order]
+        best = int(np.argmax(cand_a))
+        bands.append((lo, hi, float(cand_x[best]), float(cand_a[best])))
+    return bands
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +138,34 @@ def test_bands_are_disjoint_sorted_and_maximal():
                 probe = edge + direction * 1e-6 * (c.x[-1] - c.x[0])
                 if c.x[0] <= probe <= c.x[-1]:
                     assert c.interpolate(probe) <= THRESHOLD + 1e-6
+
+
+@pytest.mark.parametrize("threshold", [-42.0, -30.0, -50.0, -5.0])
+def test_bands_equal_the_segment_walk(threshold):
+    rng = np.random.default_rng(19)
+    curves = [vp.bundled_mic_curve()]
+    for k in range(400):
+        n = int(rng.integers(2, 30))
+        # every fourth curve has ulp-spaced samples, where rounded crossings touch
+        step = np.spacing(1e5) if k % 4 == 3 else rng.uniform(1.0, 5e3)
+        x = 1e5 + np.cumsum(rng.integers(1, 4, n)) * step
+        y = rng.uniform(-80.0, 0.0, n)
+        y[rng.random(n) < 0.3] = threshold  # vertices exactly on the threshold
+        near = rng.random(n) < 0.15
+        y[near] = threshold + rng.choice([-1e-13, 1e-13], near.sum())
+        curves.append(vp.ResponseCurve(x=x, amplitude_db=y))
+    for c in curves:
+        bands = [
+            (b.low, b.high, b.peak_frequency, b.peak_amplitude)
+            for b in vp.sensitive_bands(c, threshold)
+        ]
+        assert bands == segment_walk_bands(c, threshold)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_threshold_is_rejected(threshold):
+    with pytest.raises(ValueError, match="threshold_db must be finite"):
+        vp.sensitive_bands(vp.bundled_mic_curve(), threshold)
 
 
 def test_raising_threshold_shrinks_bands():
@@ -178,7 +247,6 @@ def test_load_curve_round_trip(tmp_path):
     path.write_text("frequency_hz,amplitude_db\n100,-70\n200,-42\n300,-70\n")
     c = vp.load_response_curve(path)
     assert list(c.x) == [100.0, 200.0, 300.0]
-    assert c.x_name == "frequency_hz"
 
 
 def test_load_curve_rejects_distance_header(tmp_path, capsys):
