@@ -7,18 +7,23 @@ coherent gain, so a pure sinusoid of amplitude A lands at bin magnitude
 Area under the curve (AUC) is integrated over *linear* magnitude: the
 headline statistic is an amplitude ratio against a baseline skin, and
 integrating dB would change its meaning.
+
+The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
+is built with numpy alone, and each window is cached with its coherent
+gain per (window, n), so a batch of equal-length recordings builds it
+once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import BaselineError, SpectrumGridError
 
@@ -108,8 +113,8 @@ class Recording:
             raise ValueError("samples must be a 1-D array with at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -136,20 +141,26 @@ class Spectrum:
             return 20.0 * np.log10(self.magnitudes / REFERENCE_AMPLITUDE)
 
 
-def _window_values(window: str, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _window(window: str, n: int) -> tuple[np.ndarray, float]:
+    """(read-only window of n samples, its sum)."""
     if window == "rectangular":
-        return np.ones(n)
-    if window == "hann":
-        return get_window("hann", n, fftbins=True)
-    raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
+        w = np.ones(n)
+    elif window == "hann":
+        # Periodic Hann: one period of n + 1 symmetric points, last dropped.
+        w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    else:
+        raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
+    w.setflags(write=False)
+    return w, float(w.sum())
 
 
 def spectrum(rec: Recording, window: str = "hann") -> Spectrum:
     """Single-sided amplitude spectrum of the windowed recording."""
     n = rec.samples.size
-    w = _window_values(window, n)
+    w, total = _window(window, n)
     transform = np.fft.rfft(rec.samples * w)
-    mags = np.abs(transform) * (2.0 / w.sum())
+    mags = np.abs(transform) * (2.0 / total)
     mags[0] *= 0.5  # DC has no mirror
     if n % 2 == 0:
         mags[-1] *= 0.5  # neither does Nyquist for even n
@@ -344,11 +355,10 @@ def normalize_against_baseline(
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     """Columns: frequency_hz, magnitude, amplitude_db."""
+    rows = zip(spec.frequencies.tolist(), spec.magnitudes.tolist(), spec.amplitudes_db.tolist())
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "magnitude", "amplitude_db"])
-        for f, m, db in zip(spec.frequencies, spec.magnitudes, spec.amplitudes_db):
-            writer.writerow([repr(float(f)), repr(float(m)), repr(float(db))])
+        fh.write("frequency_hz,magnitude,amplitude_db\r\n")
+        fh.writelines(f"{f!r},{m!r},{db!r}\r\n" for f, m, db in rows)
 
 
 def write_auc_csv(report: AucReport, path: str | Path) -> None:

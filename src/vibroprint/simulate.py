@@ -71,6 +71,8 @@ class SlideScenario:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.noise_floor_db is not None and not math.isfinite(self.noise_floor_db):
+            raise ValueError(f"noise_floor_db must be finite or None, got {self.noise_floor_db}")
         damping = _per_mode(self.damping_ratio, self.modes, "damping")
         for zeta in damping:
             if not 0.0 < zeta < 1.0:

@@ -465,6 +465,13 @@ def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_noise_floor_names_the_field(tmp_path, capsys, level):
+    assert run([*SIMULATE_TPU, f"--noise-floor-db={level}", "--output-dir", str(tmp_path)]) == 1
+    assert "noise_floor_db must be finite or None" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.wav"))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -2,13 +2,23 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vibroprint as vp
 from vibroprint.errors import BaselineError, SpectrumGridError
-from vibroprint.signals import report_to_json_dict, write_auc_csv, write_spectrum_csv
+from vibroprint.signals import (
+    WINDOWS,
+    _window,
+    report_to_json_dict,
+    write_auc_csv,
+    write_spectrum_csv,
+)
 
 FS = 500e3
 
@@ -89,6 +99,52 @@ def test_recording_validation():
         vp.Recording(np.array([0.0, np.inf]), FS)
     with pytest.raises(ValueError):
         vp.Recording(np.zeros(10), 0.0)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+            vp.Recording(np.zeros(10), rate)
+
+
+# ---------------------------------------------------------------------------
+# window
+
+
+@pytest.mark.parametrize(
+    "sizes", [range(2, 3000), (10_000, 100_000, 250_000, 250_001)], ids=["2-2999", "large"]
+)
+def test_hann_matches_scipy_bit_for_bit(sizes):
+    from scipy.signal import get_window
+
+    for n in sizes:
+        w = _window("hann", n)[0]
+        assert np.array_equal(w.view(np.int64), get_window("hann", n, fftbins=True).view(np.int64)), n
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_cached_window_is_shared_and_read_only(window):
+    w, total = _window(window, 4096)
+    assert _window(window, 4096)[0] is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    before = w.copy()
+    vp.spectrum(vp.Recording(np.ones(4096), FS), window)
+    assert np.array_equal(w, before)
+    assert total == w.sum()
+
+
+def test_unknown_window_error_is_not_cached():
+    before = _window.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown window 'hamming'"):
+            _window("hamming", 128)
+    assert _window.cache_info().currsize == before
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = Path(vp.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import vibroprint.cli, sys; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_parseval_rectangular():
@@ -340,6 +396,29 @@ def test_all_aucs_nonnegative_from_spectra():
 
 # ---------------------------------------------------------------------------
 # exports
+
+
+def reference_spectrum_csv(spec, path):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frequency_hz", "magnitude", "amplitude_db"])
+        for row in zip(spec.frequencies, spec.magnitudes, spec.amplitudes_db):
+            writer.writerow([repr(float(x)) for x in row])
+
+
+@pytest.mark.parametrize(
+    "rec, window",
+    [(sine(9000.0, amp=0.3, n=5001), "hann"), (vp.Recording(np.zeros(1000), FS), "rectangular")],
+    ids=["hann_sine", "rectangular_zeros"],
+)
+def test_spectrum_csv_bytes_match_csv_writer(tmp_path, rec, window):
+    spec = vp.spectrum(rec, window)
+    write_spectrum_csv(spec, tmp_path / "spec.csv")
+    reference_spectrum_csv(spec, tmp_path / "reference.csv")
+    written = (tmp_path / "spec.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    if window == "rectangular":
+        assert written.count(b",-inf\r\n") == spec.frequencies.size
 
 
 def test_spectrum_csv_schema(tmp_path):

@@ -206,6 +206,12 @@ def test_scenario_rejects_non_finite_values(tpu_beam, field, value):
         one_mode_scenario(tpu_beam, **{field: value})
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_scenario_rejects_non_finite_noise_floor(tpu_beam, level):
+    with pytest.raises(ValueError, match="noise_floor_db must be finite or None"):
+        one_mode_scenario(tpu_beam, noise_floor_db=level)
+
+
 @pytest.mark.parametrize("velocity", [1e300, 2.0 * FS * mm_to_m(5.2)], ids=["huge", "two_per_sample"])
 def test_more_than_one_strike_per_sample_is_rejected(tpu_beam, velocity):
     with pytest.raises(ValueError, match="exceeds the sample rate"):
