@@ -373,7 +373,8 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
 
     def analyze_one(item):
-        """(AucEntry, (sample rate, samples), Spectrum under --write-spectra) of one WAV."""
+        """(AucEntry, (sample rate, samples), (procedure, force code), Spectrum under
+        --write-spectra) of one WAV."""
         rec = read_recording_bundle(*item)
         meta = rec.meta
         if meta.microphone is None or meta.fingerprint_material is None:
@@ -389,7 +390,12 @@ def _cmd_analyze(args, out_dir: Path) -> None:
             object=meta.object,
             repetition=meta.repetition,
         )
-        return entry, (rec.sample_rate, rec.samples.size), spec if args.write_spectra else None
+        return (
+            entry,
+            (rec.sample_rate, rec.samples.size),
+            (meta.exploration_procedure, meta.force_code),
+            spec if args.write_spectra else None,
+        )
 
     # Threads beyond the cores only add interpreter-lock hand-offs between
     # the file reads and the FFTs.
@@ -399,17 +405,24 @@ def _cmd_analyze(args, out_dir: Path) -> None:
 
     # Noise and tonal peaks scale differently with record length and rate, so
     # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.
-    grids: dict[str, tuple[float, int]] = {}
-    for entry, grid, _ in results:
-        first = grids.setdefault(entry.microphone, grid)
-        if grid != first:
+    # They also need one exploration procedure and force code: a slide and a
+    # squeeze excite the skin differently.  An unset label is a value of its own.
+    firsts: dict[str, tuple] = {}
+    for entry, grid, procedure, _ in results:
+        first_grid, first_procedure = firsts.setdefault(entry.microphone, (grid, procedure))
+        if grid != first_grid:
             raise SpectrumGridError(
                 f"microphone {entry.microphone!r} mixes recordings of (sample rate Hz, samples) "
-                f"{first} and {grid}; their AUCs are not comparable"
+                f"{first_grid} and {grid}; their AUCs are not comparable"
+            )
+        if procedure != first_procedure:
+            raise VibroprintError(
+                f"microphone {entry.microphone!r} mixes recordings of (exploration_procedure, "
+                f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
             )
 
     report = normalize_against_baseline(
-        [entry for entry, _, _ in results], baseline_material=args.baseline_material, band=band
+        [entry for entry, *_ in results], baseline_material=args.baseline_material, band=band
     )
     write_auc_csv(report, out_dir / "auc.csv")
     (out_dir / "ratios.json").write_text(
@@ -418,7 +431,7 @@ def _cmd_analyze(args, out_dir: Path) -> None:
 
     if args.write_spectra:
         groups: dict[tuple[str, str], list] = {}
-        for entry, _, spec in results:
+        for entry, _, _, spec in results:
             groups.setdefault((entry.microphone, entry.fingerprint_material), []).append(spec)
         for (mic, mat), specs in sorted(groups.items()):
             write_spectrum_csv(mean_spectrum(specs), out_dir / f"mean_spectrum_{mic}_{mat}.csv")

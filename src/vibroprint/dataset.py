@@ -1,7 +1,12 @@
 """Recording files and the dataset manifest.
 
-WAV support is PCM mono at any rate (the bench recordings run at
-500 kHz), 16/32-bit integer or 32-bit float, via scipy.io.wavfile.
+WAV files are mono RIFF/WAVE at any rate (the bench recordings run at
+500 kHz), read and written with numpy alone.  `write_wav` writes 16- or
+32-bit integer PCM with a 16-byte ``fmt `` chunk, or 32-bit IEEE float
+with an 18-byte ``fmt `` chunk and a ``fact`` chunk.  `read_wav` also
+accepts 24-bit PCM and WAVE_FORMAT_EXTENSIBLE files whose subformat is
+PCM or IEEE float, and skips chunks other than ``fmt `` and ``data``.
+Big-endian (RIFX), RF64, multichannel, 8-bit and 64-bit files are refused.
 The manifest is a JSON file describing objects and their recorded
 observations; `validate_manifest` documents the schema, and
 `load_manifest` turns it into one (WAV path, labels) pair per declared
@@ -14,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ManifestError, WavFormatError
 from .signals import Microphone, Procedure, Recording, RecordingMeta
@@ -37,8 +42,87 @@ EXPECTED_FORCE_CODES = {
 
 MAX_REPETITIONS = 5
 
-_INT_SCALES = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
-_ENCODINGS = ("int16", "int32", "float32")
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# The last 12 bytes of an extensible subformat GUID whose first four bytes
+# hold a plain format tag (RFC 2361).
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_U32_MAX = 0xFFFFFFFF
+
+# write_wav: encoding -> (format tag, sample dtype).
+_ENCODINGS = {"int16": (_PCM, "<i2"), "int32": (_PCM, "<i4"), "float32": (_IEEE_FLOAT, "<f4")}
+# read_wav: (format tag, bytes per sample) -> (dtype, full scale).  24-bit
+# PCM is widened to left-justified int32, as scipy.io.wavfile reads it.
+_DECODINGS = {
+    (_PCM, 2): (np.dtype("<i2"), 2.0**15),
+    (_PCM, 3): (np.dtype("<i4"), 2.0**31),
+    (_PCM, 4): (np.dtype("<i4"), 2.0**31),
+    (_IEEE_FLOAT, 4): (np.dtype("<f4"), 1.0),
+}
+
+
+def _encoding_name(tag: int, width: int) -> str:
+    """The numpy dtype scipy.io.wavfile reads samples that `_DECODINGS` lacks as."""
+    if tag == _PCM:  # 8-bit WAV samples are unsigned
+        return "uint8" if width == 1 else "int64" if 5 <= width <= 8 else f"{width}-byte PCM"
+    if tag == _IEEE_FLOAT:
+        return {2: "float16", 8: "float64"}.get(width, f"{width}-byte float")
+    return f"format tag {tag:#06x}"
+
+
+def _read_samples(path: Path, fh) -> tuple[int, np.ndarray]:
+    """(sample rate, [-1, 1] float64 samples) of the open mono WAV `fh`.
+
+    Walks the RIFF chunks up to ``data`` and reads that chunk in place.
+    """
+    head = fh.read(12)
+    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file (starts with {head[:4]!r})")
+    fmt = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise WavFormatError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
+        chunk_id, size = struct.unpack("<4sI", chunk)
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            fmt = fh.read(size)
+            if len(fmt) < max(size, 16):
+                raise WavFormatError(f"{path}: truncated or short fmt chunk ({len(fmt)} bytes)")
+            fh.seek(size % 2, os.SEEK_CUR)
+        else:
+            fh.seek(size + size % 2, os.SEEK_CUR)  # chunks are padded to even sizes
+    if fmt is None:
+        raise WavFormatError(f"{path}: no fmt chunk before the data chunk")
+
+    tag, channels, rate, _, width = struct.unpack_from("<HHIIH", fmt)
+    if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _SUBFORMAT_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if channels != 1:
+        raise WavFormatError(f"{path}: expected mono audio, got {channels} channels")
+    decoding = _DECODINGS.get((tag, width))
+    if decoding is None:
+        raise WavFormatError(
+            f"{path}: unsupported sample encoding {_encoding_name(tag, width)}; "
+            "expected int16, 24-bit or int32 PCM, or float32"
+        )
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise WavFormatError(f"{path}: truncated data chunk (header says {size} bytes)")
+    count = size // width
+    if count == 0:
+        raise WavFormatError(f"{path}: zero-length data chunk")
+
+    dtype, scale = decoding
+    if width == 3:
+        packed = np.zeros((count, 4), np.uint8)
+        packed[:, 1:] = np.fromfile(fh, np.uint8, 3 * count).reshape(count, 3)
+        data = packed.view(dtype).ravel()
+    else:
+        data = np.fromfile(fh, dtype, count)
+    samples = data.astype(np.float64)
+    if scale != 1.0:
+        samples /= scale
+    return rate, samples
 
 
 def _decode_wav(path: Path, meta: RecordingMeta) -> Recording:
@@ -50,30 +134,10 @@ def _decode_wav(path: Path, meta: RecordingMeta) -> Recording:
     if not path.is_file():
         raise WavFormatError(f"WAV file not found: {path}")
     try:
-        with warnings.catch_warnings():
-            # scipy downgrades truncated data chunks to a warning; a short
-            # read here means a broken recording, so treat it as fatal.
-            warnings.simplefilter("error", wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            rate, samples = _read_samples(path, fh)
+    except OSError as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
-
-    if data.ndim != 1:
-        raise WavFormatError(
-            f"{path}: expected mono audio, got {data.shape[1]} channels"
-        )
-    if data.size == 0:
-        raise WavFormatError(f"{path}: zero-length data chunk")
-
-    if data.dtype in _INT_SCALES:
-        samples = data.astype(np.float64) / _INT_SCALES[data.dtype]
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise WavFormatError(
-            f"{path}: unsupported sample encoding {data.dtype}; "
-            "expected int16, int32, or float32"
-        )
     try:
         return Recording(samples, float(rate), meta)
     except ValueError as exc:
@@ -92,27 +156,52 @@ def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> No
     """Write a Recording as mono WAV.
 
     `encoding` is one of int16 / int32 / float32.  Samples outside
-    [-1, 1] are clipped with a warning.
+    [-1, 1] are clipped with a warning.  A recording whose size or byte
+    rate overflows the 32-bit fields of a RIFF header (a file past 4 GiB)
+    raises WavFormatError naming the file.
     """
     if encoding not in _ENCODINGS:
-        raise ValueError(f"encoding must be one of {_ENCODINGS}, got {encoding!r}")
+        raise ValueError(f"encoding must be one of {tuple(_ENCODINGS)}, got {encoding!r}")
+    path = Path(path)
+    tag, dtype = _ENCODINGS[encoding]
+    width = np.dtype(dtype).itemsize
     samples = rec.samples
-    peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+    rate = int(round(rec.sample_rate))
+    n = samples.size
+    fmt_size = 18 if tag == _IEEE_FLOAT else 16
+    # "WAVE", the fmt chunk, the fact chunk of a float file, then the data chunk.
+    riff_size = 4 + (8 + fmt_size) + (12 if tag == _IEEE_FLOAT else 0) + 8 + n * width
+    if riff_size > _U32_MAX or rate * width > _U32_MAX:
+        raise WavFormatError(
+            f"{path}: {n} {encoding} samples at {rate} Hz overflow "
+            "the 32-bit sizes of a RIFF header"
+        )
+
+    peak = float(np.max(np.abs(samples))) if n else 0.0
     if peak > 1.0:
         warnings.warn(
-            f"{Path(path).name}: {int(np.sum(np.abs(samples) > 1.0))} sample(s) "
+            f"{path.name}: {int(np.sum(np.abs(samples) > 1.0))} sample(s) "
             f"outside [-1, 1] (peak {peak:.4g}) were clipped",
             stacklevel=2,
         )
         samples = np.clip(samples, -1.0, 1.0)
-
-    if encoding == "float32":
-        data = samples.astype(np.float32)
-    elif encoding == "int16":
-        data = np.clip(np.round(samples * 2.0**15), -(2.0**15), 2.0**15 - 1).astype(np.int16)
+    if tag == _IEEE_FLOAT:
+        data = samples.astype(dtype)
     else:
-        data = np.clip(np.round(samples * 2.0**31), -(2.0**31), 2.0**31 - 1).astype(np.int32)
-    wavfile.write(Path(path), int(round(rec.sample_rate)), data)
+        full = 2.0 ** (8 * width - 1)
+        data = np.clip(np.round(samples * full), -full, full - 1).astype(dtype)
+
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH",
+        b"RIFF", riff_size, b"WAVE",
+        b"fmt ", fmt_size, tag, 1, rate, rate * width, width, 8 * width,
+    )
+    if tag == _IEEE_FLOAT:
+        # Non-PCM formats carry a cbSize field and a fact chunk with the sample count.
+        header += struct.pack("<H4sII", 0, b"fact", 4, n)
+    with open(path, "wb") as fh:
+        fh.write(header + struct.pack("<4sI", b"data", n * width))
+        data.tofile(fh)
 
 
 def write_recording_bundle(

@@ -30,3 +30,15 @@ def make_sine(freq_hz, amplitude=1.0, rate=500e3, n=5000):
 @pytest.fixture()
 def make_sine_recording():
     return make_sine
+
+
+@pytest.fixture(scope="session")
+def quantize_wav():
+    def quantize(samples, encoding):
+        """The array that a WAV of `encoding` (int16, int32 or float32) stores for [-1, 1] samples."""
+        if encoding == "float32":
+            return samples.astype(np.float32)
+        full = -float(np.iinfo(encoding).min)
+        return np.clip(np.round(samples * full), -full, full - 1).astype(encoding)
+
+    return quantize

@@ -472,6 +472,15 @@ def test_simulate_non_finite_noise_floor_names_the_field(tmp_path, capsys, level
     assert not list(tmp_path.glob("*.wav"))
 
 
+def test_simulate_rate_past_the_wav_header_is_a_domain_error(tmp_path, capsys):
+    # 2 GHz float32 is 8e9 bytes per second, more than the header's 32-bit byte rate holds.
+    argv = [*SIMULATE_TPU, "--sample-rate-hz", "2e9", "--duration-s", "2e-3", "--modes", "1"]
+    with pytest.warns(UserWarning, match="single strike"):
+        assert run([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "slide.wav" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.wav"))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -657,6 +666,58 @@ def test_analyze_allows_one_grid_per_microphone(tmp_path, capsys):
     mics = json.loads((out / "ratios.json").read_text())["microphones"]
     for mic in ("Left", "Right"):
         assert mics[mic]["groups"]["ST45B"]["normalized_mean"] == pytest.approx(1.0)
+
+
+def relabel_sidecar(wav, **labels):
+    sidecar = wav.with_suffix(".json")
+    data = json.loads(sidecar.read_text())
+    data["meta"].update(labels)
+    sidecar.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "procedure, force_code",
+    [("Pressure", 500), ("LateralMotion", 400), (None, None)],
+    ids=["other_procedure", "force_code_set", "procedure_unset"],
+)
+def test_analyze_rejects_mixed_procedures_within_a_microphone_glob(
+    tmp_path, capsys, procedure, force_code
+):
+    # write_slide labels its recordings LateralMotion without a force code.
+    write_slide(tmp_path / "a.wav", "Left", "Default", 0.02)
+    write_slide(tmp_path / "b.wav", "Left", "ST45B", 0.02)
+    relabel_sidecar(tmp_path / "b.wav", exploration_procedure=procedure, force_code=force_code)
+    code = run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'Left'" in err and "('LateralMotion', None)" in err
+    assert f"({procedure!r}, {force_code!r})" in err
+    assert not (tmp_path / "out" / "auc.csv").exists()
+
+
+def test_analyze_rejects_mixed_procedures_within_a_microphone_manifest(tmp_path, capsys):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    path = group_manifest(data)
+    manifest = json.loads(path.read_text())
+    for observation in manifest["observations"]:
+        if observation["fingerprint_material"] == "ST45B":
+            observation["procedures"][0].update(procedure="Pressure", force_codes=[500])
+    path.write_text(json.dumps(manifest))
+    code = run(["analyze", "--manifest", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'Left'" in err and "('LateralMotion', 400)" in err and "('Pressure', 500)" in err
+    assert not (tmp_path / "out" / "auc.csv").exists()
+
+
+def test_analyze_allows_one_procedure_per_microphone(tmp_path):
+    for mic, procedure in (("Left", "LateralMotion"), ("Right", "Enclosure")):
+        for material in ("Default", "ST45B"):
+            wav = tmp_path / f"{mic}_{material}.wav"
+            write_slide(wav, mic, material, 0.02)
+            relabel_sidecar(wav, exploration_procedure=procedure)
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
 
 
 def test_analyze_missing_baseline_is_domain_error(tmp_path, capsys):

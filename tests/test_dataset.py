@@ -1,6 +1,8 @@
 """WAV codec and manifest validation."""
 
 import json
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +109,116 @@ def test_missing_file_rejected(tmp_path):
 def test_invalid_encoding_name(tmp_path, random_recording):
     with pytest.raises(ValueError, match="encoding"):
         vp.write_wav(random_recording, tmp_path / "x.wav", "int24")
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 1001])
+@pytest.mark.parametrize("encoding", ["int16", "int32", "float32"])
+def test_writer_bytes_match_scipy(tmp_path, quantize_wav, encoding, n):
+    rec = vp.Recording(np.random.default_rng(n).uniform(-1.0, 1.0, n), FS)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    vp.write_wav(rec, ours, encoding)
+    wavfile.write(theirs, int(FS), quantize_wav(rec.samples, encoding))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "samples, rate",
+    [(np.broadcast_to(0.0, (2**30,)), FS), (np.zeros(4), 2e9)],
+    ids=["riff_size", "byte_rate"],
+)
+def test_writer_refuses_sizes_past_the_riff_limit(tmp_path, samples, rate):
+    # Only the header sizes are computed, so the huge zero-stride array is never touched.
+    rec = SimpleNamespace(samples=samples, sample_rate=rate)
+    path = tmp_path / "huge.wav"
+    with pytest.raises(WavFormatError, match="huge.wav.*32-bit"):
+        vp.write_wav(rec, path, "float32")
+    assert not path.exists()
+
+
+def riff(*chunks, form=b"RIFF", kind=b"WAVE"):
+    """A RIFF/WAVE file of (id, body) chunks, each padded to an even size."""
+    body = kind + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2) for cid, data in chunks
+    )
+    return form + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, width, bits=None, channels=1, subformat=None):
+    """A fmt chunk; with `subformat`, a WAVE_FORMAT_EXTENSIBLE one (tag 0xFFFE)."""
+    bits = 8 * width if bits is None else bits
+    rate = int(FS)
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * width * channels, width * channels, bits)
+    if subformat is not None:
+        guid_tail = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        body += struct.pack("<HHII", 22, bits, 0x4, subformat) + guid_tail
+    return b"fmt ", body
+
+
+INT24 = np.array([-(2**23), -1, 0, 1, 2**23 - 1, 12345, -654321])
+HAND_BUILT = {
+    # Seven samples of three bytes: an odd data chunk with a pad byte.
+    "pcm24": riff(
+        fmt_chunk(1, 3), (b"data", INT24.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes())
+    ),
+    "extensible_pcm16": riff(
+        fmt_chunk(0xFFFE, 2, subformat=1),
+        (b"data", np.array([-32768, -1, 0, 7, 32767], "<i2").tobytes()),
+    ),
+    "extensible_float32": riff(
+        fmt_chunk(0xFFFE, 4, subformat=3),
+        (b"fact", struct.pack("<I", 3)),
+        (b"data", np.array([-1.0, 0.25, 1.0], "<f4").tobytes()),
+    ),
+    "odd_list_before_data": riff(
+        fmt_chunk(1, 2),
+        (b"LIST", b"INFOISFT\x03\0\0\0ab\0"),
+        (b"data", np.array([3, -3], "<i2").tobytes()),
+    ),
+}
+
+
+@pytest.mark.parametrize("raw", HAND_BUILT.values(), ids=list(HAND_BUILT))
+def test_reader_matches_scipy_on_hand_built_files(tmp_path, raw):
+    path = tmp_path / "hand.wav"
+    path.write_bytes(raw)
+    rate, data = wavfile.read(path)
+    full_scale = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}.get(data.dtype, 1.0)
+    rec = vp.read_wav(path)
+    assert rec.sample_rate == rate == FS
+    assert np.array_equal(rec.samples, data.astype(np.float64) / full_scale)
+
+
+def test_24_bit_pcm_reads_as_int24_over_full_scale(tmp_path):
+    path = tmp_path / "pcm24.wav"
+    path.write_bytes(HAND_BUILT["pcm24"])
+    assert np.array_equal(vp.read_wav(path).samples, INT24 / 2.0**23)
+
+
+PCM16_DATA = (b"data", np.zeros(4, "<i2").tobytes())
+BAD_FILES = {
+    "rifx": (riff(fmt_chunk(1, 2), PCM16_DATA, form=b"RIFX"), "RIFX"),
+    "rf64": (riff(fmt_chunk(1, 2), PCM16_DATA, form=b"RF64"), "RF64"),
+    "not_wave": (riff(fmt_chunk(1, 2), PCM16_DATA, kind=b"AVI "), "RIFF/WAVE"),
+    "no_fmt": (riff(PCM16_DATA), "no fmt chunk"),
+    "no_data": (riff(fmt_chunk(1, 2)), "no data chunk"),
+    "short_fmt": (riff((b"fmt ", fmt_chunk(1, 2)[1][:14]), PCM16_DATA), "short fmt chunk"),
+    "truncated_fmt": (riff(fmt_chunk(1, 2))[:30], "truncated or short fmt chunk"),
+    "truncated_data": (riff(fmt_chunk(1, 2), PCM16_DATA)[:-1], "truncated data chunk"),
+    "float64": (riff(fmt_chunk(3, 8), (b"data", np.zeros(4).tobytes())), "float64"),
+    "int64": (riff(fmt_chunk(1, 8), (b"data", np.zeros(4, "<i8").tobytes())), "int64"),
+    "adpcm": (riff(fmt_chunk(2, 2), PCM16_DATA), "format tag 0x0002"),
+    "extensible_adpcm": (riff(fmt_chunk(0xFFFE, 2, subformat=2), PCM16_DATA), "format tag 0x0002"),
+    "three_channels": (riff(fmt_chunk(1, 2, channels=3), PCM16_DATA), "3 channels"),
+}
+
+
+@pytest.mark.parametrize("raw, message", BAD_FILES.values(), ids=list(BAD_FILES))
+def test_bad_wav_is_a_format_error_naming_the_file(tmp_path, raw, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(WavFormatError, match=message) as excinfo:
+        vp.read_wav(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_recording_bundle_round_trip(tmp_path, random_recording):

@@ -1,7 +1,9 @@
 """Property tests: each file loader returns a value or raises a VibroprintError.
 
 Inputs are mostly well-formed with arbitrary JSON or text spliced in at
-any level, so the generated files reach the deep validation paths.  Runs
+any level, so the generated files reach the deep validation paths; WAV
+inputs are every truncation and single-byte overwrite of a file that
+`write_wav` wrote, whose round trip must return the stored samples.  Runs
 are derandomized and keep no example database, so the suite stays
 deterministic and writes nothing into the working tree.
 """
@@ -140,3 +142,37 @@ def test_material_loader_returns_or_raises_domain_error(scratch_dir, sections, j
     except VibroprintError:
         return
     assert all(isinstance(m, vp.Material) for m in catalog)
+
+
+wav_encoding = st.sampled_from(["int16", "int32", "float32"])
+wav_samples = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40).map(np.array)
+
+
+@PROPERTY_SETTINGS
+@given(encoding=wav_encoding, samples=wav_samples, mask=st.integers(1, 255))
+def test_wav_reader_returns_or_raises_domain_error_on_damaged_files(scratch_dir, encoding, samples, mask):
+    path = scratch_dir / "damaged.wav"
+    vp.write_wav(vp.Recording(samples, 500e3), path, encoding)
+    good = path.read_bytes()
+    prefixes = [good[:n] for n in range(len(good))]
+    overwrites = [good[:i] + bytes([good[i] ^ mask]) + good[i + 1 :] for i in range(len(good))]
+    for raw in prefixes + overwrites:
+        path.write_bytes(raw)
+        try:
+            rec = vp.read_wav(path)
+        except VibroprintError:
+            continue
+        assert isinstance(rec, vp.Recording)
+
+
+@PROPERTY_SETTINGS
+# Rates up to the largest whose byte rate fits the header at 4 bytes per sample.
+@given(encoding=wav_encoding, samples=wav_samples, rate=st.integers(1, (2**32 - 1) // 4))
+def test_wav_round_trip_returns_the_quantized_samples(scratch_dir, quantize_wav, encoding, samples, rate):
+    path = scratch_dir / "round_trip.wav"
+    vp.write_wav(vp.Recording(samples, float(rate)), path, encoding)
+    back = vp.read_wav(path)
+    stored = quantize_wav(samples, encoding)
+    full_scale = 1.0 if encoding == "float32" else -float(np.iinfo(stored.dtype).min)
+    assert back.sample_rate == rate
+    assert np.array_equal(back.samples, stored / full_scale)
