@@ -156,17 +156,24 @@ def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> No
     """Write a Recording as mono WAV.
 
     `encoding` is one of int16 / int32 / float32.  Samples outside
-    [-1, 1] are clipped with a warning.  A recording whose size or byte
-    rate overflows the 32-bit fields of a RIFF header (a file past 4 GiB)
-    raises WavFormatError naming the file.
+    [-1, 1] are clipped with a warning.  A sample rate that the header's
+    32-bit integer field cannot hold exactly (a fraction of a hertz, or
+    past 2**32 - 1 Hz), and a recording whose size or byte rate overflows
+    the 32-bit fields of a RIFF header (a file past 4 GiB), raise
+    WavFormatError naming the file; nothing is written.
     """
     if encoding not in _ENCODINGS:
         raise ValueError(f"encoding must be one of {tuple(_ENCODINGS)}, got {encoding!r}")
     path = Path(path)
+    if not (rec.sample_rate == int(rec.sample_rate) and 1 <= rec.sample_rate <= _U32_MAX):
+        raise WavFormatError(
+            f"{path}: sample rate {rec.sample_rate!r} Hz is not a whole number "
+            f"of hertz in [1, {_U32_MAX}], as a WAV header stores it"
+        )
     tag, dtype = _ENCODINGS[encoding]
     width = np.dtype(dtype).itemsize
     samples = rec.samples
-    rate = int(round(rec.sample_rate))
+    rate = int(rec.sample_rate)
     n = samples.size
     fmt_size = 18 if tag == _IEEE_FLOAT else 16
     # "WAVE", the fmt chunk, the fact chunk of a float file, then the data chunk.

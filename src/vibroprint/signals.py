@@ -11,7 +11,11 @@ integrating dB would change its meaning.
 The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
 is built with numpy alone, and each window is cached with its coherent
 gain per (window, n), so a batch of equal-length recordings builds it
-once.
+once.  The frequency grid is cached the same way per (n, sample rate),
+read-only and shared by every spectrum on that grid.  Each thread that
+calls `spectrum` also keeps two scratch arrays of the last length it saw
+(the windowed samples and their transform), so a batch of equal-length
+recordings allocates only each result's magnitudes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -155,17 +160,58 @@ def _window(window: str, n: int) -> tuple[np.ndarray, float]:
     return w, float(w.sum())
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_frequencies(n: int, sample_rate: float) -> np.ndarray:
+    f = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    f.setflags(write=False)
+    return f
+
+
+# lru_cache lets two threads that miss together each build a grid; the lock
+# makes every spectrum on one grid share a single array.
+_frequencies_lock = threading.Lock()
+
+
+def _frequencies(n: int, sample_rate: float) -> np.ndarray:
+    """Read-only bin frequencies (Hz) of an n-sample spectrum."""
+    with _frequencies_lock:
+        return _cached_frequencies(n, sample_rate)
+
+
+# Per-thread (windowed samples float64[n], transform complex128[n//2 + 1]),
+# rebuilt when n changes.
+_scratch = threading.local()
+
+
+def _scratch_for(n: int) -> tuple[np.ndarray, np.ndarray]:
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None or buffers[0].size != n:
+        buffers = (np.empty(n), np.empty(n // 2 + 1, dtype=complex))
+        _scratch.buffers = buffers
+    return buffers
+
+
 def spectrum(rec: Recording, window: str = "hann") -> Spectrum:
-    """Single-sided amplitude spectrum of the windowed recording."""
+    """Single-sided amplitude spectrum of the windowed recording.
+
+    The result's `frequencies` is the cached read-only grid for
+    (n, sample rate), shared with every other spectrum on it.  The window
+    product and the transform go through this thread's scratch arrays of
+    the last length seen, so only `magnitudes` is a new full-length array.
+    """
     n = rec.samples.size
     w, total = _window(window, n)
-    transform = np.fft.rfft(rec.samples * w)
-    mags = np.abs(transform) * (2.0 / total)
+    windowed, transform = _scratch_for(n)
+    np.multiply(rec.samples, w, out=windowed)
+    # Two arrays, not one: rfft copies an input that overlaps its `out`.
+    np.fft.rfft(windowed, out=transform)
+    mags = np.abs(transform)
+    mags *= 2.0 / total
     mags[0] *= 0.5  # DC has no mirror
     if n % 2 == 0:
         mags[-1] *= 0.5  # neither does Nyquist for even n
     return Spectrum(
-        frequencies=np.fft.rfftfreq(n, 1.0 / rec.sample_rate),
+        frequencies=_frequencies(n, rec.sample_rate),
         magnitudes=mags,
         resolution=rec.sample_rate / n,
         window=window,

@@ -481,6 +481,14 @@ def test_simulate_rate_past_the_wav_header_is_a_domain_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.wav"))
 
 
+def test_simulate_fractional_rate_is_a_domain_error(tmp_path, capsys):
+    # A WAV header holds whole hertz; 44100.4 used to be stored as 44100 beside a 44100.4 sidecar.
+    argv = [*SIMULATE_TPU, "--sample-rate-hz", "44100.4", "--duration-s", "0.05", "--modes", "1"]
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "sample rate 44100.4 Hz" in capsys.readouterr().err
+    assert not list(tmp_path.glob("slide.*"))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

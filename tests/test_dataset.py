@@ -135,6 +135,14 @@ def test_writer_refuses_sizes_past_the_riff_limit(tmp_path, samples, rate):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", [0.4, 44100.4, 2.0**32], ids=["below_1_hz", "fraction", "past_u32"])
+def test_writer_refuses_rates_the_header_cannot_hold(tmp_path, rate):
+    path = tmp_path / "odd_rate.wav"
+    with pytest.raises(WavFormatError, match=rf"odd_rate.wav: sample rate {rate!r} Hz"):
+        vp.write_wav(vp.Recording(np.zeros(4), rate), path, "int16")
+    assert not path.exists()
+
+
 def riff(*chunks, form=b"RIFF", kind=b"WAVE"):
     """A RIFF/WAVE file of (id, body) chunks, each padded to an even size."""
     body = kind + b"".join(

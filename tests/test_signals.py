@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import vibroprint as vp
 from vibroprint.errors import BaselineError, SpectrumGridError
 from vibroprint.signals import (
     WINDOWS,
+    _frequencies,
     _window,
     report_to_json_dict,
     write_auc_csv,
@@ -176,6 +179,56 @@ def test_parseval_hann_factor():
     a = spec.magnitudes
     spectral = n / 2.0 * np.sum(a[1:-1] ** 2) + n * (a[0] ** 2 + a[-1] ** 2)
     assert spectral / np.sum(x**2) == pytest.approx(1.5, rel=0.01)
+
+
+def reference_spectrum(x, window):
+    """The spectrum computed with fresh temporaries, one numpy expression per step."""
+    w, total = _window(window, x.size)
+    mags = np.abs(np.fft.rfft(x * w)) * (2.0 / total)
+    mags[0] *= 0.5
+    if x.size % 2 == 0:
+        mags[-1] *= 0.5
+    return mags
+
+
+def test_spectrum_allocates_only_its_magnitudes():
+    n = 250_000
+    rec = vp.Recording(np.random.default_rng(3).normal(0, 0.1, n), FS)
+    first = vp.spectrum(rec, "hann")  # warm-up: window, grid and this thread's scratch
+    tracemalloc.start()
+    try:
+        second = vp.spectrum(rec, "hann")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n // 2 + 1) * 8 + 64 * 1024, peak
+    assert not np.shares_memory(first.magnitudes, second.magnitudes)
+    assert np.array_equal(first.magnitudes, second.magnitudes)
+
+
+def test_concurrent_spectra_match_the_serial_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    jobs = [
+        (vp.Recording(rng.normal(0, 0.2, n), rate), window)
+        for n in (4096, 4097, 1000, 1001, 250, 251)
+        for rate in (FS, 44100.0)
+        for window in WINDOWS
+    ] * 4
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            specs = list(pool.map(lambda job: vp.spectrum(*job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(old_interval)
+    for (rec, window), spec in zip(jobs, specs):
+        expected = reference_spectrum(rec.samples, window)
+        assert np.array_equal(spec.magnitudes.view(np.int64), expected.view(np.int64))
+        assert not spec.frequencies.flags.writeable
+        assert spec.frequencies is _frequencies(rec.samples.size, rec.sample_rate)
+        assert np.array_equal(
+            spec.frequencies, np.fft.rfftfreq(rec.samples.size, 1.0 / rec.sample_rate)
+        )
 
 
 # ---------------------------------------------------------------------------
