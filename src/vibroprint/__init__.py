@@ -25,11 +25,9 @@ from .beams import (
     second_moment,
 )
 from .dataset import (
-    ManifestValidation,
     load_manifest,
     read_recording_bundle,
     read_wav,
-    validate_manifest,
     write_recording_bundle,
     write_wav,
 )
@@ -63,7 +61,6 @@ from .errors import (
 from .materials import (
     Material,
     PrinterConstraints,
-    Process,
     builtin_materials,
     default_printer_constraints,
     get_material,

@@ -215,8 +215,7 @@ def _cmd_design(args, out_dir: Path) -> None:
     else:
         constraints = reference_layout_constraints(material, target_band=band)
 
-    step = mm_to_m(args.grid_step_mm)
-    region = feasible_region(constraints, step)
+    region = feasible_region(constraints, mm_to_m(args.grid_step_mm))
     write_feasible_csv(region, out_dir / "feasible_grid.csv")
     print(
         f"feasible region: {len(region.grid)} grid points, "
@@ -225,7 +224,7 @@ def _cmd_design(args, out_dir: Path) -> None:
     )
 
     if constraints.max_length_per_segment:
-        layouts = segment_layouts(constraints, grid_step=step)
+        layouts = segment_layouts(region, constraints.max_length_per_segment)
         write_layout_csv(layouts, out_dir / "layouts.csv")
         report = layout_report(layouts)
         (out_dir / "layout_report.txt").write_text(report + "\n")
@@ -568,7 +567,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (VibroprintError, ValueError, OSError) as exc:
+    except (VibroprintError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

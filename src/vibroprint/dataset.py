@@ -8,9 +8,9 @@ accepts 24-bit PCM and WAVE_FORMAT_EXTENSIBLE files whose subformat is
 PCM or IEEE float, and skips chunks other than ``fmt `` and ``data``.
 Big-endian (RIFX), RF64, multichannel, 8-bit and 64-bit files are refused.
 The manifest is a JSON file describing objects and their recorded
-observations; `validate_manifest` documents the schema, and
-`load_manifest` turns it into one (WAV path, labels) pair per declared
-channel for `read_recording_bundle`.  Durations and motor telemetry paths
+observations; `load_manifest` documents the schema, validates it in one
+pass and turns it into one (WAV path, labels) pair per declared channel
+for `read_recording_bundle`.  Durations and motor telemetry paths
 are validated but not kept.
 """
 
@@ -21,7 +21,6 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -275,23 +274,6 @@ def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = Non
 # Dataset manifest
 
 
-@dataclass
-class ManifestValidation:
-    """Outcome of validate_manifest: errors block, warnings do not.
-
-    `channels` holds one (WAV path, labels) pair per declared channel, or
-    None when there are errors.
-    """
-
-    channels: list[tuple[Path, RecordingMeta]] | None
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def _json_objects(container: dict, key: str, prefix: str, errors: list[str]):
     """Yield (location, entry) for each JSON object in the list container[key].
 
@@ -404,8 +386,8 @@ def _procedure_channels(
     ]
 
 
-def validate_manifest(path: str | Path) -> ManifestValidation:
-    """Parse and cross-check a manifest file.
+def load_manifest(path: str | Path) -> list[tuple[Path, RecordingMeta]]:
+    """Parse and cross-check a manifest file; return its channels.
 
     The manifest is a JSON object (schema version 1):
 
@@ -432,104 +414,97 @@ def validate_manifest(path: str | Path) -> ManifestValidation:
     repetitions, unusual force codes, missing telemetry files) are
     warnings.
 
-    Without errors, the result's `channels` lists one (WAV path, labels)
-    pair per declared channel, ready for `read_recording_bundle`: in file
-    order of observations and procedures, Left/Right/Palm within each
-    procedure.  The labels are the object's name, the observation's
-    fingerprint_material and repetition, the procedure, its force code
-    when it declares exactly one, and the microphone.
+    Each warning is issued as a UserWarning; errors raise one ManifestError
+    carrying all of them.  The result lists one (WAV path, labels) pair per
+    declared channel, ready for `read_recording_bundle`: in file order of
+    observations and procedures, Left/Right/Palm within each procedure.
+    The labels are the object's name, the observation's fingerprint_material
+    and repetition, the procedure, its force code when it declares exactly
+    one, and the microphone.
     """
-    path = Path(path)
-    result = ManifestValidation(channels=None)
-    if not path.is_file():
-        result.errors.append(f"manifest not found: {path}")
-        return result
-    try:
-        data = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
-        result.errors.append(f"{path}: invalid JSON ({exc})")
-        return result
-    if not isinstance(data, dict):
-        result.errors.append(f"{path}: top level must be a JSON object")
-        return result
-    _validate_manifest_data(data, path.parent, result)
-    return result
+    manifest = Path(path)
+    errors: list[str] = []
+    warnings_out: list[str] = []
+    channels: list[tuple[Path, RecordingMeta]] = []
+    if not manifest.is_file():
+        errors.append(f"manifest not found: {manifest}")
+    else:
+        try:
+            data = json.loads(manifest.read_text())
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
+            errors.append(f"{manifest}: invalid JSON ({exc})")
+        else:
+            if isinstance(data, dict):
+                channels = _validate_manifest_data(data, manifest.parent, errors, warnings_out)
+            else:
+                errors.append(f"{manifest}: top level must be a JSON object")
+    for message in warnings_out:
+        warnings.warn(message, stacklevel=2)
+    if errors:
+        raise ManifestError(
+            f"{path}: {len(errors)} manifest error(s); first: {errors[0]}", errors=errors
+        )
+    return channels
 
 
-def _validate_manifest_data(data: dict, base_dir: Path, result: ManifestValidation) -> None:
+def _validate_manifest_data(
+    data: dict, base_dir: Path, errors: list[str], warnings_out: list[str]
+) -> list[tuple[Path, RecordingMeta]]:
+    """Append the schema errors and convention warnings of `data`; return its channels."""
     version = data.get("schema_version")
     if version is None:
-        result.errors.append("schema_version field is mandatory")
+        errors.append("schema_version field is mandatory")
     elif type(version) is not int or version != SCHEMA_VERSION:
-        result.errors.append(
+        errors.append(
             f"unsupported schema_version {version!r}; this toolkit reads {SCHEMA_VERSION}"
         )
 
     names: dict[str, str] = {}
-    for where, raw in _json_objects(data, "objects", "", result.errors):
+    for where, raw in _json_objects(data, "objects", "", errors):
         obj_id = raw.get("id")
         name = raw.get("name")
         if not isinstance(obj_id, str) or not obj_id:
-            result.errors.append(f"{where}: 'id' must be a non-empty string")
+            errors.append(f"{where}: 'id' must be a non-empty string")
             continue
         if not isinstance(name, str) or not name:
-            result.errors.append(f"{where} ({obj_id}): 'name' must be a non-empty string")
+            errors.append(f"{where} ({obj_id}): 'name' must be a non-empty string")
             continue
         if obj_id in names:
-            result.errors.append(f"{where}: duplicate object id {obj_id!r}")
+            errors.append(f"{where}: duplicate object id {obj_id!r}")
             continue
         names[obj_id] = name
 
     channels: list[tuple[Path, RecordingMeta]] = []
     reps_per_object: dict[str, int] = {}
-    for where, raw in _json_objects(data, "observations", "", result.errors):
+    for where, raw in _json_objects(data, "observations", "", errors):
         obj_id = raw.get("object_id")
         if not isinstance(obj_id, str) or obj_id not in names:
-            result.errors.append(f"{where}: dangling object_id {obj_id!r}")
+            errors.append(f"{where}: dangling object_id {obj_id!r}")
             continue
         repetition = raw.get("repetition")
         if type(repetition) is not int or repetition < 1:
-            result.errors.append(f"{where}: repetition must be an integer >= 1")
+            errors.append(f"{where}: repetition must be an integer >= 1")
             continue
         material = raw.get("fingerprint_material", "Default")
         if not isinstance(material, str) or not material:
-            result.errors.append(f"{where}: fingerprint_material must be a non-empty string")
+            errors.append(f"{where}: fingerprint_material must be a non-empty string")
             continue
         if repetition > MAX_REPETITIONS:
-            result.warnings.append(
+            warnings_out.append(
                 f"{where}: repetition {repetition} exceeds the "
                 f"{MAX_REPETITIONS}-observations-per-object convention"
             )
         reps_per_object[obj_id] = reps_per_object.get(obj_id, 0) + 1
 
         labels = {"object": names[obj_id], "fingerprint_material": material, "repetition": repetition}
-        for proc_where, raw_proc in _json_objects(raw, "procedures", f"{where}.", result.errors):
-            channels += _procedure_channels(
-                raw_proc, proc_where, base_dir, labels, result.errors, result.warnings
-            )
+        for proc_where, raw_proc in _json_objects(raw, "procedures", f"{where}.", errors):
+            channels += _procedure_channels(raw_proc, proc_where, base_dir, labels, errors, warnings_out)
 
     for obj_id, count in sorted(reps_per_object.items()):
         if count > MAX_REPETITIONS:
-            result.warnings.append(
+            warnings_out.append(
                 f"object {obj_id!r} has {count} observations; the collection "
                 f"convention is at most {MAX_REPETITIONS}"
             )
 
-    if not result.errors:
-        result.channels = channels
-
-
-def load_manifest(path: str | Path) -> list[tuple[Path, RecordingMeta]]:
-    """validate_manifest that raises on errors and warns on warnings.
-
-    Returns the manifest's (WAV path, labels) pairs; see validate_manifest.
-    """
-    result = validate_manifest(path)
-    for message in result.warnings:
-        warnings.warn(message, stacklevel=2)
-    if not result.ok:
-        raise ManifestError(
-            f"{path}: {len(result.errors)} manifest error(s); first: {result.errors[0]}",
-            errors=result.errors,
-        )
-    return result.channels
+    return channels

@@ -1,9 +1,10 @@
 """Inverse design of the fingerprint beam array.
 
 Searches the (side, length) space of solid square beams so the first
-mode lands inside a microphone sensitivity band, subject to printer
-limits and per-segment finger-clearance caps, and produces the
-plot-ready sweep tables and per-segment layouts.
+mode lands inside a microphone sensitivity band, subject to the printer's
+minimum width (`feasible_region`), then picks each hand segment's beam
+under its finger-clearance cap from that one scan (`segment_layouts`),
+and produces the plot-ready sweep tables.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class DesignConstraints:
             raise ValueError(
                 f"length_range must be non-empty, positive and finite, got {self.length_range}"
             )
-        min_side = self.printer.min_side()
+        min_side = self.printer.min_side_supported
         if s_lo < min_side:
             raise ValueError(
                 f"side_range minimum {s_lo} m is below the printable width {min_side} m"
@@ -253,26 +254,24 @@ class SegmentLayout:
             )
 
 
-def segment_layouts(
-    constraints: DesignConstraints,
-    segment_lengths: dict[Segment, float] | None = None,
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> list[SegmentLayout]:
-    """Pick the final beam per segment from the feasible region.
+def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -> list[SegmentLayout]:
+    """Pick the final beam per segment from a scanned feasible region.
 
-    Selection: the largest feasible side (printability), then per segment
-    the longest feasible length not exceeding its clearance cap (longer
-    beams keep the frequency low).  Raises LayoutError naming each
-    segment whose cap admits no feasible point; layouts for the other
-    segments ride along on the exception.
+    `caps` maps Segment -> clearance cap (m), as in
+    `DesignConstraints.max_length_per_segment`.  Selection: the largest
+    feasible side (printability), then per segment the longest feasible
+    length not exceeding its clearance cap (longer beams keep the
+    frequency low), with a tolerance of a millionth of the region's grid
+    step.  Raises LayoutError naming each segment whose cap admits no
+    feasible point; layouts for the other segments ride along on the
+    exception.
     """
-    caps = segment_lengths if segment_lengths is not None else constraints.max_length_per_segment
     if not caps:
         raise ValueError("no segment clearance caps given")
 
-    grid = feasible_region(constraints, grid_step).grid
-    side_tol = grid_step * 1e-6
-    column = grid[np.abs(grid.side - grid.side.max()) <= side_tol]
+    grid = region.grid
+    tol = region.grid_step * 1e-6
+    column = grid[grid.side == grid.side.max()]
 
     layouts: list[SegmentLayout] = []
     failures: dict[str, str] = {}
@@ -280,7 +279,7 @@ def segment_layouts(
         if segment not in caps:
             continue
         cap = caps[segment]
-        fits = column.length <= cap + side_tol
+        fits = column.length <= cap + tol
         if not fits.any():
             failures[segment.value] = (
                 f"clearance cap {m_to_mm(cap):.3g} mm admits no feasible length "

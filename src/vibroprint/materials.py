@@ -1,4 +1,4 @@
-"""Printable materials and printer process limits.
+"""Printable materials and printer limits.
 
 All stored values are SI.  Material config files use bench units
 (g/cm3, MPa) and are converted once on load; see `load_material_config`
@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .errors import MaterialConfigError
@@ -58,42 +57,24 @@ class Material:
         return self.density_range
 
 
-class Process(str, Enum):
-    FDM = "FDM"
-    SLA = "SLA"
-
-
 @dataclass(frozen=True)
 class PrinterConstraints:
     """Printability limits for beam-sized features (SI: m)."""
 
-    process: Process
     min_side_supported: float
-    min_side_unsupported: float
     min_hole_diameter: float
 
     def __post_init__(self):
-        if not 0 < self.min_side_supported <= self.min_side_unsupported:
-            raise ValueError(
-                "expected 0 < min_side_supported <= min_side_unsupported, got "
-                f"{self.min_side_supported} and {self.min_side_unsupported}"
-            )
-        if self.min_hole_diameter <= 0:
-            raise ValueError(f"min_hole_diameter must be positive, got {self.min_hole_diameter}")
-
-    def min_side(self, supported: bool = True) -> float:
-        return self.min_side_supported if supported else self.min_side_unsupported
+        for name in ("min_side_supported", "min_hole_diameter"):
+            value = getattr(self, name)
+            if not value > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
-def default_printer_constraints(process: Process = Process.FDM) -> PrinterConstraints:
-    """Print guidelines used for the beam designs: 0.4 mm supported /
-    0.6 mm unsupported minimum width, 0.75 mm minimum hole diameter."""
-    return PrinterConstraints(
-        process=process,
-        min_side_supported=mm_to_m(0.4),
-        min_side_unsupported=mm_to_m(0.6),
-        min_hole_diameter=mm_to_m(0.75),
-    )
+def default_printer_constraints() -> PrinterConstraints:
+    """Print guidelines used for the beam designs: 0.4 mm minimum width of
+    a supported feature, 0.75 mm minimum hole diameter."""
+    return PrinterConstraints(min_side_supported=mm_to_m(0.4), min_hole_diameter=mm_to_m(0.75))
 
 
 # Datasheet constants for the three tested materials.  PLA density is

@@ -23,16 +23,8 @@ def mpa_to_pa(value_mpa: float) -> float:
     return value_mpa / MPA_PER_PA
 
 
-def pa_to_mpa(value_pa: float) -> float:
-    return value_pa * MPA_PER_PA
-
-
 def g_cm3_to_kg_m3(value_g_cm3: float) -> float:
     return value_g_cm3 / G_CM3_PER_KG_M3
-
-
-def kg_m3_to_g_cm3(value_kg_m3: float) -> float:
-    return value_kg_m3 * G_CM3_PER_KG_M3
 
 
 def khz_to_hz(value_khz: float) -> float:

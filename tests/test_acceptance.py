@@ -176,7 +176,9 @@ def test_criterion_04_final_design_table():
         for name in ("ST45B", "TPU"):
             material = vp.get_material(name)
             table = expected[vp.material_class(material)]
-            layouts = vp.segment_layouts(vp.reference_layout_constraints(material))
+            constraints = vp.reference_layout_constraints(material)
+            region = vp.feasible_region(constraints)
+            layouts = vp.segment_layouts(region, constraints.max_length_per_segment)
             assert len(layouts) == 4
             for layout in layouts:
                 side_mm, length_mm = table[layout.segment]

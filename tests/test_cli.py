@@ -465,6 +465,26 @@ def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+# Each request is above the 128 TiB of a 47-bit user address space, so the
+# allocation fails at once on any 64-bit host and touches no real memory.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SIMULATE_TPU, "--duration-s", "1e9"],
+        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "3", "4"]
+        + ["--steps", str(10**17)],
+        [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "1e15", "--grid-step-mm", "0.5"]
+        + ["--no-caps"],
+    ],
+    ids=["simulate_3.55PiB", "sweep_711PiB", "design_14.2PiB"],
+)
+def test_impossible_allocation_is_a_domain_error(tmp_path, capsys, argv):
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not (tmp_path / "run_params.json").exists()
+
+
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
 def test_simulate_non_finite_noise_floor_names_the_field(tmp_path, capsys, level):
     assert run([*SIMULATE_TPU, f"--noise-floor-db={level}", "--output-dir", str(tmp_path)]) == 1
@@ -630,6 +650,24 @@ def test_analyze_computes_each_spectrum_once(tmp_path, monkeypatch, source):
         "mean_spectrum_Left_Default.csv",
         "mean_spectrum_Left_ST45B.csv",
     ]
+
+
+@pytest.mark.parametrize("caps", [[], ["--no-caps"]], ids=["layouts", "no_caps"])
+def test_design_scans_once(tmp_path, monkeypatch, caps):
+    calls = []
+    scan = vibroprint.design.feasible_region
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    # Both bindings: the CLI's own and the one a layout pick would reach.
+    monkeypatch.setattr(vibroprint.cli, "feasible_region", counted)
+    monkeypatch.setattr(vibroprint.design, "feasible_region", counted)
+    out = tmp_path / "out"
+    assert run(["design", "--material", "PLA", *caps, "--output-dir", str(out)]) == 0
+    assert (out / "layouts.csv").is_file() == (not caps)
+    assert len(calls) == 1
 
 
 def write_slide(path, microphone, material, duration, sample_rate=500e3):

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -355,11 +356,18 @@ def minimal_manifest(tmp_path, **overrides):
     return path
 
 
+def manifest_errors(path):
+    """The errors of the ManifestError that loading `path` raises."""
+    with pytest.raises(ManifestError) as excinfo:
+        vp.load_manifest(path)
+    return excinfo.value.errors
+
+
 def test_minimal_manifest_is_valid(tmp_path):
-    result = vp.validate_manifest(minimal_manifest(tmp_path))
-    assert result.ok
-    assert result.warnings == []
-    assert len(result.channels) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        channels = vp.load_manifest(minimal_manifest(tmp_path))
+    assert len(channels) == 1
 
 
 def test_six_repetitions_warn(tmp_path):
@@ -377,9 +385,8 @@ def test_six_repetitions_warn(tmp_path):
         }
         for r in range(1, 7)
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert result.ok
-    assert any("6" in w and "convention" in w for w in result.warnings)
+    with pytest.warns(UserWarning, match="6.*convention"):
+        vp.load_manifest(minimal_manifest(tmp_path, observations=observations))
 
 
 def test_unusual_pressure_force_warns_not_errors(tmp_path):
@@ -396,9 +403,8 @@ def test_unusual_pressure_force_warns_not_errors(tmp_path):
             ],
         }
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert result.ok
-    assert any("450" in w for w in result.warnings)
+    with pytest.warns(UserWarning, match="450"):
+        vp.load_manifest(minimal_manifest(tmp_path, observations=observations))
 
 
 def test_force_code_out_of_range_errors(tmp_path):
@@ -415,16 +421,14 @@ def test_force_code_out_of_range_errors(tmp_path):
             ],
         }
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert not result.ok
-    assert any("12-bit" in e for e in result.errors)
+    errors = manifest_errors(minimal_manifest(tmp_path, observations=observations))
+    assert any("12-bit" in e for e in errors)
 
 
 def test_dangling_object_reference_errors(tmp_path):
     observations = [{"object_id": "ghost", "repetition": 1, "procedures": []}]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert not result.ok
-    assert any("dangling" in e for e in result.errors)
+    errors = manifest_errors(minimal_manifest(tmp_path, observations=observations))
+    assert any("dangling" in e for e in errors)
 
 
 def test_duplicate_object_id_errors(tmp_path):
@@ -432,8 +436,8 @@ def test_duplicate_object_id_errors(tmp_path):
         {"id": "obj1", "name": "wooden stick"},
         {"id": "obj1", "name": "steel beam"},
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, objects=objects))
-    assert any("duplicate" in e for e in result.errors)
+    errors = manifest_errors(minimal_manifest(tmp_path, objects=objects))
+    assert any("duplicate" in e for e in errors)
 
 
 def test_unknown_procedure_errors(tmp_path):
@@ -446,8 +450,8 @@ def test_unknown_procedure_errors(tmp_path):
             ],
         }
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert any("unknown procedure" in e for e in result.errors)
+    errors = manifest_errors(minimal_manifest(tmp_path, observations=observations))
+    assert any("unknown procedure" in e for e in errors)
 
 
 def test_missing_schema_version_errors(tmp_path):
@@ -455,8 +459,7 @@ def test_missing_schema_version_errors(tmp_path):
     data = json.loads(path.read_text())
     del data["schema_version"]
     path.write_text(json.dumps(data))
-    result = vp.validate_manifest(path)
-    assert any("schema_version" in e for e in result.errors)
+    assert any("schema_version" in e for e in manifest_errors(path))
 
 
 def test_missing_audio_file_errors(tmp_path):
@@ -473,8 +476,8 @@ def test_missing_audio_file_errors(tmp_path):
             ],
         }
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert any("missing.wav" in e for e in result.errors)
+    errors = manifest_errors(minimal_manifest(tmp_path, observations=observations))
+    assert any("missing.wav" in e for e in errors)
 
 
 def test_missing_telemetry_only_warns(tmp_path):
@@ -492,9 +495,8 @@ def test_missing_telemetry_only_warns(tmp_path):
             ],
         }
     ]
-    result = vp.validate_manifest(minimal_manifest(tmp_path, observations=observations))
-    assert result.ok
-    assert any("telemetry" in w for w in result.warnings)
+    with pytest.warns(UserWarning, match="telemetry"):
+        vp.load_manifest(minimal_manifest(tmp_path, observations=observations))
 
 
 def test_load_manifest_raises_with_error_list(tmp_path):
@@ -590,8 +592,7 @@ def test_malformed_manifest_is_a_validation_error(tmp_path, capsys, mutate):
     mutate(data)
     path.write_text(json.dumps(data).replace(OUTSIDE_WAV, str(tmp_path / "outside.wav")))
 
-    result = vp.validate_manifest(path)
-    assert result.errors and result.channels is None
+    assert manifest_errors(path)
     assert run(["analyze", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert "manifest error" in capsys.readouterr().err
 
@@ -599,5 +600,4 @@ def test_malformed_manifest_is_a_validation_error(tmp_path, capsys, mutate):
 def test_too_deeply_nested_manifest_is_a_validation_error(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(DEEP_JSON)
-    result = vp.validate_manifest(path)
-    assert any("invalid JSON" in e for e in result.errors)
+    assert any("invalid JSON" in e for e in manifest_errors(path))

@@ -18,6 +18,12 @@ def mm_pair(values):
     return tuple(round(m_to_mm(v), 9) for v in values)
 
 
+def scan_then_pick(constraints, caps=None):
+    """The layouts a `design` run picks: one scan, then the pick from its region."""
+    region = vp.feasible_region(constraints, STEP)
+    return vp.segment_layouts(region, constraints.max_length_per_segment if caps is None else caps)
+
+
 # ---------------------------------------------------------------------------
 # feasible_region
 
@@ -320,7 +326,7 @@ FLEXIBLE_TABLE = {
     [("ST45B", RIGID_TABLE), ("PLA", RIGID_TABLE), ("TPU", FLEXIBLE_TABLE)],
 )
 def test_layouts_reproduce_final_design_table(materials, material_name, table):
-    layouts = vp.segment_layouts(vp.reference_layout_constraints(materials[material_name]))
+    layouts = scan_then_pick(vp.reference_layout_constraints(materials[material_name]))
     assert len(layouts) == 4
     for layout in layouts:
         side_mm, length_mm = table[layout.segment]
@@ -329,13 +335,13 @@ def test_layouts_reproduce_final_design_table(materials, material_name, table):
 
 
 def test_layout_pitch_is_twice_side(materials):
-    for layout in vp.segment_layouts(vp.reference_layout_constraints(materials["TPU"])):
+    for layout in scan_then_pick(vp.reference_layout_constraints(materials["TPU"])):
         assert layout.pitch == 2.0 * layout.side  # exact
 
 
 def test_layout_frequencies_inside_band(materials):
     for name in ("PLA", "ST45B", "TPU"):
-        for layout in vp.segment_layouts(vp.reference_layout_constraints(materials[name])):
+        for layout in scan_then_pick(vp.reference_layout_constraints(materials[name])):
             assert BAND.low <= layout.freq_low
             assert layout.freq_high <= BAND.high
 
@@ -349,7 +355,7 @@ def test_cap_below_length_range_fails_only_that_segment(materials):
         vp.Segment.PALM: mm_to_m(1.8),
     }
     with pytest.raises(LayoutError) as excinfo:
-        vp.segment_layouts(constraints, caps)
+        scan_then_pick(constraints, caps)
     err = excinfo.value
     assert list(err.segment_errors) == ["ThumbPhalanx"]
     done = {l.segment for l in err.layouts}
@@ -358,7 +364,7 @@ def test_cap_below_length_range_fails_only_that_segment(materials):
 
 def test_layouts_need_caps(materials):
     with pytest.raises(ValueError, match="caps"):
-        vp.segment_layouts(vp.reference_design_constraints(materials["TPU"]))
+        scan_then_pick(vp.reference_design_constraints(materials["TPU"]))
 
 
 def test_layout_pitch_validation():
@@ -486,7 +492,7 @@ def test_sweep_csv_schema_and_annotations(tmp_path, materials):
 
 
 def test_layout_csv_schema(tmp_path, materials):
-    layouts = vp.segment_layouts(vp.reference_layout_constraints(materials["ST45B"]))
+    layouts = scan_then_pick(vp.reference_layout_constraints(materials["ST45B"]))
     path = tmp_path / "layouts.csv"
     vp.design.write_layout_csv(layouts, path)
     with path.open() as fh:

@@ -7,12 +7,6 @@ import pytest
 import vibroprint as vp
 from vibroprint.cli import run
 from vibroprint.errors import MaterialConfigError
-from vibroprint.units import (
-    g_cm3_to_kg_m3,
-    kg_m3_to_g_cm3,
-    mpa_to_pa,
-    pa_to_mpa,
-)
 
 
 def test_builtins_carry_datasheet_constants(materials):
@@ -179,21 +173,18 @@ def test_config_not_utf8_names_the_file(tmp_path, capsys):
     assert str(cfg) in capsys.readouterr().err
 
 
-def test_config_unit_round_trip(tmp_path):
-    # bench units -> SI -> bench units survives within 1e-12 relative
+def test_config_converts_bench_units_to_si(tmp_path):
+    # g/cm3 -> kg/m3 and MPa -> Pa, within 1e-12 relative
     cfg = tmp_path / "materials.cfg"
     cfg.write_text(
         "[RT]\ndensity_g_cm3 = 1.234\ndensity_range_g_cm3 = 1.1, 1.3\n"
         "youngs_modulus_mpa = 2641.7\n"
     )
     rt = vp.get_material("RT", vp.load_material_config(cfg))
-    assert kg_m3_to_g_cm3(rt.density) == pytest.approx(1.234, rel=1e-12)
-    assert pa_to_mpa(rt.youngs_modulus) == pytest.approx(2641.7, rel=1e-12)
-    assert kg_m3_to_g_cm3(rt.density_range[0]) == pytest.approx(1.1, rel=1e-12)
-    assert kg_m3_to_g_cm3(rt.density_range[1]) == pytest.approx(1.3, rel=1e-12)
-    # and the inverse conversions themselves
-    assert g_cm3_to_kg_m3(kg_m3_to_g_cm3(1205.0)) == pytest.approx(1205.0, rel=1e-12)
-    assert mpa_to_pa(pa_to_mpa(2.641e9)) == pytest.approx(2.641e9, rel=1e-12)
+    assert rt.density == pytest.approx(1234.0, rel=1e-12)
+    assert rt.youngs_modulus == pytest.approx(2641.7e6, rel=1e-12)
+    assert rt.density_range[0] == pytest.approx(1100.0, rel=1e-12)
+    assert rt.density_range[1] == pytest.approx(1300.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +192,13 @@ def test_config_unit_round_trip(tmp_path):
 
 
 def test_default_printer_constraints():
-    p = vp.default_printer_constraints(vp.Process.SLA)
+    p = vp.default_printer_constraints()
     assert p.min_side_supported == pytest.approx(0.4e-3)
-    assert p.min_side_unsupported == pytest.approx(0.6e-3)
     assert p.min_hole_diameter == pytest.approx(0.75e-3)
-    assert p.min_side(supported=True) < p.min_side(supported=False)
 
 
 def test_printer_constraints_validation():
-    with pytest.raises(ValueError):
-        vp.PrinterConstraints(vp.Process.FDM, 0.6e-3, 0.4e-3, 0.75e-3)
-    with pytest.raises(ValueError):
-        vp.PrinterConstraints(vp.Process.FDM, 0.4e-3, 0.6e-3, 0.0)
+    with pytest.raises(ValueError, match="min_side_supported"):
+        vp.PrinterConstraints(0.0, 0.75e-3)
+    with pytest.raises(ValueError, match="min_hole_diameter"):
+        vp.PrinterConstraints(0.4e-3, 0.0)

@@ -6,7 +6,9 @@ walks the symbol table of every module with the stdlib ``symtable`` and
 reports each free global name that is neither bound at module level nor a
 builtin. The second walks each module's syntax tree with the stdlib ``ast``
 and reports each module-level import that nothing in the module reads, such
-as the import of a deleted class.
+as the import of a deleted class. The last two check the benchmark's side:
+the functions its tracer wraps, and the names and keywords its workloads
+reach vibroprint through.
 """
 
 import ast
@@ -121,3 +123,80 @@ def test_benchmark_span_targets_exist():
         assert callable(fn), f"benchmarks/spans.py traces vibroprint.{module}.{function}, which is gone"
         missing = reads - set(inspect.signature(fn).parameters)
         assert not missing, f"vibroprint.{module}.{function} takes no argument(s) {sorted(missing)}"
+
+
+WORKLOADS = SPANS.with_name("workloads.py")
+
+
+def _dotted(node) -> tuple[str, list[str]] | None:
+    """(root name, attributes) of a dotted name such as ``vp.CrossSection.square``."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    return (node.id, attrs) if isinstance(node, ast.Name) else None
+
+
+def unresolved_entry_points(source: str) -> list[str]:
+    """Each name or keyword that ``source`` reaches vibroprint through and vibroprint lacks.
+
+    Dotted names are resolved from ``vp`` (the package) and from each name a
+    ``from vibroprint... import`` binds; a call through one of them must
+    accept each keyword argument it passes.
+    """
+    tree = ast.parse(source)
+    roots = {"vp": importlib.import_module("vibroprint")}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "vibroprint":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    roots[alias.asname or alias.name] = getattr(module, alias.name)
+                else:
+                    missing.append(f"{node.module}.{alias.name}")
+
+    def resolve(node):
+        dotted = _dotted(node)
+        if dotted is None or dotted[0] not in roots:
+            return None
+        root, attrs = dotted
+        target = roots[root]
+        for i, attr in enumerate(attrs):
+            if not hasattr(target, attr):
+                missing.append(".".join([root, *attrs[: i + 1]]))
+                return None
+            target = getattr(target, attr)
+        return target
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+        elif isinstance(node, ast.Call) and callable(target := resolve(node.func)):
+            params = inspect.signature(target).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            name = ast.unparse(node.func)
+            missing += [f"{name}({kw.arg}=)" for kw in node.keywords if kw.arg and kw.arg not in params]
+    return sorted(set(missing))
+
+
+def test_benchmark_entry_points_exist():
+    # The benchmark's set-up reaches vibroprint by these names; a deletion must fail here first.
+    missing = unresolved_entry_points(WORKLOADS.read_text())
+    assert not missing, "benchmarks/workloads.py uses names vibroprint lacks: " + ", ".join(missing)
+
+
+def test_entry_point_guard_reports_each_kind():
+    source = (
+        "from vibroprint import dataset, gone\nfrom vibroprint.units import mm_to_m as mm\n\n"
+        "def setup(vp):\n    vp.CrossSection.round(mm(1))\n    vp.SlideScenario(beam=1, speed=2)\n"
+        "    dataset.write_recording_bundle(1, 2, timestamp=False, stamp=True)\n    dataset.read_wav.x\n"
+    )
+    assert unresolved_entry_points(source) == [
+        "dataset.read_wav.x",
+        "dataset.write_recording_bundle(stamp=)",
+        "vibroprint.gone",
+        "vp.CrossSection.round",
+        "vp.SlideScenario(speed=)",
+    ]
