@@ -198,7 +198,8 @@ def test_default_printer_constraints():
 
 
 def test_printer_constraints_validation():
-    with pytest.raises(ValueError, match="min_side_supported"):
-        vp.PrinterConstraints(0.0, 0.75e-3)
-    with pytest.raises(ValueError, match="min_hole_diameter"):
-        vp.PrinterConstraints(0.4e-3, 0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="min_side_supported"):
+            vp.PrinterConstraints(bad, 0.75e-3)
+        with pytest.raises(ValueError, match="min_hole_diameter"):
+            vp.PrinterConstraints(0.4e-3, bad)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
@@ -46,6 +46,9 @@ fractions = st.floats(0.0, 1.0)
     scale=st.floats(1e-3, 1e3),
     edges=st.tuples(fractions, fractions),
 )
+# A band that holds only rounding noise: a constant under the Hann window
+# has no content above its first bin.
+@example(x=np.ones(8), rate=500e3, window="hann", scale=0.75, edges=(1.0, 0.5))
 def test_auc_is_linear_in_a_scale_factor(x, rate, window, scale, edges):
     rec = vp.Recording(x, rate)
     spec = vp.spectrum(rec, window)
@@ -54,8 +57,7 @@ def test_auc_is_linear_in_a_scale_factor(x, rate, window, scale, edges):
     auc = vp.band_auc(spec, band)
     scaled = vp.band_auc(vp.spectrum(rec.scaled(scale), window), band)
     # The FFT's rounding error scales with the whole signal, not with the
-    # band: a band that holds only rounding noise (a constant under the Hann
-    # window, above its first bin) is linear only to that noise.
+    # band, so a noise-only band is linear only to that noise.
     noise = 1e-12 * scale * vp.band_auc(spec, (0.0, spec.nyquist))
     assert scaled == pytest.approx(scale * auc, rel=1e-9, abs=noise)
 
