@@ -91,6 +91,7 @@ from .signals import (
     dominant_frequency,
     mean_spectrum,
     normalize_against_baseline,
+    spectra,
     spectrum,
 )
 from .simulate import (

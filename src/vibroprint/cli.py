@@ -17,6 +17,7 @@ import glob as globmod
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -53,7 +54,7 @@ from .signals import (
     mean_spectrum,
     normalize_against_baseline,
     report_to_json_dict,
-    spectrum,
+    spectra,
     write_auc_csv,
     write_spectrum_csv,
 )
@@ -68,6 +69,10 @@ from .signals import RecordingMeta
 from .units import hz_to_khz, khz_to_hz, mm_to_m
 
 _ANALYZE_WORKERS = 8
+
+# WAV bytes that close an analyze task: short recordings share a task (and one
+# FFT per stack), while a recording this large ends its task, so long ones go alone.
+_SLICE_BYTES = 256 * 1024
 
 
 class _UsageError(Exception):
@@ -367,40 +372,84 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
     return [(path, None) for path in paths]
 
 
+def _slices(inputs: list) -> list[list]:
+    """`inputs` cut into contiguous runs, each closed once its WAV files hold
+    `_SLICE_BYTES`; a file that cannot be stat-ed counts as empty, and its
+    read reports the fault."""
+    slices: list[list] = [[]]
+    held = 0
+    for item in inputs:
+        if held >= _SLICE_BYTES:
+            slices.append([])
+            held = 0
+        slices[-1].append(item)
+        try:
+            held += os.stat(item[0]).st_size
+        except OSError:
+            pass
+    return slices
+
+
 def _cmd_analyze(args, out_dir: Path) -> None:
     inputs = _analysis_inputs(args)
     band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
 
-    def analyze_one(item):
+    def analyze_slice(items):
         """(AucEntry, (sample rate, samples), (procedure, force code), Spectrum under
-        --write-spectra) of one WAV."""
-        rec = read_recording_bundle(*item)
-        meta = rec.meta
-        if meta.microphone is None or meta.fingerprint_material is None:
-            raise VibroprintError(
-                f"{item[0]}: recording lacks microphone/fingerprint_material labels; "
-                "supply a manifest or sidecar metadata"
-            )
-        spec = spectrum(rec, args.window)
-        entry = AucEntry(
-            microphone=meta.microphone,
-            fingerprint_material=meta.fingerprint_material,
-            auc=band_auc(spec, band),
-            object=meta.object,
-            repetition=meta.repetition,
-        )
-        return (
-            entry,
-            (rec.sample_rate, rec.samples.size),
-            (meta.exploration_procedure, meta.force_code),
-            spec if args.write_spectra else None,
-        )
+        --write-spectra) of each WAV in `items`, in order.
 
+        Consecutive recordings of one (samples, sample rate) share one `spectra`
+        call.  Any fault of a file first flushes the recordings read before it,
+        so a fault of an earlier file (a band past its Nyquist) is raised first.
+        """
+        results, stack = [], []
+
+        def flush():
+            if not stack:
+                return
+            for rec, spec in zip(stack, spectra(stack, args.window)):
+                meta = rec.meta
+                entry = AucEntry(
+                    microphone=meta.microphone,
+                    fingerprint_material=meta.fingerprint_material,
+                    auc=band_auc(spec, band),
+                    object=meta.object,
+                    repetition=meta.repetition,
+                )
+                results.append(
+                    (
+                        entry,
+                        (rec.sample_rate, rec.samples.size),
+                        (meta.exploration_procedure, meta.force_code),
+                        spec if args.write_spectra else None,
+                    )
+                )
+            stack.clear()
+
+        for path, labels in items:
+            try:
+                rec = read_recording_bundle(path, labels)
+                if rec.meta.microphone is None or rec.meta.fingerprint_material is None:
+                    raise VibroprintError(
+                        f"{path}: recording lacks microphone/fingerprint_material labels; "
+                        "supply a manifest or sidecar metadata"
+                    )
+            except Exception:
+                flush()
+                raise
+            grid = (rec.sample_rate, rec.samples.size)
+            if stack and grid != (stack[0].sample_rate, stack[0].samples.size):
+                flush()
+            stack.append(rec)
+        flush()
+        return results
+
+    slices = _slices(inputs)
     # Threads beyond the cores only add interpreter-lock hand-offs between
     # the file reads and the FFTs.
-    workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, max(1, len(inputs)))
+    workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, len(slices))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(analyze_one, inputs))
+        results = [result for part in pool.map(analyze_slice, slices) for result in part]
 
     # Noise and tonal peaks scale differently with record length and rate, so
     # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.
@@ -573,8 +622,17 @@ def run(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main() -> None:
-    sys.exit(run())
+    """Process entry point: `run`, with each warning printed as one
+    ``warning: <message>`` line on stderr rather than with its source line."""
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        code = run()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

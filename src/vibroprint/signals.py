@@ -8,14 +8,18 @@ Area under the curve (AUC) is integrated over *linear* magnitude: the
 headline statistic is an amplitude ratio against a baseline skin, and
 integrating dB would change its meaning.
 
+`spectra` transforms a stack of recordings of one length and rate with
+one window multiply, one `rfft` along the rows and one `abs`, so many
+short recordings cost a handful of numpy calls (and of interpreter-lock
+releases) rather than a handful each; `spectrum` is its one-row case.
 The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
 is built with numpy alone, and each window is cached with its coherent
 gain per (window, n), so a batch of equal-length recordings builds it
 once.  The frequency grid is cached the same way per (n, sample rate),
-read-only and shared by every spectrum on that grid.  Each thread that
-calls `spectrum` also keeps two scratch arrays of the last length it saw
-(the windowed samples and their transform), so a batch of equal-length
-recordings allocates only each result's magnitudes.
+read-only and shared by every spectrum on that grid.  Each thread keeps
+two flat scratch arrays (the windowed samples and their transform) that
+grow to the largest stack it has seen and are handed out as (rows, n)
+views, so a stack allocates only its results' magnitudes.
 """
 
 from __future__ import annotations
@@ -178,44 +182,76 @@ def _frequencies(n: int, sample_rate: float) -> np.ndarray:
         return _cached_frequencies(n, sample_rate)
 
 
-# Per-thread (windowed samples float64[n], transform complex128[n//2 + 1]),
-# rebuilt when n changes.
-_scratch = threading.local()
+# Per-thread flat scratch (windowed samples float64, transform complex128),
+# grown to the largest stack seen and never shrunk: a fresh pair for each
+# stack shape raised analyze's peak memory by several MB.
+class _Scratch(threading.local):
+    buffers = (np.empty(0), np.empty(0, dtype=complex))
 
 
-def _scratch_for(n: int) -> tuple[np.ndarray, np.ndarray]:
-    buffers = getattr(_scratch, "buffers", None)
-    if buffers is None or buffers[0].size != n:
-        buffers = (np.empty(n), np.empty(n // 2 + 1, dtype=complex))
-        _scratch.buffers = buffers
-    return buffers
+_scratch = _Scratch()
+
+
+def _scratch_for(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's scratch as (rows, n) and (rows, n//2 + 1) views."""
+    sizes = (rows * n, rows * (n // 2 + 1))
+    held = _scratch.buffers
+    if held[0].size < sizes[0] or held[1].size < sizes[1]:
+        held = _scratch.buffers = (
+            np.empty(max(sizes[0], held[0].size)),
+            np.empty(max(sizes[1], held[1].size), dtype=complex),
+        )
+    return (
+        held[0][: sizes[0]].reshape(rows, n),
+        held[1][: sizes[1]].reshape(rows, n // 2 + 1),
+    )
+
+
+def spectra(recs: list[Recording], window: str = "hann") -> list[Spectrum]:
+    """Single-sided amplitude spectra of recordings that share one length and rate.
+
+    The stack is windowed, transformed and rectified with one numpy call
+    each, through this thread's scratch.  Each result's `magnitudes` is
+    one row of a new (len(recs), n//2 + 1) array and its `frequencies` is
+    the cached read-only grid for (n, sample rate); every row equals
+    `spectrum` of its recording alone bit for bit.
+    """
+    if not recs:
+        raise ValueError("spectra needs at least one recording")
+    n, rate = recs[0].samples.size, recs[0].sample_rate
+    for rec in recs[1:]:
+        if rec.samples.size != n or rec.sample_rate != rate:
+            raise SpectrumGridError(
+                f"spectra needs one (samples, sample rate); got ({n}, {rate}) "
+                f"and ({rec.samples.size}, {rec.sample_rate})"
+            )
+    w, total = _window(window, n)
+    windowed, transform = _scratch_for(len(recs), n)
+    np.stack([rec.samples for rec in recs], out=windowed)
+    windowed *= w
+    # Two arrays, not one: rfft copies an input that overlaps its `out`.
+    np.fft.rfft(windowed, axis=1, out=transform)
+    mags = np.abs(transform)
+    mags *= 2.0 / total
+    mags[:, 0] *= 0.5  # DC has no mirror
+    if n % 2 == 0:
+        mags[:, -1] *= 0.5  # neither does Nyquist for even n
+    frequencies = _frequencies(n, rate)
+    return [
+        Spectrum(frequencies=frequencies, magnitudes=row, resolution=rate / n, window=window)
+        for row in mags
+    ]
 
 
 def spectrum(rec: Recording, window: str = "hann") -> Spectrum:
     """Single-sided amplitude spectrum of the windowed recording.
 
-    The result's `frequencies` is the cached read-only grid for
-    (n, sample rate), shared with every other spectrum on it.  The window
-    product and the transform go through this thread's scratch arrays of
-    the last length seen, so only `magnitudes` is a new full-length array.
+    The one-row case of `spectra`: `frequencies` is the cached read-only
+    grid for (n, sample rate), shared with every other spectrum on it, and
+    the window product and the transform go through this thread's scratch,
+    so only `magnitudes` is a new full-length array.
     """
-    n = rec.samples.size
-    w, total = _window(window, n)
-    windowed, transform = _scratch_for(n)
-    np.multiply(rec.samples, w, out=windowed)
-    # Two arrays, not one: rfft copies an input that overlaps its `out`.
-    np.fft.rfft(windowed, out=transform)
-    mags = np.abs(transform)
-    mags *= 2.0 / total
-    mags[0] *= 0.5  # DC has no mirror
-    if n % 2 == 0:
-        mags[-1] *= 0.5  # neither does Nyquist for even n
-    return Spectrum(
-        frequencies=_frequencies(n, rec.sample_rate),
-        magnitudes=mags,
-        resolution=rec.sample_rate / n,
-        window=window,
-    )
+    return spectra([rec], window)[0]
 
 
 def mean_spectrum(specs: list[Spectrum]) -> Spectrum:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,22 +634,27 @@ def test_analyze_mean_spectra_artifacts(tmp_path):
     assert read_csv(spec_csv)[0] == ["frequency_hz", "magnitude", "amplitude_db"]
 
 
+def spectra_rows(monkeypatch):
+    """The row count of each `spectra` call analyze makes, in call order."""
+    rows = []
+
+    def counted(recs, window="hann"):
+        rows.append(len(recs))
+        return vibroprint.signals.spectra(recs, window)
+
+    monkeypatch.setattr(vibroprint.cli, "spectra", counted)
+    return rows
+
+
 @pytest.mark.parametrize("source", ["glob", "manifest"])
 def test_analyze_computes_each_spectrum_once(tmp_path, monkeypatch, source):
     data = tmp_path / "data"
     make_group_dataset(data)
     inputs = [str(data / "*.wav")] if source == "glob" else ["--manifest", str(group_manifest(data))]
-    calls = []
-    spectrum = vibroprint.cli.spectrum
-
-    def counted(rec, window="hann"):
-        calls.append(rec.samples.size)
-        return spectrum(rec, window)
-
-    monkeypatch.setattr(vibroprint.cli, "spectrum", counted)
+    rows = spectra_rows(monkeypatch)
     out = tmp_path / "out"
     assert run(["analyze", *inputs, "--write-spectra", "--output-dir", str(out)]) == 0
-    assert len(calls) == len(read_csv(out / "auc.csv")) - 1 == 4
+    assert sum(rows) == len(read_csv(out / "auc.csv")) - 1 == 4
     assert sorted(p.name for p in out.glob("mean_spectrum_*.csv")) == [
         "mean_spectrum_Left_Default.csv",
         "mean_spectrum_Left_ST45B.csv",
@@ -795,6 +804,89 @@ def test_analyze_error_names_the_bad_file(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert f"error: {bad}: " in err
     assert "good.wav" not in err
+
+
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_stacks_flush_mid_slice_and_match_per_file_results(tmp_path, monkeypatch, window):
+    # Microphones of different lengths interleave, so a slice holds several stacks.
+    for rep in (1, 2, 3):
+        for mic, duration in (("Left", 0.02), ("Palm", 0.011), ("Right", 0.03)):
+            for material in ("Default", "ST45B"):
+                write_slide(tmp_path / f"{rep}_{mic}_{material}.wav", mic, material, duration)
+    argv = ["analyze", str(tmp_path / "*.wav"), "--window", window, "--write-spectra"]
+    inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
+    slices = vibroprint.cli._slices(inputs)
+    assert 1 < len(slices) < len(inputs)
+
+    artifacts = []
+    for slice_bytes in (vibroprint.cli._SLICE_BYTES, 1):
+        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+        rows = spectra_rows(monkeypatch)
+        out = tmp_path / f"out{slice_bytes}"
+        assert run([*argv, "--output-dir", str(out)]) == 0
+        assert sum(rows) == len(inputs)
+        names = ["auc.csv", "ratios.json", *sorted(p.name for p in out.glob("mean_spectrum_*.csv"))]
+        artifacts.append((rows, {name: (out / name).read_bytes() for name in names}))
+    (stacked, stacked_files), (per_file, per_file_files) = artifacts
+    assert max(stacked) > 1 and len(stacked) > len(slices)
+    assert per_file == [1] * len(inputs)
+    assert len(stacked_files) == 2 + 6
+    assert stacked_files == per_file_files
+
+
+@pytest.mark.parametrize("nan_at, unlabeled_at", [(3, 12), (12, 3)])
+def test_analyze_names_the_earlier_of_two_bad_files_in_different_slices(
+    tmp_path, capsys, nan_at, unlabeled_at
+):
+    for k in range(16):
+        write_slide(tmp_path / f"{k:02d}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
+    nan, unlabeled = (tmp_path / f"{k:02d}.wav" for k in (nan_at, unlabeled_at))
+    wavfile.write(nan, 500000, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+    vp.write_wav(vp.Recording(np.zeros(256), 500e3), unlabeled)
+    unlabeled.with_suffix(".json").unlink()
+    earlier, later = sorted((nan, unlabeled))
+    inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
+    slice_of = {path: i for i, part in enumerate(vibroprint.cli._slices(inputs)) for path, _ in part}
+    assert slice_of[earlier] < slice_of[later]
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {earlier}: " in err
+    assert later.name not in err
+
+
+def test_fault_of_an_earlier_file_in_a_stack_comes_first(tmp_path, capsys):
+    # The band passes a.wav's Nyquist; b.wav, later in the same slice, is unreadable.
+    write_slide(tmp_path / "a.wav", "Left", "Default", 0.02)
+    wavfile.write(tmp_path / "b.wav", 500000, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+    argv = ["analyze", str(tmp_path / "*.wav"), "--band-khz", "0", "300"]
+    assert run([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "outside spectrum range" in err and "b.wav" not in err
+
+
+def test_cli_prints_manifest_warnings_without_source_lines(tmp_path):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    path = group_manifest(data)
+    manifest = json.loads(path.read_text())
+    for observation in manifest["observations"]:
+        observation["procedures"][0].update(force_codes=[450], motor_telemetry_path="telemetry.csv")
+    path.write_text(json.dumps(manifest))
+    src = Path(vp.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "vibroprint", "analyze", "--manifest", str(path),
+         "--output-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert any("force code(s) [450] differ from the usual [400]" in line for line in lines)
+    assert any("telemetry file 'telemetry.csv' not found" in line for line in lines)
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert "cli.py" not in proc.stderr and "load_manifest(" not in proc.stderr
 
 
 def test_analyze_without_inputs_is_usage_error(tmp_path, capsys):

@@ -206,29 +206,63 @@ def test_spectrum_allocates_only_its_magnitudes():
     assert np.array_equal(first.magnitudes, second.magnitudes)
 
 
+@pytest.mark.parametrize("rows, n", [(7, 10_000), (3, 10_001)])
+def test_spectra_allocate_only_their_magnitudes(rows, n):
+    rng = np.random.default_rng(3)
+    recs = [vp.Recording(rng.normal(0, 0.1, n), FS) for _ in range(rows)]
+    # Warm-up: window, grid and this thread's scratch, grown past this stack
+    # so that the measured call reuses it through views.
+    vp.spectra(recs * 2, "hann")
+    first = vp.spectra(recs, "hann")
+    tracemalloc.start()
+    try:
+        second = vp.spectra(recs, "hann")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * (n // 2 + 1) * 8 + 64 * 1024, peak
+    for a, b in zip(first, second):
+        assert not np.shares_memory(a.magnitudes, b.magnitudes)
+        assert np.array_equal(a.magnitudes, b.magnitudes)
+
+
+def test_spectra_reject_mixed_grids_and_empty_stacks():
+    with pytest.raises(SpectrumGridError, match=r"\(256, 500000.0\) and \(255, 500000.0\)"):
+        vp.spectra([vp.Recording(np.ones(256), FS), vp.Recording(np.ones(255), FS)])
+    with pytest.raises(SpectrumGridError, match=r"and \(256, 44100.0\)"):
+        vp.spectra([vp.Recording(np.ones(256), FS), vp.Recording(np.ones(256), 44100.0)])
+    with pytest.raises(ValueError, match="at least one"):
+        vp.spectra([])
+
+
 def test_concurrent_spectra_match_the_serial_reference_bit_for_bit():
     rng = np.random.default_rng(11)
+    # Stacks of 1 to 3 rows; their shapes vary, so each thread's scratch
+    # grows and is handed out as views of every size.
     jobs = [
-        (vp.Recording(rng.normal(0, 0.2, n), rate), window)
+        ([vp.Recording(rng.normal(0, 0.2, n), rate) for _ in range(rows)], window)
         for n in (4096, 4097, 1000, 1001, 250, 251)
         for rate in (FS, 44100.0)
         for window in WINDOWS
-    ] * 4
+        for rows in (1, 3)
+    ] * 2
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            specs = list(pool.map(lambda job: vp.spectrum(*job), jobs, timeout=60))
+            stacks = list(pool.map(lambda job: vp.spectra(*job), jobs, timeout=60))
     finally:
         sys.setswitchinterval(old_interval)
-    for (rec, window), spec in zip(jobs, specs):
-        expected = reference_spectrum(rec.samples, window)
-        assert np.array_equal(spec.magnitudes.view(np.int64), expected.view(np.int64))
-        assert not spec.frequencies.flags.writeable
-        assert spec.frequencies is _frequencies(rec.samples.size, rec.sample_rate)
-        assert np.array_equal(
-            spec.frequencies, np.fft.rfftfreq(rec.samples.size, 1.0 / rec.sample_rate)
-        )
+    for (recs, window), specs in zip(jobs, stacks):
+        assert len(specs) == len(recs)
+        for rec, spec in zip(recs, specs):
+            expected = reference_spectrum(rec.samples, window)
+            assert np.array_equal(spec.magnitudes.view(np.int64), expected.view(np.int64))
+            assert not spec.frequencies.flags.writeable
+            assert spec.frequencies is _frequencies(rec.samples.size, rec.sample_rate)
+            assert np.array_equal(
+                spec.frequencies, np.fft.rfftfreq(rec.samples.size, 1.0 / rec.sample_rate)
+            )
 
 
 # ---------------------------------------------------------------------------

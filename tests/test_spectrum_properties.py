@@ -1,10 +1,11 @@
-"""Property tests: `spectrum` and `band_auc` keep their defining identities.
+"""Property tests: `spectrum`, `spectra` and `band_auc` keep their defining identities.
 
 Recordings are random samples of odd or even length under either window,
 and bands are random sub-bands of [0, Nyquist].  The identities are the
 AUC's linearity in a scale factor and additivity over adjacent bands,
 Parseval's theorem for the rectangular window (DC and Nyquist counted
-once), and the exact amplitude of a sine centred on a bin.  Runs are
+once), the exact amplitude of a sine centred on a bin, and `spectra` of a
+stack giving each row's own `spectrum` bit for bit.  Runs are
 derandomized and keep no example database, so the suite stays
 deterministic and writes nothing into the working tree.
 """
@@ -104,3 +105,20 @@ def test_bin_centred_sine_gives_its_amplitude(n, bin_fraction, amplitude, phase,
     spec = vp.spectrum(vp.Recording(x, rate), window)
     assert spec.magnitudes[k] == pytest.approx(amplitude, rel=1e-9)
     assert spec.frequencies[k] == pytest.approx(k * rate / n, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    stack=st.tuples(st.integers(1, 6), st.integers(2, 600)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+    ),
+    rate=rates,
+    window=windows,
+)
+def test_each_row_of_a_stack_is_its_own_spectrum_bit_for_bit(stack, rate, window):
+    recs = [vp.Recording(row, rate) for row in stack]
+    for rec, spec in zip(recs, vp.spectra(recs, window), strict=True):
+        alone = vp.spectrum(rec, window)
+        assert np.array_equal(spec.magnitudes.view(np.int64), alone.magnitudes.view(np.int64))
+        assert spec.frequencies is alone.frequencies
+        assert (spec.resolution, spec.window) == (alone.resolution, alone.window)
