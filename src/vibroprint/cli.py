@@ -21,6 +21,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__
@@ -71,7 +72,8 @@ from .units import hz_to_khz, khz_to_hz, mm_to_m
 _ANALYZE_WORKERS = 8
 
 # WAV bytes that close an analyze task: short recordings share a task (and one
-# FFT per stack), while a recording this large ends its task, so long ones go alone.
+# FFT per run of equal grids), while a recording this large ends its task, so
+# long ones go alone.
 _SLICE_BYTES = 256 * 1024
 
 
@@ -244,6 +246,8 @@ def _cmd_sweep(args, out_dir: Path) -> None:
     material = _material(args)
 
     shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
+    if not shapes:
+        raise _UsageError(f"--shapes names no shape: {args.shapes!r}")
     dims = _numbers(args.dims_mm, "--dims-mm")
     sections = []
     for shape in shapes:
@@ -355,21 +359,29 @@ def _cmd_simulate(args, out_dir: Path) -> None:
 
 
 def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
-    """(WAV path, manifest labels) per input; glob inputs take their sidecar's labels."""
+    """(WAV path, manifest labels) per input; glob inputs take their sidecar's labels.
+
+    A file named twice, by overlapping globs or by two manifest channels,
+    is refused: it would count twice in its group's mean.
+    """
     if args.manifest and args.files:
         raise _UsageError("give either --manifest or WAV files, not both")
     if args.manifest:
-        return load_manifest(args.manifest)
-    if not args.files:
+        inputs = load_manifest(args.manifest)
+    elif not args.files:
         raise _UsageError("analyze needs --manifest or at least one WAV file/glob")
-    paths: list[Path] = []
-    for pattern in args.files:
-        matched = sorted(globmod.glob(pattern))
-        if matched:
-            paths.extend(Path(p) for p in matched)
-        else:
-            paths.append(Path(pattern))
-    return [(path, None) for path in paths]
+    else:
+        inputs = []
+        for pattern in args.files:
+            matched = sorted(globmod.glob(pattern))
+            inputs.extend((Path(p), None) for p in matched or [pattern])
+    seen = set()
+    for path, _ in inputs:
+        key = os.path.abspath(path)
+        if key in seen:
+            raise VibroprintError(f"{path}: named more than once in the analyze inputs")
+        seen.add(key)
+    return inputs
 
 
 def _slices(inputs: list) -> list[list]:
@@ -391,57 +403,41 @@ def _slices(inputs: list) -> list[list]:
 
 
 def _cmd_analyze(args, out_dir: Path) -> None:
-    inputs = _analysis_inputs(args)
+    """Band AUC of each recording, normalized per microphone against the baseline skin.
+
+    Faults come in input order: a band outside 0 <= LOW < HIGH before any
+    file is read, then each file's own fault (unreadable, unlabeled, or a top
+    bin below the band's top) as that file is read, and last the
+    per-microphone guard on grids and procedures.
+    """
     band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
+    if not 0 <= band[0] < band[1]:
+        raise VibroprintError(f"--band-khz needs 0 <= LOW < HIGH, got {list(args.band_khz)}")
+    inputs = _analysis_inputs(args)
 
     def analyze_slice(items):
-        """(AucEntry, (sample rate, samples), (procedure, force code), Spectrum under
-        --write-spectra) of each WAV in `items`, in order.
-
-        Consecutive recordings of one (samples, sample rate) share one `spectra`
-        call.  Any fault of a file first flushes the recordings read before it,
-        so a fault of an earlier file (a band past its Nyquist) is raised first.
-        """
-        results, stack = [], []
-
-        def flush():
-            if not stack:
-                return
-            for rec, spec in zip(stack, spectra(stack, args.window)):
-                meta = rec.meta
-                entry = AucEntry(
-                    microphone=meta.microphone,
-                    fingerprint_material=meta.fingerprint_material,
-                    auc=band_auc(spec, band),
-                    object=meta.object,
-                    repetition=meta.repetition,
-                )
-                results.append(
-                    (
-                        entry,
-                        (rec.sample_rate, rec.samples.size),
-                        (meta.exploration_procedure, meta.force_code),
-                        spec if args.write_spectra else None,
-                    )
-                )
-            stack.clear()
-
+        """(labels, (sample rate, samples), band AUC, Spectrum under --write-spectra)
+        of each WAV in `items`, in order: all are read and checked first, then
+        each run of consecutive recordings on one grid shares a `spectra` call."""
+        recs = []
         for path, labels in items:
-            try:
-                rec = read_recording_bundle(path, labels)
-                if rec.meta.microphone is None or rec.meta.fingerprint_material is None:
-                    raise VibroprintError(
-                        f"{path}: recording lacks microphone/fingerprint_material labels; "
-                        "supply a manifest or sidecar metadata"
-                    )
-            except Exception:
-                flush()
-                raise
-            grid = (rec.sample_rate, rec.samples.size)
-            if stack and grid != (stack[0].sample_rate, stack[0].samples.size):
-                flush()
-            stack.append(rec)
-        flush()
+            rec = read_recording_bundle(path, labels)
+            if rec.meta.microphone is None or rec.meta.fingerprint_material is None:
+                raise VibroprintError(
+                    f"{path}: recording lacks microphone/fingerprint_material labels; "
+                    "supply a manifest or sidecar metadata"
+                )
+            if band[1] > rec.nyquist:
+                raise VibroprintError(
+                    f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {rec.nyquist}]"
+                )
+            recs.append(rec)
+        results = []
+        for grid, batch in groupby(recs, key=lambda rec: (rec.sample_rate, rec.samples.size)):
+            batch = list(batch)
+            for rec, spec in zip(batch, spectra(batch, args.window)):
+                kept = spec if args.write_spectra else None
+                results.append((rec.meta, grid, band_auc(spec, band), kept))
         return results
 
     slices = _slices(inputs)
@@ -456,31 +452,32 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     # They also need one exploration procedure and force code: a slide and a
     # squeeze excite the skin differently.  An unset label is a value of its own.
     firsts: dict[str, tuple] = {}
-    for entry, grid, procedure, _ in results:
-        first_grid, first_procedure = firsts.setdefault(entry.microphone, (grid, procedure))
+    entries: list[AucEntry] = []
+    groups: dict[tuple[str, str], list] = {}
+    for meta, grid, auc, spec in results:
+        mic, mat = meta.microphone, meta.fingerprint_material
+        procedure = (meta.exploration_procedure, meta.force_code)
+        first_grid, first_procedure = firsts.setdefault(mic, (grid, procedure))
         if grid != first_grid:
             raise SpectrumGridError(
-                f"microphone {entry.microphone!r} mixes recordings of (sample rate Hz, samples) "
+                f"microphone {mic!r} mixes recordings of (sample rate Hz, samples) "
                 f"{first_grid} and {grid}; their AUCs are not comparable"
             )
         if procedure != first_procedure:
             raise VibroprintError(
-                f"microphone {entry.microphone!r} mixes recordings of (exploration_procedure, "
+                f"microphone {mic!r} mixes recordings of (exploration_procedure, "
                 f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
             )
+        entries.append(AucEntry(mic, mat, auc, object=meta.object, repetition=meta.repetition))
+        groups.setdefault((mic, mat), []).append(spec)
 
-    report = normalize_against_baseline(
-        [entry for entry, *_ in results], baseline_material=args.baseline_material, band=band
-    )
+    report = normalize_against_baseline(entries, args.baseline_material, band)
     write_auc_csv(report, out_dir / "auc.csv")
     (out_dir / "ratios.json").write_text(
         json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
     )
 
     if args.write_spectra:
-        groups: dict[tuple[str, str], list] = {}
-        for entry, _, _, spec in results:
-            groups.setdefault((entry.microphone, entry.fingerprint_material), []).append(spec)
         for (mic, mat), specs in sorted(groups.items()):
             write_spectrum_csv(mean_spectrum(specs), out_dir / f"mean_spectrum_{mic}_{mat}.csv")
 

@@ -130,6 +130,11 @@ class Recording:
     def scaled(self, factor: float) -> "Recording":
         return replace(self, samples=self.samples * factor)
 
+    @property
+    def nyquist(self) -> float:
+        """Top bin (Hz) of this recording's spectrum, equal to its `Spectrum.nyquist`."""
+        return float(_frequencies(self.samples.size, self.sample_rate)[-1])
+
 
 @dataclass(frozen=True)
 class Spectrum:

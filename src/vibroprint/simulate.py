@@ -71,6 +71,10 @@ class SlideScenario:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.duration * self.sample_rate):
+            raise ValueError(
+                f"duration * sample_rate must be finite, got {self.duration} s * {self.sample_rate} Hz"
+            )
         if self.noise_floor_db is not None and not math.isfinite(self.noise_floor_db):
             raise ValueError(f"noise_floor_db must be finite or None, got {self.noise_floor_db}")
         damping = _per_mode(self.damping_ratio, self.modes, "damping")

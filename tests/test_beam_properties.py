@@ -5,10 +5,14 @@ beams are 0.5 to 20 mm long, and materials are random, with or without a
 density range.  The laws are the first mode's scaling as side / length^2,
 the order low <= nominal <= high of the density bounds, the collapse of
 those bounds for a point density, and the rise of each mode above the
-one before it.  Runs are derandomized and keep no example database, so the
-suite stays deterministic and writes nothing into the working tree.
+one before it.  Under them lies `mode_constant(n)`, the n-th root of
+cos x cosh x + 1 = 0, which must lie in ((n - 1) pi, n pi) and leave a
+residual of a few ulps of x against cosh x.  Runs are derandomized and
+keep no example database, so the suite stays deterministic and writes
+nothing into the working tree.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -97,3 +101,12 @@ def test_each_mode_lies_above_the_one_before(material, shape, sides, lengths, n)
     upper = grid(material, shape, sides, lengths, n + 1)
     for f, g in zip(lower, upper):
         assert np.all(g > f)
+
+
+# cosh overflows a float past x = 710, that is past mode 226.
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 200))
+def test_mode_constant_is_the_root_in_its_interval(n):
+    x = vp.mode_constant(n)
+    assert (n - 1) * math.pi < x < n * math.pi
+    assert abs(math.cos(x) * math.cosh(x) + 1.0) <= 4.0 * math.ulp(x) * math.cosh(x)

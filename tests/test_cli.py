@@ -314,11 +314,12 @@ CAPS = ["--caps-mm", "2.0", "1.8", "1.6", "1.8"]
         ([*SWEEP_PLA, "--band-khz", "3.2", "26", "--band-peak-khz", "50"], 1, "peak_frequency must lie inside the band"),
         (["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0", "--noise-floor-db", "abc"], 2, "--noise-floor-db holds a value that is not a number: 'abc'"),
         (["sweep", "--material", "PLA", "--dims-mm", "1,x", "--length-range-mm", "3", "5"], 2, "--dims-mm holds a value that is not a number: '1,x'"),
+        ([*SWEEP_PLA, "--shapes", ","], 2, "--shapes names no shape: ','"),
     ],
     ids=[
         "design_caps_without_ranges", "design_caps_no_caps_without_ranges", "design_caps_and_no_caps",
         "design_band_peak", "sweep_peak_without_band", "sweep_peak_outside_band",
-        "simulate_noise_floor_not_a_number", "sweep_dims_not_a_number",
+        "simulate_noise_floor_not_a_number", "sweep_dims_not_a_number", "sweep_shapes_name_none",
     ],
 )
 def test_flags_that_cannot_take_effect_are_refused(tmp_path, capsys, argv, code, message):
@@ -455,12 +456,13 @@ DESIGN_PLA = ["design", "--material", "PLA"]
         ["freq", "--material", "PLA", "--square-side-mm", "1e100", "--length-mm", "3"],
         ["sweep", "--material", "PLA", "--dims-mm", "1e100", "--length-range-mm", "2", "4"],
         ["bands", "--threshold-db", "nan"],
+        [*SIMULATE_TPU, "--duration-s", "1e308", "--sample-rate-hz", "1e9"],
     ],
     ids=[
         "side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf",
         "velocity_huge", "length_huge", "sweep_length_huge", "design_side_inf", "design_length_inf",
         "length_tiny", "sweep_length_tiny", "side_tiny", "side_huge", "sweep_dim_huge",
-        "bands_threshold_nan",
+        "bands_threshold_nan", "duration_times_rate_inf",
     ],
 )
 def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
@@ -862,6 +864,42 @@ def test_fault_of_an_earlier_file_in_a_stack_comes_first(tmp_path, capsys):
     assert run([*argv, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "outside spectrum range" in err and "b.wav" not in err
+    assert f"error: {tmp_path / 'a.wav'}: band [0.0, 300000.0]" in err
+
+
+@pytest.mark.parametrize("band", [["5", "1"], ["-1", "5"]], ids=["reversed", "negative"])
+def test_bad_band_is_refused_before_any_file_is_read(tmp_path, capsys, band):
+    wavfile.write(tmp_path / "a.wav", 500000, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+    write_slide(tmp_path / "b.wav", "Left", "Default", 0.02)
+    out = tmp_path / "out"
+    argv = ["analyze", str(tmp_path / "*.wav"), "--band-khz", *band, "--output-dir", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--band-khz needs 0 <= LOW < HIGH" in err and "a.wav" not in err
+    assert not list(out.iterdir())
+
+
+def test_analyze_refuses_a_file_matched_by_two_globs(tmp_path, monkeypatch, capsys):
+    make_group_dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    # One relative and one absolute glob: the paths differ as strings but name one file.
+    argv = ["analyze", "*.wav", str(tmp_path / "ST45B_*.wav"), "--output-dir", str(out)]
+    assert run(argv) == 1
+    assert f"error: {tmp_path / 'ST45B_1.wav'}: named more than once" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_analyze_refuses_a_file_named_by_two_manifest_observations(tmp_path, capsys):
+    make_group_dataset(tmp_path)
+    path = group_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["observations"][1]["procedures"][0]["channel_files"]["Left"] = "Default_1.wav"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert run(["analyze", "--manifest", str(path), "--output-dir", str(out)]) == 1
+    assert f"error: {tmp_path / 'Default_1.wav'}: named more than once" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_cli_prints_manifest_warnings_without_source_lines(tmp_path):
