@@ -36,7 +36,6 @@ from .design import (
     FeasibleRegion,
     Segment,
     SegmentLayout,
-    SweepRow,
     SweepTable,
     feasible_region,
     frequency_sweep,
@@ -47,7 +46,6 @@ from .design import (
 )
 from .errors import (
     BaselineError,
-    CurveDomainError,
     CurveFormatError,
     EmptyRegionError,
     LayoutError,

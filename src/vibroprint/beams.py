@@ -79,6 +79,11 @@ class CrossSection:
         return self.inner is not None
 
     @property
+    def label(self) -> str:
+        """The shape name, with ``_hollow`` appended for a hollow section."""
+        return self.shape.value + ("_hollow" if self.hollow else "")
+
+    @property
     def wall_thickness(self) -> float | None:
         """Material thickness between inner and outer boundary (m); None if solid.
 

@@ -25,7 +25,7 @@ from itertools import groupby
 from pathlib import Path
 
 from . import __version__
-from .beams import BeamSpec, CrossSection, Shape, frequency_bounds, nominal_frequency
+from .beams import BeamSpec, CrossSection, Shape, modal_frequencies
 from .dataset import load_manifest, read_recording_bundle, write_recording_bundle
 from .design import (
     Segment,
@@ -169,12 +169,13 @@ def _cmd_freq(args, out_dir: Path) -> None:
     material = _material(args)
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
-    f_lo, f_hi = frequency_bounds(beam, args.mode)
-    nominal = nominal_frequency(beam, args.mode)
+    f_lo, f_hi, nominal = (
+        f.item() for f in modal_frequencies(material, [section], [beam.length], args.mode)
+    )
 
     row = {
         "material": material.name,
-        "shape": section.shape.value + ("_hollow" if section.hollow else ""),
+        "shape": section.label,
         "dimension_mm": section.outer * 1e3,
         "inner_mm": section.inner * 1e3 if section.inner else "",
         "length_mm": args.length_mm,
@@ -249,6 +250,13 @@ def _cmd_sweep(args, out_dir: Path) -> None:
     if not shapes:
         raise _UsageError(f"--shapes names no shape: {args.shapes!r}")
     dims = _numbers(args.dims_mm, "--dims-mm")
+    # A repeat would write its series twice; dimensions compare as numbers.
+    for flag, values in (("--shapes", shapes), ("--dims-mm", dims)):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise _UsageError(f"{flag} names {value!r} more than once")
+            seen.add(value)
     sections = []
     for shape in shapes:
         if shape not in {s.value for s in Shape}:

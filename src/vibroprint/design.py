@@ -4,7 +4,11 @@ Searches the (side, length) space of solid square beams so the first
 mode lands inside a microphone sensitivity band, subject to the printer's
 minimum width (`feasible_region`), then picks each hand segment's beam
 under its finger-clearance cap from that one scan (`segment_layouts`),
-and produces the plot-ready sweep tables.
+and produces the plot-ready frequency-vs-length sweep (`frequency_sweep`).
+
+Both tables keep their cells as columns: one read-only numpy record array
+filled from a single `beams.modal_frequencies` call, whose CSV writer
+formats each distinct dimension and length once.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -181,18 +186,15 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    shape: str
-    dimension: float  # side or radius (m)
-    length: float
-    freq_low: float
-    freq_high: float
-    freq_nominal: float
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    rows: tuple[SweepRow, ...]
+    """Sweep cells as columns: `rows` is a read-only numpy record array with
+    fields `shape` (the section's `label`), `dimension` (side or radius) and
+    `length` (m), and `freq_low`, `freq_high` and `freq_nominal` (Hz), one
+    record per (section, length) cell in section-major order.  `ndarray.shape`
+    hides the first field as an attribute, so read it as ``rows["shape"]``.
+    The optional band rides along for the CSV's annotation rows."""
+
+    rows: np.recarray
     band: SensitivityBand | None = None
 
 
@@ -206,29 +208,30 @@ def frequency_sweep(
     """First-mode frequency of each section over a span of lengths.
 
     One series per section, `steps` lengths from length_range (collapsed
-    to a single row per section when the range is degenerate).  The
-    optional band is carried along for annotation rows in the CSV.
+    to a single row per section when the range is degenerate), all from
+    one `modal_frequencies` call.  The optional band is carried along for
+    annotation rows in the CSV.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     l_lo, l_hi = length_range
     if not 0 < l_lo <= l_hi < math.inf:
         raise ValueError(f"length_range must be positive, finite and ordered, got {length_range}")
-    lengths = [l_lo] if l_lo == l_hi else np.linspace(l_lo, l_hi, steps).tolist()
+    lengths = np.linspace(l_lo, l_hi, 1 if l_lo == l_hi else steps)
 
-    low, high, nominal = (f.tolist() for f in modal_frequencies(material, sections, lengths))
-    rows = tuple(
-        SweepRow(
-            shape=section.shape.value + ("_hollow" if section.hollow else ""),
-            dimension=section.outer,
-            length=length,
-            freq_low=f_lo,
-            freq_high=f_hi,
-            freq_nominal=f_nom,
-        )
-        for section, lows, highs, nominals in zip(sections, low, high, nominal)
-        for length, f_lo, f_hi, f_nom in zip(lengths, lows, highs, nominals)
+    low, high, nominal = modal_frequencies(material, sections, lengths)
+    rows = np.rec.fromarrays(
+        [
+            np.repeat([section.label for section in sections], lengths.size),
+            np.repeat([section.outer for section in sections], lengths.size),
+            np.tile(lengths, len(sections)),
+            low.ravel(),
+            high.ravel(),
+            nominal.ravel(),
+        ],
+        names="shape,dimension,length,freq_low,freq_high,freq_nominal",
     )
+    rows.flags.writeable = False
     return SweepTable(rows=rows, band=band)
 
 
@@ -356,38 +359,30 @@ def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     frequency_hz_max, frequency_hz_nominal.  Band annotations appear as
     row_type band_low/band_high/band_peak with the frequency in the
     nominal column."""
+    rows, band = table.rows, table.band
+    series = zip(
+        rows["shape"].tolist(),
+        _mm_labels(rows.dimension),
+        _mm_labels(rows.length),
+        rows.freq_low.tolist(),
+        rows.freq_high.tolist(),
+        rows.freq_nominal.tolist(),
+    )
+    notes = {} if band is None else {
+        "band_low": band.low, "band_high": band.high, "band_peak": band.peak_frequency
+    }
+    header = "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "row_type",
-                "shape",
-                "dimension_mm",
-                "length_mm",
-                "frequency_hz_min",
-                "frequency_hz_max",
-                "frequency_hz_nominal",
-            ]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    "series",
-                    row.shape,
-                    f"{m_to_mm(row.dimension):.6g}",
-                    f"{m_to_mm(row.length):.6g}",
-                    repr(row.freq_low),
-                    repr(row.freq_high),
-                    repr(row.freq_nominal),
-                ]
+        fh.writelines(
+            chain(
+                [header + "\r\n"],
+                (
+                    f"series,{shape},{dim},{length},{lo!r},{hi!r},{nom!r}\r\n"
+                    for shape, dim, length, lo, hi, nom in series
+                ),
+                (f"{label},,,,,,{value!r}\r\n" for label, value in notes.items()),
             )
-        if table.band is not None:
-            for label, value in (
-                ("band_low", table.band.low),
-                ("band_high", table.band.high),
-                ("band_peak", table.band.peak_frequency),
-            ):
-                writer.writerow([label, "", "", "", "", "", repr(value)])
+        )
 
 
 def write_layout_csv(layouts: list[SegmentLayout], path: str | Path) -> None:

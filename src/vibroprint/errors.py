@@ -14,10 +14,6 @@ class MaterialConfigError(VibroprintError):
     """Material config file missing, unparseable, or physically invalid."""
 
 
-class CurveDomainError(VibroprintError):
-    """Lookup outside the sampled domain of a response curve."""
-
-
 class CurveFormatError(VibroprintError):
     """Response-curve CSV is missing its header or otherwise malformed."""
 

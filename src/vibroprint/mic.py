@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveDomainError, CurveFormatError
+from .errors import CurveFormatError
 
 FREQUENCY_HEADER = ("frequency_hz", "amplitude_db")
 
@@ -53,17 +53,6 @@ class ResponseCurve:
             x=np.array([p[0] for p in pts], dtype=float),
             amplitude_db=np.array([p[1] for p in pts], dtype=float),
         )
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.x[0]), float(self.x[-1]))
-
-    def interpolate(self, at: float) -> float:
-        """Linearly interpolated amplitude (dB) at `at`; no extrapolation."""
-        lo, hi = self.domain
-        if not lo <= at <= hi:
-            raise CurveDomainError(f"frequency_hz={at} outside curve domain [{lo}, {hi}]")
-        return float(np.interp(at, self.x, self.amplitude_db))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import csv
 import functools
 import math
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -126,9 +126,6 @@ class Recording:
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-    def scaled(self, factor: float) -> "Recording":
-        return replace(self, samples=self.samples * factor)
 
     @property
     def nyquist(self) -> float:

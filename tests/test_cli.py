@@ -82,6 +82,35 @@ def test_freq_reports_density_interval_for_pla(tmp_path, capsys):
     assert payload["frequency_hz_max"] == pytest.approx(15168.8, abs=0.5)
 
 
+FREQ_PIN_VALUES = (27216.515872027536, 28018.858620202154, 27608.947267404903)
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "csv",
+            "material,shape,dimension_mm,inner_mm,length_mm,mode,"
+            "frequency_hz_min,frequency_hz_max,frequency_hz_nominal\r\n"
+            "PLA,hexagon_hollow,0.8,0.4,3.5,1,%r,%r,%r\r\n" % FREQ_PIN_VALUES,
+        ),
+        (
+            "json",
+            '{\n  "dimension_mm": 0.8,\n  "frequency_hz_max": %r,\n  "frequency_hz_min": %r,\n'
+            '  "frequency_hz_nominal": %r,\n  "inner_mm": 0.4,\n  "length_mm": 3.5,\n'
+            '  "material": "PLA",\n  "mode": 1,\n  "shape": "hexagon_hollow"\n}\n'
+            % (FREQ_PIN_VALUES[1], FREQ_PIN_VALUES[0], FREQ_PIN_VALUES[2]),
+        ),
+    ],
+    ids=["csv", "json"],
+)
+def test_freq_artifact_bytes_are_pinned(tmp_path, capsys, fmt, expected):
+    argv = ["freq", "--material", "PLA", "--hexagon-side-mm", "0.8", "--hollow-inner-mm", "0.4"]
+    assert run([*argv, "--length-mm", "3.5", "--format", fmt, "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "f1 = 27.217..28.019 kHz (nominal 27.609)\n"
+    assert (tmp_path / f"freq.{fmt}").read_bytes() == expected.encode()
+
+
 def test_freq_unknown_material_is_domain_error(tmp_path, capsys):
     code = run(
         [
@@ -315,11 +344,14 @@ CAPS = ["--caps-mm", "2.0", "1.8", "1.6", "1.8"]
         (["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0", "--noise-floor-db", "abc"], 2, "--noise-floor-db holds a value that is not a number: 'abc'"),
         (["sweep", "--material", "PLA", "--dims-mm", "1,x", "--length-range-mm", "3", "5"], 2, "--dims-mm holds a value that is not a number: '1,x'"),
         ([*SWEEP_PLA, "--shapes", ","], 2, "--shapes names no shape: ','"),
+        ([*SWEEP_PLA, "--shapes", "square,square"], 2, "--shapes names 'square' more than once"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1,2,1.0", "--length-range-mm", "3", "5"], 2, "--dims-mm names 1.0 more than once"),
     ],
     ids=[
         "design_caps_without_ranges", "design_caps_no_caps_without_ranges", "design_caps_and_no_caps",
         "design_band_peak", "sweep_peak_without_band", "sweep_peak_outside_band",
         "simulate_noise_floor_not_a_number", "sweep_dims_not_a_number", "sweep_shapes_name_none",
+        "sweep_shape_repeated", "sweep_dim_repeated",
     ],
 )
 def test_flags_that_cannot_take_effect_are_refused(tmp_path, capsys, argv, code, message):

@@ -402,8 +402,9 @@ def test_sweep_orders_shapes_at_every_length(materials):
     ]
     table = vp.frequency_sweep(materials["ST45B"], sections, (mm_to_m(2.0), mm_to_m(5.0)), 7)
     by_length = {}
-    for row in table.rows:
-        by_length.setdefault(row.length, {})[row.shape] = row.freq_nominal
+    rows = table.rows
+    for shape, length, nominal in zip(rows["shape"].tolist(), rows.length.tolist(), rows.freq_nominal.tolist()):
+        by_length.setdefault(length, {})[shape] = nominal
     for freqs in by_length.values():
         assert freqs["square"] < freqs["hexagon"] < freqs["circle"]
 
@@ -412,8 +413,8 @@ def test_doubling_lengths_quarters_frequencies(materials):
     section = [vp.CrossSection.square(mm_to_m(1.0))]
     t1 = vp.frequency_sweep(materials["ST45B"], section, (mm_to_m(2.0), mm_to_m(4.0)), 5)
     t2 = vp.frequency_sweep(materials["ST45B"], section, (mm_to_m(4.0), mm_to_m(8.0)), 5)
-    for r1, r2 in zip(t1.rows, t2.rows):
-        assert r2.freq_nominal == pytest.approx(r1.freq_nominal / 4.0, rel=1e-9)
+    for f1, f2 in zip(t1.rows.freq_nominal.tolist(), t2.rows.freq_nominal.tolist()):
+        assert f2 == pytest.approx(f1 / 4.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", ["PLA", "ST45B", "TPU"])
@@ -427,19 +428,32 @@ def test_sweep_matches_per_beam_frequencies_exactly(materials, name, length_rang
     ]
     length_range = tuple(mm_to_m(v) for v in length_range_mm)
     table = vp.frequency_sweep(material, sections, length_range, 9)
-    lengths = sorted({row.length for row in table.rows})
-    assert len(table.rows) == len(sections) * len(lengths)
+    rows = table.rows.tolist()
+    lengths = sorted(set(table.rows.length.tolist()))
+    assert len(rows) == len(sections) * len(lengths)
     assert len(lengths) == (1 if length_range_mm[0] == length_range_mm[1] else 9)
-    for row, (section, length) in zip(table.rows, ((s, x) for s in sections for x in lengths)):
+    for row, (section, length) in zip(rows, ((s, x) for s in sections for x in lengths)):
         beam = vp.BeamSpec(material, section, length)
-        assert (row.shape, row.dimension, row.length) == (
+        shape, dimension, row_length, freq_low, freq_high, freq_nominal = row
+        assert (shape, dimension, row_length) == (
             section.shape.value + ("_hollow" if section.hollow else ""),
             section.outer,
             length,
         )
-        assert (row.freq_low, row.freq_high) == vp.frequency_bounds(beam)
-        assert row.freq_nominal == vp.nominal_frequency(beam)
-        assert all(type(v) is float for v in (row.length, row.freq_low, row.freq_high, row.freq_nominal))
+        assert (freq_low, freq_high) == vp.frequency_bounds(beam)
+        assert freq_nominal == vp.nominal_frequency(beam)
+        assert all(type(v) is float for v in (row_length, freq_low, freq_high, freq_nominal))
+
+
+def test_sweep_table_is_read_only(materials):
+    table = vp.frequency_sweep(
+        materials["PLA"], [vp.CrossSection.square(mm_to_m(1.0))], (mm_to_m(3.0), mm_to_m(4.0)), 3
+    )
+    assert not table.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.rows.freq_low[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.rows["shape"][0] = "circle"
 
 
 def test_sweep_requires_two_steps(materials):
@@ -489,6 +503,46 @@ def test_sweep_csv_schema_and_annotations(tmp_path, materials):
     assert labels[-3:] == ["band_low", "band_high", "band_peak"]
     annotation = {r[0]: float(r[6]) for r in rows[-3:]}
     assert annotation == {"band_low": 3200.0, "band_high": 26000.0, "band_peak": 9000.0}
+
+
+SWEEP_PIN_SECTIONS = [
+    vp.CrossSection.square(mm_to_m(1.0)),
+    vp.CrossSection.hexagon(mm_to_m(0.8)),
+    vp.CrossSection.hexagon(mm_to_m(0.8), mm_to_m(0.4)),
+    vp.CrossSection.circle(mm_to_m(0.5)),
+]
+SWEEP_PIN_HEADER = "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal"
+SWEEP_PIN_BAND = ["band_low,,,,,,3200.0", "band_high,,,,,,26000.0", "band_peak,,,,,,9000.0"]
+SWEEP_PIN_SPAN = [
+    "series,square,1,3,26194.56010376991,26966.77560114313,26572.25605211074",
+    "series,square,1,3.5,19244.982933381976,19812.324931452094,19522.47383420381",
+    "series,square,1,4,14734.440058370574,15168.81127564301,14946.894029312292",
+    "series,hexagon,0.8,3,33133.7888936358,34110.57282010745,33611.54067754553",
+    "series,hexagon,0.8,3.5,24343.191840222218,25060.82901069119,24694.19315084977",
+    "series,hexagon,0.8,4,18637.756252670133,19187.197211310442,18906.491631119356",
+    "series,hexagon_hollow,0.8,3,37044.7021591486,38136.77978860848,37578.84489174556",
+    "series,hexagon_hollow,0.8,3.5,27216.515872027536,28018.858620202154,27608.947267404903",
+    "series,hexagon_hollow,0.8,4,20837.64496452109,21451.93863109227,21138.100251606877",
+    "series,circle,0.5,3,22685.154490823083,23353.912728744323,23012.2487769927",
+    "series,circle,0.5,3.5,16666.644115706753,17157.976698669303,16906.958285137494",
+    "series,circle,0.5,4,12760.399401087985,13136.575909918683,12944.389937058393",
+]
+
+
+@pytest.mark.parametrize(
+    "length_range_mm, series",
+    # The degenerate range keeps each section's 3.5 mm row.
+    [((3.0, 4.0), SWEEP_PIN_SPAN), ((3.5, 3.5), SWEEP_PIN_SPAN[1::3])],
+    ids=["span", "degenerate"],
+)
+def test_sweep_csv_bytes_are_pinned(tmp_path, materials, length_range_mm, series):
+    table = vp.frequency_sweep(
+        materials["PLA"], SWEEP_PIN_SECTIONS, tuple(mm_to_m(v) for v in length_range_mm), 3, band=BAND
+    )
+    path = tmp_path / "sweep.csv"
+    vp.design.write_sweep_csv(table, path)
+    expected = "".join(line + "\r\n" for line in [SWEEP_PIN_HEADER, *series, *SWEEP_PIN_BAND])
+    assert path.read_bytes() == expected.encode()
 
 
 def test_layout_csv_schema(tmp_path, materials):

@@ -7,7 +7,7 @@ import pytest
 
 import vibroprint as vp
 from vibroprint.cli import run
-from vibroprint.errors import CurveDomainError, CurveFormatError
+from vibroprint.errors import CurveFormatError
 
 THRESHOLD = -42.0
 
@@ -129,7 +129,7 @@ def test_bands_are_disjoint_sorted_and_maximal():
             assert a.high < b.low  # sorted and disjoint
         for band in bands:
             assert band.low < band.high
-            assert c.interpolate(band.peak_frequency) == pytest.approx(
+            assert np.interp(band.peak_frequency, c.x, c.amplitude_db) == pytest.approx(
                 band.peak_amplitude, abs=1e-9
             )
         # maximality: just outside each interior edge the curve dips below
@@ -137,7 +137,7 @@ def test_bands_are_disjoint_sorted_and_maximal():
             for edge, direction in ((band.low, -1.0), (band.high, +1.0)):
                 probe = edge + direction * 1e-6 * (c.x[-1] - c.x[0])
                 if c.x[0] <= probe <= c.x[-1]:
-                    assert c.interpolate(probe) <= THRESHOLD + 1e-6
+                    assert np.interp(probe, c.x, c.amplitude_db) <= THRESHOLD + 1e-6
 
 
 @pytest.mark.parametrize("threshold", [-42.0, -30.0, -50.0, -5.0])
@@ -218,24 +218,6 @@ def test_sensitivity_band_validation():
         vp.SensitivityBand(low=10.0, high=5.0, peak_frequency=7.0, peak_amplitude=-30.0)
     with pytest.raises(ValueError):
         vp.SensitivityBand(low=5.0, high=10.0, peak_frequency=12.0, peak_amplitude=-30.0)
-
-
-def test_attenuation_identity_at_samples():
-    c = curve((500.0, -10.0), (1000.0, -16.0), (2000.0, -26.0))
-    assert c.interpolate(1000.0) == pytest.approx(-16.0)
-
-
-def test_attenuation_midpoint_is_mean():
-    c = curve((1000.0, -16.0), (2000.0, -26.0))
-    assert c.interpolate(1500.0) == pytest.approx(-21.0)
-
-
-def test_attenuation_rejects_out_of_domain():
-    c = curve((500.0, -10.0), (2000.0, -26.0))
-    with pytest.raises(CurveDomainError, match="frequency_hz=3000.0"):
-        c.interpolate(3000.0)
-    with pytest.raises(CurveDomainError):
-        c.interpolate(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ example database, so the suite stays deterministic and writes nothing
 into the working tree.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
@@ -43,6 +44,11 @@ def curves_and_thresholds(draw):
 
 @PROPERTY_SETTINGS
 @given(case=curves_and_thresholds())
+# Two crossings that round onto one point (10001.0): one falling, one rising.
+# The touching intervals must merge into one band.
+@example(
+    case=(vp.ResponseCurve(np.cumsum([1e4, 1.0, 1.0]), [0.0, math.nextafter(-40.0, -math.inf), 0.0]), -40.0)
+)
 def test_bands_are_ordered_disjoint_and_above_the_threshold(case):
     curve, threshold = case
     bands = vp.sensitive_bands(curve, threshold)

@@ -11,6 +11,7 @@ deterministic and writes nothing into the working tree.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_auc_is_linear_in_a_scale_factor(x, rate, window, scale, edges):
     band = tuple(sorted(e * spec.nyquist for e in edges))
     assume(band[0] < band[1])
     auc = vp.band_auc(spec, band)
-    scaled = vp.band_auc(vp.spectrum(rec.scaled(scale), window), band)
+    scaled = vp.band_auc(vp.spectrum(replace(rec, samples=rec.samples * scale), window), band)
     # The FFT's rounding error scales with the whole signal, not with the
     # band, so a noise-only band is linear only to that noise.
     noise = 1e-12 * scale * vp.band_auc(spec, (0.0, spec.nyquist))
