@@ -28,6 +28,7 @@ from . import __version__
 from .beams import BeamSpec, CrossSection, Shape, modal_frequencies
 from .dataset import load_manifest, read_recording_bundle, write_recording_bundle
 from .design import (
+    DEFAULT_GRID_STEP,
     Segment,
     feasible_region,
     frequency_sweep,
@@ -50,7 +51,11 @@ from .mic import (
     sensitive_bands,
 )
 from .signals import (
+    BASELINE_MATERIAL,
+    DEFAULT_ANALYSIS_BAND,
+    WINDOWS,
     AucEntry,
+    RecordingMeta,
     band_auc,
     mean_spectrum,
     normalize_against_baseline,
@@ -66,8 +71,7 @@ from .simulate import (
     scenario_to_dict,
     slide_signal,
 )
-from .signals import RecordingMeta
-from .units import hz_to_khz, khz_to_hz, mm_to_m
+from .units import hz_to_khz, khz_to_hz, m_to_mm, mm_to_m
 
 _ANALYZE_WORKERS = 8
 
@@ -528,12 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser(
         "design", parents=[materials], help="feasible (side, length) region and segment layouts"
     )
+    mic_band_khz = (hz_to_khz(MIC_LOW_BAND.low), hz_to_khz(MIC_LOW_BAND.high))
     p_design.add_argument(
-        "--band-khz", nargs=2, type=float, default=(3.2, 26.0), metavar=("LOW", "HIGH")
+        "--band-khz", nargs=2, type=float, default=mic_band_khz, metavar=("LOW", "HIGH")
     )
     p_design.add_argument("--side-range-mm", nargs=2, type=float, metavar=("LOW", "HIGH"))
     p_design.add_argument("--length-range-mm", nargs=2, type=float, metavar=("LOW", "HIGH"))
-    p_design.add_argument("--grid-step-mm", type=float, default=0.1)
+    p_design.add_argument("--grid-step-mm", type=float, default=m_to_mm(DEFAULT_GRID_STEP))
     p_design.add_argument(
         "--caps-mm",
         nargs=4,
@@ -586,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--encoding", choices=("int16", "int32", "float32"), default="float32")
     p_sim.add_argument("--name", default="slide", help="output file stem")
     p_sim.add_argument("--object", help="metadata: object label")
-    p_sim.add_argument("--microphone", choices=("Left", "Right", "Palm"))
+    p_sim.add_argument("--microphone", help="metadata: microphone label")
     p_sim.add_argument("--repetition", type=int)
     p_sim.add_argument("--tag-material", help="metadata material label (default: beam material)")
     p_sim.set_defaults(handler=_cmd_simulate)
@@ -596,11 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("files", nargs="*", help="WAV files or globs (with .json sidecars)")
     p_an.add_argument("--manifest", help="dataset manifest JSON")
+    analysis_band_khz = tuple(hz_to_khz(f) for f in DEFAULT_ANALYSIS_BAND)
     p_an.add_argument(
-        "--band-khz", nargs=2, type=float, default=(0.0, 26.0), metavar=("LOW", "HIGH")
+        "--band-khz", nargs=2, type=float, default=analysis_band_khz, metavar=("LOW", "HIGH")
     )
-    p_an.add_argument("--window", choices=("hann", "rectangular"), default="hann")
-    p_an.add_argument("--baseline-material", default="Default")
+    p_an.add_argument("--window", choices=WINDOWS, default="hann")
+    p_an.add_argument("--baseline-material", default=BASELINE_MATERIAL)
     p_an.add_argument("--write-spectra", action="store_true", help="per-group mean spectrum CSVs")
     p_an.set_defaults(handler=_cmd_analyze)
 

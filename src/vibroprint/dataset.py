@@ -10,8 +10,9 @@ Big-endian (RIFX), RF64, multichannel, 8-bit and 64-bit files are refused.
 The manifest is a JSON file describing objects and their recorded
 observations; `load_manifest` documents the schema, validates it in one
 pass and turns it into one (WAV path, labels) pair per declared channel
-for `read_recording_bundle`.  Durations and motor telemetry paths
-are validated but not kept.
+for `read_recording_bundle`.  It checks its own structure, and
+`RecordingMeta` checks every label value, as for a sidecar.  Durations
+and motor telemetry paths are validated but not kept.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import math
 import os
 import struct
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ManifestError, WavFormatError
-from .signals import Microphone, Procedure, Recording, RecordingMeta
+from .signals import BASELINE_MATERIAL, Microphone, Procedure, Recording, RecordingMeta
 
 SCHEMA_VERSION = 1
 
@@ -300,56 +302,64 @@ def _path_problem(rel) -> str | None:
     return None
 
 
+def _labelled(meta: RecordingMeta, where: str, errors: list[str], **labels) -> RecordingMeta | None:
+    """`meta` with `labels` replaced, or None once `errors` says why not: a
+    label is missing or null, or RecordingMeta refuses its value."""
+    for key, value in labels.items():
+        if value is None:
+            errors.append(f"{where}: missing or null {key} label")
+            return None
+    try:
+        return replace(meta, **labels)
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+
+
 def _procedure_channels(
-    raw: dict, where: str, base_dir: Path, labels: dict, errors, warnings_out
+    raw: dict, where: str, base_dir: Path, meta: RecordingMeta, errors, warnings_out
 ) -> list[tuple[Path, RecordingMeta]]:
     """Validate one procedure; return its (WAV path, labels) pairs.
 
-    `labels` holds the observation's object, fingerprint_material and
-    repetition.  Channels come in Left/Right/Palm order; a schema error
-    yields no pairs.
+    `meta` holds the observation's labels.  Channels come in Left/Right/Palm
+    order; a schema error yields no pairs.
     """
-    name = raw.get("procedure")
-    try:
-        procedure = Procedure(name)
-    except ValueError:
-        errors.append(f"{where}: unknown procedure {name!r}")
+    meta = _labelled(meta, where, errors, exploration_procedure=raw.get("procedure"))
+    if meta is None:
         return []
 
     codes = raw.get("force_codes", [])
     if not isinstance(codes, list) or not all(type(c) is int for c in codes):
         errors.append(f"{where}: force_codes must be a list of integers")
         return []
-    bad = [c for c in codes if not 0 <= c <= 4095]
-    if bad:
-        errors.append(f"{where}: force code(s) {bad} outside the 12-bit range [0, 4095]")
+    # Every code is a label value, though only a lone one labels the channels.
+    coded = [_labelled(meta, where, errors, force_code=code) for code in codes]
+    if None in coded:
         return []
-    expected = EXPECTED_FORCE_CODES.get(procedure)
+    meta = coded[0] if len(coded) == 1 else meta
+    expected = EXPECTED_FORCE_CODES.get(meta.exploration_procedure)
     if expected is not None:
         unusual = sorted(set(codes) - expected)
         if unusual:
             warnings_out.append(
                 f"{where}: force code(s) {unusual} differ from the usual "
-                f"{sorted(expected)} for {procedure.value}"
+                f"{sorted(expected)} for {meta.exploration_procedure}"
             )
 
     channels = raw.get("channel_files", {})
     if not isinstance(channels, dict):
         errors.append(f"{where}: channel_files must be a mapping")
         return []
+    pairs = {}
     for channel, rel in channels.items():
-        try:
-            Microphone(channel)
-        except ValueError:
-            errors.append(
-                f"{where}: unknown microphone channel {channel!r} "
-                f"(expected {[m.value for m in Microphone]})"
-            )
+        channel_meta = _labelled(meta, where, errors, microphone=channel)
+        if channel_meta is None:
             return []
         problem = _path_problem(rel)
         if problem:
             errors.append(f"{where}: channel {channel} path {rel!r} {problem}")
             return []
+        pairs[channel] = (base_dir / rel, channel_meta)
 
     duration = raw.get("duration_s")
     if duration is not None and (
@@ -370,20 +380,7 @@ def _procedure_channels(
     if telemetry is not None and not (base_dir / telemetry).is_file():
         warnings_out.append(f"{where}: telemetry file {telemetry!r} not found")
 
-    force_code = codes[0] if len(codes) == 1 else None
-    return [
-        (
-            base_dir / channels[mic.value],
-            RecordingMeta(
-                exploration_procedure=procedure.value,
-                force_code=force_code,
-                microphone=mic.value,
-                **labels,
-            ),
-        )
-        for mic in Microphone
-        if mic.value in channels
-    ]
+    return [pairs[mic.value] for mic in Microphone if mic.value in pairs]
 
 
 def load_manifest(path: str | Path) -> list[tuple[Path, RecordingMeta]]:
@@ -393,34 +390,31 @@ def load_manifest(path: str | Path) -> list[tuple[Path, RecordingMeta]]:
 
     - ``schema_version``: the integer 1; mandatory.
     - ``objects``: a list of objects ``{"id", "name", "material_class",
-      "image_path"}``; ``id`` and ``name`` are non-empty strings, ids are
-      unique, the other two are optional labels.
+      "image_path"}``; ``id`` is a non-empty string, ids are unique, and
+      ``name`` is the object label; the other two are optional.
     - ``observations``: a list of objects with ``object_id`` (an id from
-      ``objects``), ``repetition`` (an integer >= 1),
-      ``fingerprint_material`` (a non-empty string, default "Default")
-      and ``procedures``, a list of objects with:
+      ``objects``), the ``repetition`` label, the ``fingerprint_material``
+      label (default "Default") and ``procedures``, a list of objects with:
 
-      - ``procedure``: LateralMotion, Enclosure, Pressure or
-        UnsupportedHolding;
-      - ``force_codes``: a list of integers in [0, 4095];
+      - ``procedure``: the exploration_procedure label;
+      - ``force_codes``: a list of integers, each a force_code value; a
+        lone code is the channels' force_code label;
       - ``duration_s``: a positive finite number, or null;
-      - ``channel_files``: a mapping of microphone (Left, Right, Palm) to
-        WAV path;
+      - ``channel_files``: a mapping of microphone label to WAV path;
       - ``motor_telemetry_path``: a CSV path, or null.
 
-    Paths are relative to the manifest's directory and may not leave it.
-    Schema violations, duplicate/dangling ids, and missing audio files are
-    errors; departures from the collection conventions (more than five
-    repetitions, unusual force codes, missing telemetry files) are
-    warnings.
+    The manifest's own rules are its structure, ids and references,
+    required fields (an explicit null too), paths, durations and
+    telemetry; `RecordingMeta` checks each label's value.  Paths are
+    relative to the manifest's directory and may not leave it.  A broken
+    rule or a missing audio file is an error; departures from the
+    collection conventions (more than five repetitions, unusual force
+    codes, missing telemetry files) are warnings.
 
     Each warning is issued as a UserWarning; errors raise one ManifestError
     carrying all of them.  The result lists one (WAV path, labels) pair per
     declared channel, ready for `read_recording_bundle`: in file order of
     observations and procedures, Left/Right/Palm within each procedure.
-    The labels are the object's name, the observation's fingerprint_material
-    and repetition, the procedure, its force code when it declares exactly
-    one, and the microphone.
     """
     manifest = Path(path)
     errors: list[str] = []
@@ -459,46 +453,41 @@ def _validate_manifest_data(
             f"unsupported schema_version {version!r}; this toolkit reads {SCHEMA_VERSION}"
         )
 
-    names: dict[str, str] = {}
+    objects: dict[str, RecordingMeta] = {}
     for where, raw in _json_objects(data, "objects", "", errors):
         obj_id = raw.get("id")
-        name = raw.get("name")
         if not isinstance(obj_id, str) or not obj_id:
             errors.append(f"{where}: 'id' must be a non-empty string")
             continue
-        if not isinstance(name, str) or not name:
-            errors.append(f"{where} ({obj_id}): 'name' must be a non-empty string")
+        meta = _labelled(RecordingMeta(), f"{where} ({obj_id})", errors, object=raw.get("name"))
+        if meta is None:
             continue
-        if obj_id in names:
+        if obj_id in objects:
             errors.append(f"{where}: duplicate object id {obj_id!r}")
             continue
-        names[obj_id] = name
+        objects[obj_id] = meta
 
     channels: list[tuple[Path, RecordingMeta]] = []
     reps_per_object: dict[str, int] = {}
     for where, raw in _json_objects(data, "observations", "", errors):
         obj_id = raw.get("object_id")
-        if not isinstance(obj_id, str) or obj_id not in names:
+        if not isinstance(obj_id, str) or obj_id not in objects:
             errors.append(f"{where}: dangling object_id {obj_id!r}")
             continue
-        repetition = raw.get("repetition")
-        if type(repetition) is not int or repetition < 1:
-            errors.append(f"{where}: repetition must be an integer >= 1")
+        material = raw.get("fingerprint_material", BASELINE_MATERIAL)
+        labels = {"repetition": raw.get("repetition"), "fingerprint_material": material}
+        meta = _labelled(objects[obj_id], where, errors, **labels)
+        if meta is None:
             continue
-        material = raw.get("fingerprint_material", "Default")
-        if not isinstance(material, str) or not material:
-            errors.append(f"{where}: fingerprint_material must be a non-empty string")
-            continue
-        if repetition > MAX_REPETITIONS:
+        if meta.repetition > MAX_REPETITIONS:
             warnings_out.append(
-                f"{where}: repetition {repetition} exceeds the "
+                f"{where}: repetition {meta.repetition} exceeds the "
                 f"{MAX_REPETITIONS}-observations-per-object convention"
             )
         reps_per_object[obj_id] = reps_per_object.get(obj_id, 0) + 1
 
-        labels = {"object": names[obj_id], "fingerprint_material": material, "repetition": repetition}
         for proc_where, raw_proc in _json_objects(raw, "procedures", f"{where}.", errors):
-            channels += _procedure_channels(raw_proc, proc_where, base_dir, labels, errors, warnings_out)
+            channels += _procedure_channels(raw_proc, proc_where, base_dir, meta, errors, warnings_out)
 
     for obj_id, count in sorted(reps_per_object.items()):
         if count > MAX_REPETITIONS:

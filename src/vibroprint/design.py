@@ -52,6 +52,10 @@ _RIGID_MODULUS_THRESHOLD = 100e6
 
 DEFAULT_GRID_STEP = mm_to_m(0.1)
 
+# Cells one design scan or sweep may hold: at a peak of about 113 B per
+# design cell and 136 B per sweep row, near 1 GiB.
+MAX_SCAN_CELLS = 10**7
+
 
 def material_class(material: Material) -> str:
     """'rigid' or 'flexible', by Young's modulus."""
@@ -118,17 +122,17 @@ class FeasibleRegion:
     grid_step: float
 
 
-def _axis_grid(name: str, lo: float, hi: float, step: float) -> np.ndarray:
-    width = hi - lo
-    n = int(math.floor(width / step + 1e-9))
-    try:
-        if abs(lo + n * step - hi) <= 1e-9 * max(hi, step):
-            return np.linspace(lo, hi, n + 1)
-        return lo + step * np.arange(n + 1)
-    except ValueError as exc:  # numpy refuses an axis of this many points
-        raise ValueError(
-            f"cannot build the {name} axis [{lo}, {hi}] m at step {step} m: {exc}"
-        ) from None
+def _axis_points(lo: float, hi: float, step: float) -> float:
+    """How many points `_axis_grid` puts on [lo, hi]: a float, inf past float range."""
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1.0 if span < math.inf else span
+
+
+def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    n = int(_axis_points(lo, hi, step)) - 1
+    if abs(lo + n * step - hi) <= 1e-9 * max(hi, step):
+        return np.linspace(lo, hi, n + 1)
+    return lo + step * np.arange(n + 1)
 
 
 def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_GRID_STEP) -> FeasibleRegion:
@@ -139,7 +143,8 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
     grid is one `beams.modal_frequencies` call, so each cell equals the
     per-beam value bit for bit.  Raises EmptyRegionError
     with nearest-miss diagnostics (the first closest cell, side-major) when
-    nothing fits.
+    nothing fits.  A grid past MAX_SCAN_CELLS raises ValueError before any
+    array is built.
     """
     s_lo, s_hi = constraints.side_range
     l_lo, l_hi = constraints.length_range
@@ -149,9 +154,18 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
         if width > 0 and grid_step > width:
             raise ValueError(f"grid_step {grid_step} exceeds the {name} width {width}")
 
+    n_side, n_length = _axis_points(s_lo, s_hi, grid_step), _axis_points(l_lo, l_hi, grid_step)
+    if n_side * n_length > MAX_SCAN_CELLS:
+        name, lo, hi = ("side_range", s_lo, s_hi) if n_side > n_length else ("length_range", l_lo, l_hi)
+        raise ValueError(
+            f"cannot build the {name} axis [{lo}, {hi}] m at step {grid_step} m: "
+            f"{n_side:.4g} sides x {n_length:.4g} lengths = {n_side * n_length:.4g} cells, "
+            f"above the {MAX_SCAN_CELLS:.0e} of one scan"
+        )
+
     band_lo, band_hi = constraints.band_bounds
-    sides = _axis_grid("side_range", s_lo, s_hi, grid_step)
-    lengths = _axis_grid("length_range", l_lo, l_hi, grid_step)
+    sides = _axis_grid(s_lo, s_hi, grid_step)
+    lengths = _axis_grid(l_lo, l_hi, grid_step)
     sections = [CrossSection.square(side) for side in sides.tolist()]
     f_lo, f_hi, _ = modal_frequencies(constraints.material, sections, lengths)
     miss = np.maximum(np.maximum(band_lo - f_lo, f_hi - band_hi), 0.0)
@@ -210,14 +224,21 @@ def frequency_sweep(
     One series per section, `steps` lengths from length_range (collapsed
     to a single row per section when the range is degenerate), all from
     one `modal_frequencies` call.  The optional band is carried along for
-    annotation rows in the CSV.
+    annotation rows in the CSV.  A table past MAX_SCAN_CELLS rows raises
+    ValueError before any array is built.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     l_lo, l_hi = length_range
     if not 0 < l_lo <= l_hi < math.inf:
         raise ValueError(f"length_range must be positive, finite and ordered, got {length_range}")
-    lengths = np.linspace(l_lo, l_hi, 1 if l_lo == l_hi else steps)
+    n = 1 if l_lo == l_hi else steps
+    if len(sections) * n > MAX_SCAN_CELLS:
+        raise ValueError(
+            f"steps {n} x {len(sections)} section(s) = {len(sections) * n} rows, "
+            f"above the {MAX_SCAN_CELLS:.0e} of one sweep"
+        )
+    lengths = np.linspace(l_lo, l_hi, n)
 
     low, high, nominal = modal_frequencies(material, sections, lengths)
     rows = np.rec.fromarrays(

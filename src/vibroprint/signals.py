@@ -75,7 +75,15 @@ _META_TYPES = {
 
 @dataclass(frozen=True)
 class RecordingMeta:
-    """Provenance labels attached to a recording; all optional."""
+    """Provenance labels attached to a recording; all optional.
+
+    The one check of label values, for sidecars, manifests and `simulate`
+    alike.  A label that is set is a non-empty str, or for force_code and
+    repetition an int that is not a bool; microphone is a `Microphone` and
+    exploration_procedure a `Procedure` value; force_code is a 12-bit
+    controller value in [0, 4095]; repetition is at least 1.  A fault
+    raises ValueError naming the label and the value.
+    """
 
     object: str | None = None
     exploration_procedure: str | None = None
@@ -89,14 +97,20 @@ class RecordingMeta:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
                 raise ValueError(f"{name} must be {kind.__name__} or None, got {value!r}")
-        if self.microphone is not None:
-            object.__setattr__(self, "microphone", Microphone(self.microphone).value)
-        if self.exploration_procedure is not None:
-            object.__setattr__(
-                self, "exploration_procedure", Procedure(self.exploration_procedure).value
-            )
+            if value == "":
+                raise ValueError(f"{name} must be a non-empty string, got ''")
+        for name, kind in (("microphone", Microphone), ("exploration_procedure", Procedure)):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    object.__setattr__(self, name, kind(value).value)
+            except ValueError:
+                allowed = [label.value for label in kind]
+                raise ValueError(
+                    f"unknown {kind.__name__.lower()} {value!r}; expected one of {allowed}"
+                ) from None
         if self.force_code is not None and not 0 <= self.force_code <= 4095:
-            raise ValueError(f"force_code must be a 12-bit value, got {self.force_code}")
+            raise ValueError(f"force_code must be a 12-bit value in [0, 4095], got {self.force_code}")
         if self.repetition is not None and self.repetition < 1:
             raise ValueError(f"repetition must be >= 1, got {self.repetition}")
 

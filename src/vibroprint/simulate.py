@@ -61,16 +61,14 @@ class SlideScenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("pitch", "velocity"):
+        for name in ("pitch", "velocity", "duration", "sample_rate"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.modes < 1:
             raise ValueError(f"modes must be >= 1, got {self.modes}")
-        for name in ("duration", "sample_rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.duration * self.sample_rate):
             raise ValueError(
                 f"duration * sample_rate must be finite, got {self.duration} s * {self.sample_rate} Hz"
@@ -84,8 +82,11 @@ class SlideScenario:
         amplitudes = self.mode_amplitudes
         if amplitudes is None:
             amplitudes = tuple(0.5**k for k in range(self.modes))
+        amplitudes = _per_mode(amplitudes, self.modes, "amplitudes")
+        if not all(math.isfinite(a) for a in amplitudes):
+            raise ValueError(f"mode_amplitudes must be finite, got {amplitudes}")
         object.__setattr__(self, "damping_ratio", damping)
-        object.__setattr__(self, "mode_amplitudes", _per_mode(amplitudes, self.modes, "amplitudes"))
+        object.__setattr__(self, "mode_amplitudes", amplitudes)
         # At most one strike per sample, so the strike loop ends.
         if self.excitation_rate > self.sample_rate:
             raise ValueError(

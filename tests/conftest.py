@@ -42,3 +42,35 @@ def quantize_wav():
         return np.clip(np.round(samples * full), -full, full - 1).astype(encoding)
 
     return quantize
+
+
+@pytest.fixture(scope="session")
+def labelled_manifest():
+    def build(labels, wav="rec.wav"):
+        """A manifest of one observation with one channel, `wav`, whose labels
+        are `labels` (RecordingMeta field -> JSON value); a missing object,
+        repetition, procedure or microphone gets a valid value, a missing
+        force code or material is left out."""
+        labels = {
+            "object": "cup",
+            "repetition": 1,
+            "exploration_procedure": "LateralMotion",
+            "microphone": "Left",
+            **labels,
+        }
+        procedure = {
+            "procedure": labels["exploration_procedure"],
+            "channel_files": {labels["microphone"]: wav},
+        }
+        if "force_code" in labels:
+            procedure["force_codes"] = [labels["force_code"]]
+        observation = {"object_id": "o1", "repetition": labels["repetition"], "procedures": [procedure]}
+        if "fingerprint_material" in labels:
+            observation["fingerprint_material"] = labels["fingerprint_material"]
+        return {
+            "schema_version": 1,
+            "objects": [{"id": "o1", "name": labels["object"]}],
+            "observations": [observation],
+        }
+
+    return build

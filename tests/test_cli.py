@@ -1,6 +1,7 @@
 """Command-line surface: flags, artifacts, schemas, exit codes."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,10 @@ from scipy.io import wavfile
 import vibroprint as vp
 import vibroprint.cli
 from vibroprint.cli import run
-from vibroprint.units import mm_to_m
+from vibroprint.design import DEFAULT_GRID_STEP
+from vibroprint.signals import WINDOWS
+from vibroprint.simulate import DEFAULT_DAMPING_RATIO, DEFAULT_NOISE_FLOOR_DB
+from vibroprint.units import khz_to_hz, mm_to_m
 
 
 def read_csv(path):
@@ -469,58 +473,107 @@ DESIGN_PLA = ["design", "--material", "PLA"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["freq", "--material", "PLA", "--square-side-mm", "nan", "--length-mm", "3"],
-        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "inf"],
-        ["sweep", "--material", "PLA", "--dims-mm", "1,nan", "--length-range-mm", "2", "4"],
-        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "2", "inf"],
-        [*SIMULATE_TPU, "--sample-rate-hz", "inf"],
-        [*SIMULATE_TPU, "--velocity-mm-s", "inf"],
-        [*SIMULATE_TPU, "--velocity-mm-s", "1e300"],
-        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "1e100"],
-        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1", "1e100"],
-        [*DESIGN_PLA, "--side-range-mm", "0.4", "inf", "--length-range-mm", "3", "4"],
-        [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "inf"],
-        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "1e-120"],
-        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1e-120", "1e-119"],
-        ["freq", "--material", "PLA", "--square-side-mm", "1e-100", "--length-mm", "3"],
-        ["freq", "--material", "PLA", "--square-side-mm", "1e100", "--length-mm", "3"],
-        ["sweep", "--material", "PLA", "--dims-mm", "1e100", "--length-range-mm", "2", "4"],
-        ["bands", "--threshold-db", "nan"],
-        [*SIMULATE_TPU, "--duration-s", "1e308", "--sample-rate-hz", "1e9"],
+        (["freq", "--material", "PLA", "--square-side-mm", "nan", "--length-mm", "3"], "error:"),
+        (["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "inf"], "error:"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1,nan", "--length-range-mm", "2", "4"], "error:"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "2", "inf"], "error:"),
+        ([*SIMULATE_TPU, "--sample-rate-hz", "inf"], "error:"),
+        ([*SIMULATE_TPU, "--velocity-mm-s", "inf"], "error:"),
+        ([*SIMULATE_TPU, "--velocity-mm-s", "1e300"], "error:"),
+        (["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "1e100"], "error:"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1", "1e100"], "error:"),
+        ([*DESIGN_PLA, "--side-range-mm", "0.4", "inf", "--length-range-mm", "3", "4"], "error:"),
+        ([*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "inf"], "error:"),
+        (["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "1e-120"], "error:"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1e-120", "1e-119"], "error:"),
+        (["freq", "--material", "PLA", "--square-side-mm", "1e-100", "--length-mm", "3"], "error:"),
+        (["freq", "--material", "PLA", "--square-side-mm", "1e100", "--length-mm", "3"], "error:"),
+        (["sweep", "--material", "PLA", "--dims-mm", "1e100", "--length-range-mm", "2", "4"], "error:"),
+        (["bands", "--threshold-db", "nan"], "error:"),
+        ([*SIMULATE_TPU, "--duration-s", "1e308", "--sample-rate-hz", "1e9"], "error:"),
+        ([*SIMULATE_TPU, "--amplitudes", "nan"], "error: mode_amplitudes must be finite"),
+        ([*SIMULATE_TPU, "--amplitudes", "0.5,inf", "--modes", "2"], "error: mode_amplitudes must be finite"),
+        ([*SIMULATE_TPU, "--seed", "-1"], "error: seed must be >= 0"),
+        ([*SIMULATE_TPU, "--seed", "-1", "--noise-floor-db", "none"], "error: seed must be >= 0"),
+        ([*DESIGN_PLA, "--grid-step-mm", "1e-310"], "error: cannot build the length_range axis"),
     ],
     ids=[
         "side_nan", "length_inf", "sweep_dim_nan", "sweep_length_inf", "rate_inf", "velocity_inf",
         "velocity_huge", "length_huge", "sweep_length_huge", "design_side_inf", "design_length_inf",
         "length_tiny", "sweep_length_tiny", "side_tiny", "side_huge", "sweep_dim_huge",
-        "bands_threshold_nan", "duration_times_rate_inf",
+        "bands_threshold_nan", "duration_times_rate_inf", "amplitudes_nan", "amplitudes_inf",
+        "seed_negative", "seed_negative_without_noise", "design_step_denormal",
     ],
 )
-def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv):
+def test_non_finite_sizes_are_domain_errors(tmp_path, capsys, argv, message):
     assert run([*argv, "--output-dir", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-# Each request is above the 128 TiB of a 47-bit user address space, so the
-# allocation fails at once on any 64-bit host and touches no real memory.
+# Each request is above the 128 TiB of a 47-bit user address space, so an
+# allocation fails at once on any 64-bit host and touches no real memory;
+# sweep and design refuse the size before they allocate anything.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        [*SIMULATE_TPU, "--duration-s", "1e9"],
-        ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "3", "4"]
-        + ["--steps", str(10**17)],
-        [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "1e15", "--grid-step-mm", "0.5"]
-        + ["--no-caps"],
+        ([*SIMULATE_TPU, "--duration-s", "1e9"], "error: Unable to allocate"),
+        (
+            ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "3", "4"]
+            + ["--steps", str(10**17)],
+            f"error: steps {10**17} x 3 section(s) = {3 * 10**17} rows, above the 1e+07 of one sweep",
+        ),
+        (
+            [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "1e15", "--grid-step-mm", "0.5"]
+            + ["--no-caps"],
+            "error: cannot build the length_range axis [0.003, 1000000000000.0] m at step 0.0005 m: "
+            "2 sides x 2e+15 lengths = 4e+15 cells, above the 1e+07 of one scan",
+        ),
     ],
     ids=["simulate_3.55PiB", "sweep_711PiB", "design_14.2PiB"],
 )
-def test_impossible_allocation_is_a_domain_error(tmp_path, capsys, argv):
+def test_impossible_allocation_is_a_domain_error(tmp_path, capsys, argv, message):
     assert run([*argv, "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert err.startswith(message) and "Traceback" not in err
     assert not (tmp_path / "run_params.json").exists()
+
+
+# Past the scan bound, yet small enough that numpy would try to allocate
+# them (4.47 GiB for the design's side axis, 7.45 GiB for the sweep's lengths).
+# The address-space limit turns a missing bound into a failed assertion
+# rather than a machine out of memory.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            [*DESIGN_PLA, "--grid-step-mm", "1e-9"],
+            "error: cannot build the length_range axis [0.0032, 0.004] m at step 1e-12 m: "
+            "6e+08 sides x 8e+08 lengths = 4.8e+17 cells, above the 1e+07 of one scan",
+        ),
+        (
+            ["sweep", "--material", "PLA", "--dims-mm", "1", "--length-range-mm", "1", "3"]
+            + ["--steps", "1000000000"],
+            "error: steps 1000000000 x 3 section(s) = 3000000000 rows, above the 1e+07 of one sweep",
+        ),
+    ],
+    ids=["design_step_1e-9mm", "sweep_1e9_steps"],
+)
+def test_oversized_scan_is_refused_before_allocating(tmp_path, argv, message):
+    resource = pytest.importorskip("resource")
+    limit = 1536 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "vibroprint", *argv, "--output-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(Path(vp.__file__).resolve().parent.parent)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, message + "\n")
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
@@ -980,6 +1033,30 @@ def test_analyze_repeat_runs_identical(tmp_path):
     assert run(["analyze", str(data / "*.wav"), "--output-dir", str(out2)]) == 0
     assert (out1 / "ratios.json").read_bytes() == (out2 / "ratios.json").read_bytes()
     assert (out1 / "auc.csv").read_bytes() == (out2 / "auc.csv").read_bytes()
+
+
+def test_flag_defaults_are_the_library_constants():
+    parse = vibroprint.cli.build_parser().parse_args
+    required = {
+        "freq": ["--material", "PLA", "--length-mm", "3"],
+        "design": ["--material", "PLA"],
+        "sweep": ["--material", "PLA", "--dims-mm", "1", "--length-range-mm", "3", "4"],
+        "bands": [],
+        "simulate": ["--material", "TPU", "--length-mm", "2"],
+        "analyze": [],
+    }
+    args = {name: parse([name, *argv]) for name, argv in required.items()}
+    assert args["bands"].threshold_db == vp.DEFAULT_THRESHOLD_DB
+    design = args["design"]
+    assert [khz_to_hz(v) for v in design.band_khz] == [vp.MIC_LOW_BAND.low, vp.MIC_LOW_BAND.high]
+    assert mm_to_m(design.grid_step_mm) == DEFAULT_GRID_STEP
+    simulate = args["simulate"]
+    assert (simulate.damping, simulate.noise_floor_db) == (DEFAULT_DAMPING_RATIO, DEFAULT_NOISE_FLOOR_DB)
+    analyze = args["analyze"]
+    assert tuple(khz_to_hz(v) for v in analyze.band_khz) == vp.DEFAULT_ANALYSIS_BAND
+    assert analyze.baseline_material == vp.BASELINE_MATERIAL
+    assert analyze.window == inspect.signature(vp.spectra).parameters["window"].default
+    assert [parse(["analyze", "--window", w]).window for w in WINDOWS] == list(WINDOWS)
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch, capsys):

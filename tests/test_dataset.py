@@ -539,6 +539,111 @@ def test_load_manifest_yields_one_pair_per_declared_channel(tmp_path):
     assert all(r.meta.force_code == 400 for r in recs)
 
 
+def test_load_manifest_pairs_and_warnings_are_pinned(tmp_path):
+    for name in ("l.wav", "p.wav", "r.wav", "e.wav"):
+        vp.write_wav(vp.Recording(np.zeros(64), FS), tmp_path / name, "int16")
+    data = {
+        "schema_version": 1,
+        "objects": [
+            {"id": "stick", "name": "wooden stick", "material_class": "wood"},
+            {"id": "cup", "name": "steel cup"},
+        ],
+        "observations": [
+            {
+                "object_id": "stick",
+                "repetition": 1,
+                "fingerprint_material": "ST45B",
+                "procedures": [
+                    {
+                        "procedure": "Pressure",
+                        "force_codes": [400, 500, 600, 700],
+                        "duration_s": 1.5,
+                        "channel_files": {"Palm": "p.wav", "Left": "l.wav"},
+                    },
+                    {
+                        "procedure": "LateralMotion",
+                        "force_codes": [400],
+                        "channel_files": {"Right": "r.wav"},
+                        "motor_telemetry_path": "motor.csv",
+                    },
+                ],
+            },
+            {
+                "object_id": "cup",
+                "repetition": 6,
+                "procedures": [
+                    {"procedure": "Enclosure", "force_codes": [], "channel_files": {"Left": "e.wav"}}
+                ],
+            },
+        ],
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        channels = vp.load_manifest(path)
+
+    def labels(obj, material, rep, procedure, code, mic):
+        return vp.RecordingMeta(
+            object=obj,
+            exploration_procedure=procedure,
+            force_code=code,
+            fingerprint_material=material,
+            microphone=mic,
+            repetition=rep,
+        )
+
+    assert channels == [
+        (tmp_path / "l.wav", labels("wooden stick", "ST45B", 1, "Pressure", None, "Left")),
+        (tmp_path / "p.wav", labels("wooden stick", "ST45B", 1, "Pressure", None, "Palm")),
+        (tmp_path / "r.wav", labels("wooden stick", "ST45B", 1, "LateralMotion", 400, "Right")),
+        (tmp_path / "e.wav", labels("steel cup", "Default", 6, "Enclosure", None, "Left")),
+    ]
+    assert [str(w.message) for w in caught] == [
+        "observations[0].procedures[1]: telemetry file 'motor.csv' not found",
+        "observations[1]: repetition 6 exceeds the 5-observations-per-object convention",
+    ]
+
+
+# Each bad label value: the label, the value, the manifest entry that holds
+# it, and the simulate flags that set it (None where no flag can).
+BAD_LABELS = {
+    "object_empty": ("object", "", "objects[0] (o1)", ["--object", ""]),
+    "material_empty": ("fingerprint_material", "", "observations[0]", ["--tag-material", ""]),
+    "microphone_top": ("microphone", "Top", "observations[0].procedures[0]", ["--microphone", "Top"]),
+    "procedure_rubbing": ("exploration_procedure", "Rubbing", "observations[0].procedures[0]", None),
+    "force_code_5000": ("force_code", 5000, "observations[0].procedures[0]", None),
+    "repetition_0": ("repetition", 0, "observations[0]", ["--repetition", "0"]),
+    "repetition_true": ("repetition", True, "observations[0]", None),
+}
+SIMULATE_TPU = ["simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0"]
+
+
+@pytest.mark.parametrize("label, value, entry, flags", BAD_LABELS.values(), ids=list(BAD_LABELS))
+def test_bad_label_is_refused_on_every_path(
+    tmp_path, capsys, labelled_manifest, label, value, entry, flags
+):
+    wav = tmp_path / "rec.wav"
+    vp.write_wav(vp.Recording(np.zeros(100), FS), wav, "int16")
+    (tmp_path / "rec.json").write_text(json.dumps({"meta": {label: value}}))
+    with pytest.raises(ManifestError, match="rec.json") as excinfo:
+        vp.read_recording_bundle(wav)
+    assert repr(value) in str(excinfo.value)
+    assert run(["analyze", str(wav), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "rec.json" in capsys.readouterr().err
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(labelled_manifest({label: value})))
+    error = manifest_errors(path)[0]  # a refused object also leaves its observation dangling
+    assert error.startswith(f"{entry}: ") and repr(value) in error
+
+    if flags is not None:
+        out = tmp_path / "sim"
+        assert run([*SIMULATE_TPU, *flags, "--output-dir", str(out)]) == 1
+        assert repr(value) in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+
 def _first_observation(data):
     return data["observations"][0]
 

@@ -180,8 +180,8 @@ def scalar_scan(constraints, step):
     """(kept cells in side-major order, (miss, cell) of the first strictly smallest miss)."""
     band_lo, band_hi = constraints.band_bounds
     kept, nearest = [], None
-    for side in vp.design._axis_grid("side_range", *constraints.side_range, step):
-        for length in vp.design._axis_grid("length_range", *constraints.length_range, step):
+    for side in vp.design._axis_grid(*constraints.side_range, step):
+        for length in vp.design._axis_grid(*constraints.length_range, step):
             beam = vp.BeamSpec(constraints.material, vp.CrossSection.square(float(side)), float(length))
             f_lo, f_hi = vp.frequency_bounds(beam, 1)
             cell = (float(side), float(length), f_lo, f_hi)
@@ -231,7 +231,7 @@ def test_kept_lengths_are_the_closed_form_interval(materials):
     constraints = vp.reference_layout_constraints(materials["PLA"], target_band=CLIPPED_BAND)
     c_low, c_high = vp.frequency_bounds(vp.BeamSpec(materials["PLA"], vp.CrossSection.square(1.0), 1.0))
     region = vp.feasible_region(constraints, ORACLE_STEP)
-    lengths = list(vp.design._axis_grid("length_range", *constraints.length_range, ORACLE_STEP))
+    lengths = list(vp.design._axis_grid(*constraints.length_range, ORACLE_STEP))
     by_side = {}
     for p in region.grid:
         by_side.setdefault(p.side, []).append(lengths.index(p.length))
@@ -249,8 +249,8 @@ def test_band_edge_on_a_cell_keeps_that_cell(materials):
     # ST45B has a point density, so a degenerate band at one cell's computed
     # frequency has miss == 0.0 exactly there.
     constraints = vp.reference_design_constraints(materials["ST45B"])
-    side = float(vp.design._axis_grid("side_range", *constraints.side_range, STEP)[3])
-    length = float(vp.design._axis_grid("length_range", *constraints.length_range, STEP)[3])
+    side = float(vp.design._axis_grid(*constraints.side_range, STEP)[3])
+    length = float(vp.design._axis_grid(*constraints.length_range, STEP)[3])
     beam = vp.BeamSpec(materials["ST45B"], vp.CrossSection.square(side), length)
     f, _ = vp.frequency_bounds(beam)
     constraints = replace(constraints, target_band=(f, f))

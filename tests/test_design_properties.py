@@ -34,8 +34,8 @@ PROPERTY_SETTINGS = settings(max_examples=80, derandomize=True, database=None, d
 
 def scanned_cells(material, side_range, length_range, step):
     """(side, length, freq_low, freq_high) of every grid cell, side-major, as Python floats."""
-    sides = _axis_grid("side_range", *side_range, step).tolist()
-    lengths = _axis_grid("length_range", *length_range, step).tolist()
+    sides = _axis_grid(*side_range, step).tolist()
+    lengths = _axis_grid(*length_range, step).tolist()
     f_lo, f_hi, _ = vp.modal_frequencies(material, [vp.CrossSection.square(s) for s in sides], lengths)
     return [
         (side, length, lo, hi)

@@ -96,6 +96,69 @@ def test_manifest_loader_returns_or_raises_domain_error(scratch_dir, data):
     assert all(isinstance(wav, Path) and isinstance(meta, vp.RecordingMeta) for wav, meta in channels)
 
 
+@st.composite
+def label_dicts(draw):
+    """All six labels valid, then up to two of them replaced by a near miss
+    or by any JSON value but null.  A manifest's microphone is a JSON object
+    key, so it stays a string."""
+    labels = {
+        "object": draw(st.sampled_from(["cup", "wooden stick"])),
+        "fingerprint_material": draw(st.sampled_from(["Default", "PLA"])),
+        "exploration_procedure": draw(st.sampled_from([p.value for p in vp.Procedure])),
+        "force_code": draw(st.integers(0, 4095)),
+        "microphone": draw(st.sampled_from([m.value for m in vp.Microphone])),
+        "repetition": draw(st.integers(1, 7)),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(labels)), max_size=2)):
+        if key == "microphone":
+            labels[key] = draw(st.sampled_from(["", "Top", "left"]) | st.text(max_size=6))
+        else:
+            near_miss = st.sampled_from(["", "Top", "Rubbing", -1, 0, 4096, True, 400.0])
+            labels[key] = draw(near_miss | json_value.filter(lambda value: value is not None))
+    return labels
+
+
+def labels_are_valid(labels):
+    """RecordingMeta's label rules, written out apart from it."""
+    for key, value in labels.items():
+        if type(value) is not (int if key in ("force_code", "repetition") else str) or value == "":
+            return False
+    return (
+        labels["microphone"] in ("Left", "Right", "Palm")
+        and labels["exploration_procedure"]
+        in ("LateralMotion", "Enclosure", "Pressure", "UnsupportedHolding")
+        and 0 <= labels["force_code"] <= 4095
+        and labels["repetition"] >= 1
+    )
+
+
+def refused(load, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            load(*args)
+        except VibroprintError:
+            return True
+    return False
+
+
+@PROPERTY_SETTINGS
+@given(labels=label_dicts())
+def test_sidecar_and_manifest_refuse_the_same_labels(scratch_dir, labelled_manifest, labels):
+    try:
+        meta = vp.RecordingMeta.from_dict(labels)
+    except ValueError:
+        meta = None
+    assert (meta is not None) == labels_are_valid(labels)
+
+    wav = scratch_dir / "labelled.wav"
+    vp.write_wav(vp.Recording(np.zeros(100), 500e3), wav, "int16")
+    wav.with_suffix(".json").write_text(json.dumps({"meta": labels}))
+    manifest = scratch_dir / "labelled_manifest.json"
+    manifest.write_text(json.dumps(labelled_manifest(labels, wav.name)))
+    assert refused(vp.read_recording_bundle, wav) == refused(vp.load_manifest, manifest) == (meta is None)
+
+
 number_text = st.floats().map(repr) | st.integers(-100, 30000).map(str)
 curve_cell = number_text | st.text(max_size=5)
 curve_text = st.builds(

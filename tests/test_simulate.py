@@ -206,6 +206,22 @@ def test_scenario_rejects_non_finite_values(tpu_beam, field, value):
         one_mode_scenario(tpu_beam, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "modes, amplitudes",
+    [(1, math.nan), (1, math.inf), (1, -math.inf), (2, (0.5, math.nan))],
+    ids=["nan", "inf", "-inf", "per_mode_nan"],
+)
+def test_scenario_rejects_non_finite_amplitudes(tpu_beam, modes, amplitudes):
+    with pytest.raises(ValueError, match="mode_amplitudes must be finite"):
+        one_mode_scenario(tpu_beam, modes=modes, damping_ratio=0.02, mode_amplitudes=amplitudes)
+
+
+@pytest.mark.parametrize("noise_floor_db", [-70.0, None], ids=["noise", "no_noise"])
+def test_scenario_rejects_a_negative_seed(tpu_beam, noise_floor_db):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        one_mode_scenario(tpu_beam, seed=-1, noise_floor_db=noise_floor_db)
+
+
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_scenario_rejects_non_finite_noise_floor(tpu_beam, level):
     with pytest.raises(ValueError, match="noise_floor_db must be finite or None"):
