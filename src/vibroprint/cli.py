@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .beams import BeamSpec, CrossSection, Shape, modal_frequencies
-from .dataset import load_manifest, read_recording_bundle, write_recording_bundle
+from .dataset import ENCODINGS, load_manifest, read_recording_bundle, write_recording_bundle
 from .design import (
     DEFAULT_GRID_STEP,
     Segment,
@@ -53,6 +53,7 @@ from .mic import (
 from .signals import (
     BASELINE_MATERIAL,
     DEFAULT_ANALYSIS_BAND,
+    DEFAULT_WINDOW,
     WINDOWS,
     AucEntry,
     RecordingMeta,
@@ -66,7 +67,9 @@ from .signals import (
 )
 from .simulate import (
     DEFAULT_DAMPING_RATIO,
+    DEFAULT_MODES,
     DEFAULT_NOISE_FLOOR_DB,
+    DEFAULT_SAMPLE_RATE,
     SlideScenario,
     scenario_to_dict,
     slide_signal,
@@ -579,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The default is the RH8D hand's maximum finger velocity.
     p_sim.add_argument("--velocity-mm-s", type=float, default=953.3)
     p_sim.add_argument("--duration-s", type=float, default=0.5)
-    p_sim.add_argument("--modes", type=int, default=3)
+    p_sim.add_argument("--modes", type=int, default=DEFAULT_MODES)
     p_sim.add_argument("--damping", default=DEFAULT_DAMPING_RATIO, help="damping ratio(s), comma list")
     p_sim.add_argument(
         "--amplitudes", help="mode amplitudes, comma list (default 0.5, 0.25, ... per mode)"
@@ -587,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--noise-floor-db", default=DEFAULT_NOISE_FLOOR_DB, help="noise level in dB, or 'none'"
     )
-    p_sim.add_argument("--sample-rate-hz", type=float, default=500e3)
-    p_sim.add_argument("--encoding", choices=("int16", "int32", "float32"), default="float32")
+    p_sim.add_argument("--sample-rate-hz", type=float, default=DEFAULT_SAMPLE_RATE)
+    p_sim.add_argument("--encoding", choices=tuple(ENCODINGS), default="float32")
     p_sim.add_argument("--name", default="slide", help="output file stem")
     p_sim.add_argument("--object", help="metadata: object label")
     p_sim.add_argument("--microphone", help="metadata: microphone label")
@@ -605,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--band-khz", nargs=2, type=float, default=analysis_band_khz, metavar=("LOW", "HIGH")
     )
-    p_an.add_argument("--window", choices=WINDOWS, default="hann")
+    p_an.add_argument("--window", choices=WINDOWS, default=DEFAULT_WINDOW)
     p_an.add_argument("--baseline-material", default=BASELINE_MATERIAL)
     p_an.add_argument("--write-spectra", action="store_true", help="per-group mean spectrum CSVs")
     p_an.set_defaults(handler=_cmd_analyze)

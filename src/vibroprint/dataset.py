@@ -50,7 +50,7 @@ _SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _U32_MAX = 0xFFFFFFFF
 
 # write_wav: encoding -> (format tag, sample dtype).
-_ENCODINGS = {"int16": (_PCM, "<i2"), "int32": (_PCM, "<i4"), "float32": (_IEEE_FLOAT, "<f4")}
+ENCODINGS = {"int16": (_PCM, "<i2"), "int32": (_PCM, "<i4"), "float32": (_IEEE_FLOAT, "<f4")}
 # read_wav: (format tag, bytes per sample) -> (dtype, full scale).  24-bit
 # PCM is widened to left-justified int32, as scipy.io.wavfile reads it.
 _DECODINGS = {
@@ -163,15 +163,15 @@ def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> No
     the 32-bit fields of a RIFF header (a file past 4 GiB), raise
     WavFormatError naming the file; nothing is written.
     """
-    if encoding not in _ENCODINGS:
-        raise ValueError(f"encoding must be one of {tuple(_ENCODINGS)}, got {encoding!r}")
+    if encoding not in ENCODINGS:
+        raise ValueError(f"encoding must be one of {tuple(ENCODINGS)}, got {encoding!r}")
     path = Path(path)
     if not (rec.sample_rate == int(rec.sample_rate) and 1 <= rec.sample_rate <= _U32_MAX):
         raise WavFormatError(
             f"{path}: sample rate {rec.sample_rate!r} Hz is not a whole number "
             f"of hertz in [1, {_U32_MAX}], as a WAV header stores it"
         )
-    tag, dtype = _ENCODINGS[encoding]
+    tag, dtype = ENCODINGS[encoding]
     width = np.dtype(dtype).itemsize
     samples = rec.samples
     rate = int(rec.sample_rate)

@@ -17,7 +17,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,9 @@ DEFAULT_GRID_STEP = mm_to_m(0.1)
 # Cells one design scan or sweep may hold: at a peak of about 113 B per
 # design cell and 136 B per sweep row, near 1 GiB.
 MAX_SCAN_CELLS = 10**7
+
+# Sweep rows write_sweep_csv formats at once: about 12 MB at 178 B per row.
+_SWEEP_CSV_CHUNK_ROWS = 2**16
 
 
 def material_class(material: Material) -> str:
@@ -267,15 +269,12 @@ class SegmentLayout:
     segment: Segment
     side: float
     length: float
-    pitch: float
     freq_low: float
     freq_high: float
 
-    def __post_init__(self):
-        if self.pitch != 2.0 * self.side:
-            raise ValueError(
-                f"pitch must equal 2 * side exactly ({2.0 * self.side}), got {self.pitch}"
-            )
+    @property
+    def pitch(self) -> float:
+        return 2.0 * self.side
 
 
 def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -> list[SegmentLayout]:
@@ -311,7 +310,7 @@ def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -
             )
             continue
         side, length, f_lo, f_hi = column[np.argmax(np.where(fits, column.length, -np.inf))].tolist()
-        layouts.append(SegmentLayout(segment, side, length, 2.0 * side, f_lo, f_hi))
+        layouts.append(SegmentLayout(segment, side, length, f_lo, f_hi))
 
     if failures:
         raise LayoutError(
@@ -379,31 +378,25 @@ def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Columns: row_type, shape, dimension_mm, length_mm, frequency_hz_min,
     frequency_hz_max, frequency_hz_nominal.  Band annotations appear as
     row_type band_low/band_high/band_peak with the frequency in the
-    nominal column."""
+    nominal column.  Rows are formatted _SWEEP_CSV_CHUNK_ROWS at a time."""
     rows, band = table.rows, table.band
-    series = zip(
-        rows["shape"].tolist(),
-        _mm_labels(rows.dimension),
-        _mm_labels(rows.length),
-        rows.freq_low.tolist(),
-        rows.freq_high.tolist(),
-        rows.freq_nominal.tolist(),
-    )
     notes = {} if band is None else {
         "band_low": band.low, "band_high": band.high, "band_peak": band.peak_frequency
     }
     header = "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal"
     with Path(path).open("w", newline="") as fh:
-        fh.writelines(
-            chain(
-                [header + "\r\n"],
-                (
-                    f"series,{shape},{dim},{length},{lo!r},{hi!r},{nom!r}\r\n"
-                    for shape, dim, length, lo, hi, nom in series
-                ),
-                (f"{label},,,,,,{value!r}\r\n" for label, value in notes.items()),
+        fh.write(header + "\r\n")
+        for start in range(0, rows.size, _SWEEP_CSV_CHUNK_ROWS):
+            chunk = rows[start : start + _SWEEP_CSV_CHUNK_ROWS]
+            series = zip(
+                chunk["shape"].tolist(), _mm_labels(chunk.dimension), _mm_labels(chunk.length),
+                *(chunk[name].tolist() for name in ("freq_low", "freq_high", "freq_nominal")),
             )
-        )
+            fh.writelines(
+                f"series,{shape},{dim},{length},{lo!r},{hi!r},{nom!r}\r\n"
+                for shape, dim, length, lo, hi, nom in series
+            )
+        fh.writelines(f"{label},,,,,,{value!r}\r\n" for label, value in notes.items())
 
 
 def write_layout_csv(layouts: list[SegmentLayout], path: str | Path) -> None:

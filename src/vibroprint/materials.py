@@ -2,7 +2,9 @@
 
 All stored values are SI.  Material config files use bench units
 (g/cm3, MPa) and are converted once on load; see `load_material_config`
-for the file grammar.
+for the file grammar.  The loader checks only what belongs to the file
+(keys, numbers as written, and their conversion to SI); `Material`
+checks every value, whichever way it was built.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ class Material:
         density_range: optional (min, max) density (kg/m3) for materials
             whose datasheet quotes a range; frequency predictions then
             report an interval instead of a single number.
+
+    Rules, checked in this order; each failure is a ValueError naming
+    the field:
+        - density and youngs_modulus are positive and finite;
+        - density_range's bounds are finite;
+        - density_range is ordered, 0 < min <= max;
+        - density lies inside density_range, min <= density <= max.
     """
 
     name: str
@@ -44,10 +53,10 @@ class Material:
             lo, hi = self.density_range
             if not hi < math.inf:
                 raise ValueError(f"density_range bounds must be finite, got [{lo}, {hi}]")
-            if not (0 < lo <= self.density <= hi):
-                raise ValueError(
-                    f"density {self.density} outside declared range [{lo}, {hi}]"
-                )
+            if not 0 < lo <= hi:
+                raise ValueError(f"density_range must satisfy 0 < min <= max, got [{lo}, {hi}]")
+            if not lo <= self.density <= hi:
+                raise ValueError(f"density {self.density} outside declared range [{lo}, {hi}]")
 
     @property
     def density_bounds(self) -> tuple[float, float]:
@@ -96,79 +105,51 @@ def builtin_materials() -> list[Material]:
     return list(_BUILTINS)
 
 
-_CONFIG_KEYS = {"density_g_cm3", "density_range_g_cm3", "youngs_modulus_mpa"}
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MaterialConfigError(
-            f"material '{section}': value for '{key}' is not a number: {raw!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise MaterialConfigError(
-            f"material '{section}': value for '{key}' must be finite, got {raw!r}"
-        )
-    return value
+# INI key -> (Material field, bench-to-SI conversion, number of values).
+_CONFIG_KEYS = {
+    "density_g_cm3": ("density", g_cm3_to_kg_m3, 1),
+    "density_range_g_cm3": ("density_range", g_cm3_to_kg_m3, 2),
+    "youngs_modulus_mpa": ("youngs_modulus", mpa_to_pa, 1),
+}
 
 
 def _material_from_section(name: str, entries: dict[str, str]) -> Material:
-    unknown = set(entries) - _CONFIG_KEYS
-    if unknown:
-        raise MaterialConfigError(
-            f"material '{name}': unknown key(s) {sorted(unknown)}; "
-            f"expected {sorted(_CONFIG_KEYS)}"
-        )
+    where = f"material '{name}'"
+    fields: dict[str, float | tuple[float, ...]] = {}
+    for key, raw in entries.items():
+        if key not in _CONFIG_KEYS:
+            raise MaterialConfigError(f"{where}: unknown key '{key}'; expected {sorted(_CONFIG_KEYS)}")
+        field, to_si, count = _CONFIG_KEYS[key]
+        parts = raw.replace(",", " ").split() if count > 1 else [raw]
+        if len(parts) != count:
+            raise MaterialConfigError(f"{where}: {key} needs {count} values, got {raw!r}")
+        values = []
+        for part in parts:
+            try:
+                written = float(part)
+            except ValueError:
+                raise MaterialConfigError(
+                    f"{where}: value for '{key}' is not a number: {part!r}"
+                ) from None
+            values.append(to_si(written))
+            if not math.isfinite(values[-1]):
+                problem = "overflows in SI units" if math.isfinite(written) else "must be finite"
+                raise MaterialConfigError(f"{where}: value for '{key}' {problem}, got {part!r}")
+        fields[field] = values[0] if count == 1 else tuple(values)
 
-    if "youngs_modulus_mpa" not in entries:
-        raise MaterialConfigError(f"material '{name}': missing key 'youngs_modulus_mpa'")
-    e_mpa = _parse_float(name, "youngs_modulus_mpa", entries["youngs_modulus_mpa"])
-    if e_mpa <= 0:
-        raise MaterialConfigError(
-            f"material '{name}': youngs_modulus_mpa must be positive, got {e_mpa}"
-        )
-
-    density_range = None
-    if "density_range_g_cm3" in entries:
-        parts = entries["density_range_g_cm3"].replace(",", " ").split()
-        if len(parts) != 2:
-            raise MaterialConfigError(
-                f"material '{name}': density_range_g_cm3 needs two values "
-                f"(min max), got {entries['density_range_g_cm3']!r}"
-            )
-        lo = _parse_float(name, "density_range_g_cm3", parts[0])
-        hi = _parse_float(name, "density_range_g_cm3", parts[1])
-        if not 0 < lo <= hi:
-            raise MaterialConfigError(
-                f"material '{name}': density_range_g_cm3 must satisfy 0 < min <= max, "
-                f"got [{lo}, {hi}]"
-            )
-        density_range = (g_cm3_to_kg_m3(lo), g_cm3_to_kg_m3(hi))
-
-    if "density_g_cm3" in entries:
-        rho = g_cm3_to_kg_m3(_parse_float(name, "density_g_cm3", entries["density_g_cm3"]))
-    elif density_range is not None:
-        rho = 0.5 * (density_range[0] + density_range[1])
-    else:
-        raise MaterialConfigError(
-            f"material '{name}': needs 'density_g_cm3' or 'density_range_g_cm3'"
-        )
-    youngs_modulus = mpa_to_pa(e_mpa)
-    if not all(map(math.isfinite, (rho, youngs_modulus, *(density_range or ())))):
-        raise MaterialConfigError(
-            f"material '{name}': values overflow when converted to kg/m3 and Pa"
-        )
-    if rho <= 0:
-        raise MaterialConfigError(f"material '{name}': density_g_cm3 must be positive")
-    if density_range is not None and not density_range[0] <= rho <= density_range[1]:
-        raise MaterialConfigError(
-            f"material '{name}': density_g_cm3 lies outside density_range_g_cm3"
-        )
-
-    return Material(
-        name=name, density=rho, youngs_modulus=youngs_modulus, density_range=density_range
-    )
+    if "youngs_modulus" not in fields:
+        raise MaterialConfigError(f"{where}: missing key 'youngs_modulus_mpa'")
+    if "density" not in fields:
+        if "density_range" not in fields:
+            raise MaterialConfigError(f"{where}: needs 'density_g_cm3' or 'density_range_g_cm3'")
+        lo, hi = fields["density_range"]
+        fields["density"] = 0.5 * (lo + hi)
+        if not math.isfinite(fields["density"]):
+            raise MaterialConfigError(f"{where}: midpoint of 'density_range_g_cm3' overflows in kg/m3")
+    try:
+        return Material(name=name, **fields)
+    except ValueError as exc:
+        raise MaterialConfigError(f"{where}: {exc}") from None
 
 
 def load_material_config(path: str | Path) -> list[Material]:
@@ -177,7 +158,15 @@ def load_material_config(path: str | Path) -> list[Material]:
     The file is INI-style: one ``[MaterialName]`` block per material with
     keys ``density_g_cm3``, ``density_range_g_cm3`` (two values), and
     ``youngs_modulus_mpa``.  A user entry whose name matches a builtin
-    (case-insensitively) replaces it.  An empty file yields the builtins.
+    (case-insensitively) replaces it in its place; new names follow in
+    file order.  An empty file yields the builtins.
+
+    The loader keeps only the file's own rules: no two sections name one
+    material (case-insensitively), every key is known and holds its count
+    of numbers, each number parses and is finite as written and in SI (so
+    is a range's midpoint), and the modulus and a density or a range are
+    given.  `Material` checks the values.  A fault in a section is a
+    MaterialConfigError naming the section.
     """
     path = Path(path)
     if not path.is_file():
@@ -195,17 +184,15 @@ def load_material_config(path: str | Path) -> list[Material]:
     except configparser.Error as exc:
         raise MaterialConfigError(f"cannot parse {path}: {exc}") from exc
 
-    user = [
-        _material_from_section(section, dict(parser.items(section)))
-        for section in parser.sections()
-    ]
-
-    merged: dict[str, Material] = {m.name.lower(): m for m in _BUILTINS}
-    merged.update({m.name.lower(): m for m in user})
-    # builtins keep their canonical position; new names append in file order
-    ordered = [merged[m.name.lower()] for m in _BUILTINS]
-    ordered += [m for m in user if m.name.lower() not in {b.name.lower() for b in _BUILTINS}]
-    return ordered
+    user: dict[str, Material] = {}
+    for section in parser.sections():
+        if section.lower() in user:
+            first = user[section.lower()].name
+            raise MaterialConfigError(
+                f"material '{section}': sections [{first}] and [{section}] name one material in {path}"
+            )
+        user[section.lower()] = _material_from_section(section, dict(parser.items(section)))
+    return list(({m.name.lower(): m for m in _BUILTINS} | user).values())
 
 
 def get_material(name: str, catalog: list[Material] | None = None) -> Material:

@@ -40,6 +40,7 @@ from .errors import BaselineError, SpectrumGridError
 REFERENCE_AMPLITUDE = 1.0
 
 WINDOWS = ("rectangular", "hann")
+DEFAULT_WINDOW = "hann"
 
 # Default AUC analysis band: the microphone's low sensitive band plus the
 # region below 3.2 kHz where slide spectra differ most.
@@ -223,7 +224,7 @@ def _scratch_for(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def spectra(recs: list[Recording], window: str = "hann") -> list[Spectrum]:
+def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> list[Spectrum]:
     """Single-sided amplitude spectra of recordings that share one length and rate.
 
     The stack is windowed, transformed and rectified with one numpy call
@@ -259,7 +260,7 @@ def spectra(recs: list[Recording], window: str = "hann") -> list[Spectrum]:
     ]
 
 
-def spectrum(rec: Recording, window: str = "hann") -> Spectrum:
+def spectrum(rec: Recording, window: str = DEFAULT_WINDOW) -> Spectrum:
     """Single-sided amplitude spectrum of the windowed recording.
 
     The one-row case of `spectra`: `frequencies` is the cached read-only

@@ -22,6 +22,8 @@ from .signals import REFERENCE_AMPLITUDE, Procedure, Recording, RecordingMeta
 
 DEFAULT_DAMPING_RATIO = 0.02
 DEFAULT_NOISE_FLOOR_DB = -70.0
+DEFAULT_MODES = 3
+DEFAULT_SAMPLE_RATE = 500e3
 
 # Ring-downs are truncated once the envelope has decayed by e^-21 (~1e-9).
 _DECAY_CUTOFF_TIME_CONSTANTS = 21.0
@@ -53,11 +55,11 @@ class SlideScenario:
     pitch: float
     velocity: float
     duration: float
-    modes: int = 3
+    modes: int = DEFAULT_MODES
     damping_ratio: float | tuple[float, ...] = DEFAULT_DAMPING_RATIO
     mode_amplitudes: float | tuple[float, ...] | None = None
     noise_floor_db: float | None = DEFAULT_NOISE_FLOOR_DB
-    sample_rate: float = 500e3
+    sample_rate: float = DEFAULT_SAMPLE_RATE
     seed: int = 0
 
     def __post_init__(self):

@@ -1,6 +1,7 @@
 """Command-line surface: flags, artifacts, schemas, exit codes."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -16,8 +17,14 @@ import vibroprint as vp
 import vibroprint.cli
 from vibroprint.cli import run
 from vibroprint.design import DEFAULT_GRID_STEP
-from vibroprint.signals import WINDOWS
-from vibroprint.simulate import DEFAULT_DAMPING_RATIO, DEFAULT_NOISE_FLOOR_DB
+from vibroprint.dataset import ENCODINGS
+from vibroprint.signals import DEFAULT_WINDOW, WINDOWS
+from vibroprint.simulate import (
+    DEFAULT_DAMPING_RATIO,
+    DEFAULT_MODES,
+    DEFAULT_NOISE_FLOOR_DB,
+    DEFAULT_SAMPLE_RATE,
+)
 from vibroprint.units import khz_to_hz, mm_to_m
 
 
@@ -1052,10 +1059,19 @@ def test_flag_defaults_are_the_library_constants():
     assert mm_to_m(design.grid_step_mm) == DEFAULT_GRID_STEP
     simulate = args["simulate"]
     assert (simulate.damping, simulate.noise_floor_db) == (DEFAULT_DAMPING_RATIO, DEFAULT_NOISE_FLOOR_DB)
+    assert (simulate.modes, simulate.sample_rate_hz) == (DEFAULT_MODES, DEFAULT_SAMPLE_RATE)
+    scenario = {f.name: f.default for f in dataclasses.fields(vp.SlideScenario)}
+    assert (scenario["modes"], scenario["sample_rate"]) == (DEFAULT_MODES, DEFAULT_SAMPLE_RATE)
+    sim_argv = ["simulate", *required["simulate"], "--encoding"]
+    assert [parse([*sim_argv, e]).encoding for e in ENCODINGS] == list(ENCODINGS)
+    with pytest.raises(SystemExit):
+        parse([*sim_argv, "float64"])
     analyze = args["analyze"]
     assert tuple(khz_to_hz(v) for v in analyze.band_khz) == vp.DEFAULT_ANALYSIS_BAND
     assert analyze.baseline_material == vp.BASELINE_MATERIAL
-    assert analyze.window == inspect.signature(vp.spectra).parameters["window"].default
+    assert analyze.window == DEFAULT_WINDOW
+    for transform in (vp.spectra, vp.spectrum):
+        assert inspect.signature(transform).parameters["window"].default == DEFAULT_WINDOW
     assert [parse(["analyze", "--window", w]).window for w in WINDOWS] == list(WINDOWS)
 
 

@@ -367,18 +367,6 @@ def test_layouts_need_caps(materials):
         scan_then_pick(vp.reference_design_constraints(materials["TPU"]))
 
 
-def test_layout_pitch_validation():
-    with pytest.raises(ValueError, match="pitch"):
-        vp.SegmentLayout(
-            segment=vp.Segment.PALM,
-            side=1e-3,
-            length=3e-3,
-            pitch=3e-3,
-            freq_low=1e4,
-            freq_high=1e4,
-        )
-
-
 # ---------------------------------------------------------------------------
 # frequency_sweep
 

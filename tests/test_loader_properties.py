@@ -3,7 +3,8 @@
 Inputs are mostly well-formed with arbitrary JSON or text spliced in at
 any level, so the generated files reach the deep validation paths; WAV
 inputs are every truncation and single-byte overwrite of a file that
-`write_wav` wrote, whose round trip must return the stored samples.  Runs
+`write_wav` wrote, whose round trip must return the stored samples.  A
+material section loads exactly when `Material` accepts its SI values.  Runs
 are derandomized and keep no example database, so the suite stays
 deterministic and writes nothing into the working tree.
 """
@@ -22,7 +23,8 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import vibroprint as vp  # noqa: E402
-from vibroprint.errors import VibroprintError  # noqa: E402
+from vibroprint.errors import MaterialConfigError, VibroprintError  # noqa: E402
+from vibroprint.units import g_cm3_to_kg_m3, mpa_to_pa  # noqa: E402
 
 # Hypothesis caches what it reads from local sources under ./.hypothesis
 # unless told otherwise, and does so while pytest collects; keep that cache
@@ -205,6 +207,63 @@ def test_material_loader_returns_or_raises_domain_error(scratch_dir, sections, j
     except VibroprintError:
         return
     assert all(isinstance(m, vp.Material) for m in catalog)
+
+
+# Numbers as written: plausible ones that order and nest, the edges of the
+# SI conversion (a subnormal, values that overflow or whose range midpoint
+# does), signed zeros and any float at all.
+material_number = (
+    st.sampled_from([1.1, 1.2, 1.3, 0.0, -0.0, -1.2, 5e-324, 1e305, 1.7e305, 1e306, 1e303])
+    | st.floats(1.0, 1.4)
+    | st.floats()
+)
+material_values = st.fixed_dictionaries(
+    {},
+    optional={
+        "density_g_cm3": material_number,
+        "density_range_g_cm3": st.tuples(material_number, material_number),
+        "youngs_modulus_mpa": material_number,
+    },
+)
+
+
+def material_from_si(name, values):
+    """The Material that `values` (numbers as written, by INI key) make in
+    SI units, converted here with `units`; None where Material refuses them."""
+    fields = {}
+    if "youngs_modulus_mpa" in values:
+        fields["youngs_modulus"] = mpa_to_pa(values["youngs_modulus_mpa"])
+    if "density_range_g_cm3" in values:
+        lo, hi = (g_cm3_to_kg_m3(v) for v in values["density_range_g_cm3"])
+        fields["density_range"] = (lo, hi)
+        fields["density"] = 0.5 * (lo + hi)
+    if "density_g_cm3" in values:
+        fields["density"] = g_cm3_to_kg_m3(values["density_g_cm3"])
+    try:
+        return vp.Material(name=name, **fields)
+    except (TypeError, ValueError):  # TypeError: a field is missing
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(
+    name=st.sampled_from(["Resin", "tpu"]),
+    values=material_values,
+    separator=st.sampled_from([" ", ", ", ","]),
+)
+def test_material_loader_accepts_what_material_accepts(scratch_dir, name, values, separator):
+    lines = [
+        f"{key} = {separator.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+        for key, v in values.items()
+    ]
+    path = scratch_dir / "materials.cfg"
+    path.write_text(f"[{name}]\n" + "".join(lines), encoding="utf-8")
+    expected = material_from_si(name, values)
+    if expected is None:
+        with pytest.raises(MaterialConfigError, match=f"material '{name}': "):
+            vp.load_material_config(path)
+    else:
+        assert vp.get_material(name, vp.load_material_config(path)) == expected
 
 
 wav_encoding = st.sampled_from(["int16", "int32", "float32"])

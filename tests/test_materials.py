@@ -107,7 +107,11 @@ def test_config_range_only_uses_midpoint(tmp_path):
         ("[M]\ndensity_g_cm3 = 1.0\n", "youngs_modulus_mpa"),
         ("[M]\ndensity_g_cm3 = abc\nyoungs_modulus_mpa = 100\n", "density_g_cm3"),
         ("[M]\ndensity_range_g_cm3 = 1.0\nyoungs_modulus_mpa = 100\n", "density_range_g_cm3"),
-        ("[M]\ndensity_range_g_cm3 = 1.5 1.0\nyoungs_modulus_mpa = 100\n", "density_range_g_cm3"),
+        # Material checks the order, in SI units
+        (
+            "[M]\ndensity_range_g_cm3 = 1.5 1.0\nyoungs_modulus_mpa = 100\n",
+            "density_range must satisfy 0 < min <= max",
+        ),
         ("[M]\ndensity_g_cm3 = 1.0\nyoungs_modulus_mpa = 100\nbogus_key = 2\n", "bogus_key"),
     ],
 )
@@ -185,6 +189,56 @@ def test_config_converts_bench_units_to_si(tmp_path):
     assert rt.youngs_modulus == pytest.approx(2641.7e6, rel=1e-12)
     assert rt.density_range[0] == pytest.approx(1100.0, rel=1e-12)
     assert rt.density_range[1] == pytest.approx(1300.0, rel=1e-12)
+
+
+PINNED_SECTIONS = """\
+[Point]
+density_g_cm3 = 1.234
+youngs_modulus_mpa = 2641.7
+[Ranged]
+density_range_g_cm3 = 1.17 1.24
+youngs_modulus_mpa = 3500
+[Nominal]
+density_g_cm3 = 1.21
+density_range_g_cm3 = 1.1, 1.3
+youngs_modulus_mpa = 12.5
+[pla]
+density_g_cm3 = 1.25
+youngs_modulus_mpa = 2700
+"""
+
+
+def test_config_sections_load_to_pinned_materials(tmp_path):
+    # Exact SI values: a point density, a range alone (its midpoint), a
+    # range with a nominal value in the comma form, and a builtin override,
+    # which keeps the builtin's position under the file's spelling.
+    cfg = tmp_path / "materials.cfg"
+    cfg.write_text(PINNED_SECTIONS)
+    assert vp.load_material_config(cfg) == [
+        vp.Material("pla", 1250.0, 2700000000.0),
+        vp.Material("TPU", 1220.0, 9000000.0),
+        vp.Material("ST45B", 1200.0, 2000000000.0),
+        vp.Material("Point", 1234.0, 2641700000.0),
+        vp.Material("Ranged", 1205.0, 3500000000.0, (1170.0, 1240.0)),
+        vp.Material("Nominal", 1210.0, 12500000.0, (1100.0, 1300.0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "first, second", [("Resin", "resin"), ("pla", "PLA")], ids=["new_name", "builtin_name"]
+)
+def test_config_refuses_sections_that_name_one_material(tmp_path, capsys, first, second):
+    cfg = tmp_path / "materials.cfg"
+    cfg.write_text(
+        f"[{first}]\ndensity_g_cm3 = 1.0\nyoungs_modulus_mpa = 100\n"
+        f"[{second}]\ndensity_g_cm3 = 1.3\nyoungs_modulus_mpa = 100\n"
+    )
+    with pytest.raises(MaterialConfigError, match=rf"\[{first}\].*\[{second}\]"):
+        vp.load_material_config(cfg)
+    argv = ["freq", "--materials", str(cfg), "--material", second, "--square-side-mm", "1"]
+    assert run(argv + ["--length-mm", "4", "--output-dir", str(tmp_path)]) == 1
+    assert f"[{first}]" in capsys.readouterr().err
+    assert not (tmp_path / "freq.csv").exists()
 
 
 # ---------------------------------------------------------------------------
