@@ -80,7 +80,8 @@ _ANALYZE_WORKERS = 8
 
 # WAV bytes that close an analyze task: short recordings share a task (and one
 # FFT per run of equal grids), while a recording this large ends its task, so
-# long ones go alone.
+# long ones go alone.  It also picks the path: only a corpus with a recording
+# this large runs its tasks on the thread pool.
 _SLICE_BYTES = 256 * 1024
 
 
@@ -383,6 +384,8 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
         raise _UsageError("give either --manifest or WAV files, not both")
     if args.manifest:
         inputs = load_manifest(args.manifest)
+        if not inputs:
+            raise VibroprintError(f"{args.manifest}: the manifest lists no recordings")
     elif not args.files:
         raise _UsageError("analyze needs --manifest or at least one WAV file/glob")
     else:
@@ -399,22 +402,25 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
     return inputs
 
 
-def _slices(inputs: list) -> list[list]:
+def _slices(inputs: list) -> tuple[list[list], bool]:
     """`inputs` cut into contiguous runs, each closed once its WAV files hold
-    `_SLICE_BYTES`; a file that cannot be stat-ed counts as empty, and its
-    read reports the fault."""
-    slices: list[list] = [[]]
+    `_SLICE_BYTES`, and whether one file alone holds that much; a file that
+    cannot be stat-ed counts as empty, and its read reports the fault."""
+    slices: list[list] = []
     held = 0
+    any_long = False
     for item in inputs:
-        if held >= _SLICE_BYTES:
+        if not slices or held >= _SLICE_BYTES:
             slices.append([])
             held = 0
         slices[-1].append(item)
         try:
-            held += os.stat(item[0]).st_size
+            size = os.stat(item[0]).st_size
         except OSError:
-            pass
-    return slices
+            size = 0
+        held += size
+        any_long = any_long or size >= _SLICE_BYTES
+    return slices, any_long
 
 
 def _cmd_analyze(args, out_dir: Path) -> None:
@@ -455,12 +461,19 @@ def _cmd_analyze(args, out_dir: Path) -> None:
                 results.append((rec.meta, grid, band_auc(spec, band), kept))
         return results
 
-    slices = _slices(inputs)
-    # Threads beyond the cores only add interpreter-lock hand-offs between
-    # the file reads and the FFTs.
+    slices, any_long = _slices(inputs)
+    # The pool pays only when a recording fills a slice: long recordings go
+    # one per task, and their WAV decodes and FFTs overlap (benchmarks/run.py
+    # on 2 cores: one thread takes 69-88% longer on analyze-long).  Short
+    # recordings pack into few tasks whose threads mostly hand the
+    # interpreter lock back and forth, so they run in the calling thread
+    # (about a third less time on analyze-many), as does a single worker.
     workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, len(slices))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = [result for part in pool.map(analyze_slice, slices) for result in part]
+    if any_long and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = [result for part in pool.map(analyze_slice, slices) for result in part]
+    else:
+        results = [result for part in map(analyze_slice, slices) for result in part]
 
     # Noise and tonal peaks scale differently with record length and rate, so
     # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.

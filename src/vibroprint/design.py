@@ -55,8 +55,9 @@ DEFAULT_GRID_STEP = mm_to_m(0.1)
 # design cell and 136 B per sweep row, near 1 GiB.
 MAX_SCAN_CELLS = 10**7
 
-# Sweep rows write_sweep_csv formats at once: about 12 MB at 178 B per row.
-_SWEEP_CSV_CHUNK_ROWS = 2**16
+# Rows write_sweep_csv and write_feasible_csv format at once: about 12 MB at
+# 178 B per sweep row.
+_CSV_CHUNK_ROWS = 2**16
 
 
 def material_class(material: Material) -> str:
@@ -364,21 +365,25 @@ def _mm_labels(values: np.ndarray) -> list[str]:
 
 
 def write_feasible_csv(region: FeasibleRegion, path: str | Path) -> None:
-    """Columns: side_mm, length_mm, frequency_hz_min, frequency_hz_max."""
+    """Columns: side_mm, length_mm, frequency_hz_min, frequency_hz_max.
+    Cells are formatted _CSV_CHUNK_ROWS at a time."""
     grid = region.grid
-    rows = zip(
-        _mm_labels(grid.side), _mm_labels(grid.length), grid.freq_low.tolist(), grid.freq_high.tolist()
-    )
     with Path(path).open("w", newline="") as fh:
         fh.write("side_mm,length_mm,frequency_hz_min,frequency_hz_max\r\n")
-        fh.writelines(f"{side},{length},{lo!r},{hi!r}\r\n" for side, length, lo, hi in rows)
+        for start in range(0, len(grid), _CSV_CHUNK_ROWS):
+            chunk = grid[start : start + _CSV_CHUNK_ROWS]
+            rows = zip(
+                _mm_labels(chunk.side), _mm_labels(chunk.length),
+                chunk.freq_low.tolist(), chunk.freq_high.tolist(),
+            )
+            fh.writelines(f"{side},{length},{lo!r},{hi!r}\r\n" for side, length, lo, hi in rows)
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Columns: row_type, shape, dimension_mm, length_mm, frequency_hz_min,
     frequency_hz_max, frequency_hz_nominal.  Band annotations appear as
     row_type band_low/band_high/band_peak with the frequency in the
-    nominal column.  Rows are formatted _SWEEP_CSV_CHUNK_ROWS at a time."""
+    nominal column.  Rows are formatted _CSV_CHUNK_ROWS at a time."""
     rows, band = table.rows, table.band
     notes = {} if band is None else {
         "band_low": band.low, "band_high": band.high, "band_peak": band.peak_frequency
@@ -386,8 +391,8 @@ def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     header = "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal"
     with Path(path).open("w", newline="") as fh:
         fh.write(header + "\r\n")
-        for start in range(0, rows.size, _SWEEP_CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _SWEEP_CSV_CHUNK_ROWS]
+        for start in range(0, rows.size, _CSV_CHUNK_ROWS):
+            chunk = rows[start : start + _CSV_CHUNK_ROWS]
             series = zip(
                 chunk["shape"].tolist(), _mm_labels(chunk.dimension), _mm_labels(chunk.length),
                 *(chunk[name].tolist() for name in ("freq_low", "freq_high", "freq_nominal")),

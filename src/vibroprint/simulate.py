@@ -106,9 +106,12 @@ def _mode_frequencies(beam: BeamSpec, modes: int, sample_rate: float) -> list[fl
     freqs = [nominal_frequency(beam, n) for n in range(1, modes + 1)]
     highest = max(freqs)
     if sample_rate <= 2.0 * highest:
+        # The modes rise with their index, so the ones that fit come first.
+        fits = next(n for n, f in enumerate(freqs) if sample_rate <= 2.0 * f)
+        most = f"at most {fits} mode{'s' * (fits > 1)}" if fits else "not even mode 1"
         raise NyquistError(
             f"sample rate {sample_rate} Hz cannot represent mode at {highest:.4g} Hz; "
-            f"need > {2.0 * highest:.4g} Hz"
+            f"need > {2.0 * highest:.4g} Hz; this rate fits {most}"
         )
     return freqs
 

@@ -452,6 +452,18 @@ def test_simulate_nyquist_violation_is_domain_error(tmp_path, capsys):
     assert "sample rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, most",
+    [((), "at most 2 modes"), (("--modes", "2"), None), (("--sample-rate-hz", "100000"), "at most 1 mode")],
+    ids=["default_modes", "two_modes", "low_rate"],
+)
+def test_simulate_nyquist_error_names_the_modes_that_fit(tmp_path, capsys, extra, most):
+    argv = ["simulate", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "3.5"]
+    assert run([*argv, *extra, "--output-dir", str(tmp_path)]) == (1 if most else 0)
+    err = capsys.readouterr().err
+    assert (f"; this rate fits {most}\n" in err) if most else not err
+
+
 def test_simulate_identical_seeds_are_byte_identical(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert run(simulate_args(d1)) == 0
@@ -773,6 +785,20 @@ def test_design_scans_once(tmp_path, monkeypatch, caps):
     assert len(calls) == 1
 
 
+def pool_starts(monkeypatch, cpus=2):
+    """The `max_workers` of each thread pool analyze starts, on `cpus` cores."""
+    starts = []
+
+    class Counted(vibroprint.cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(vibroprint.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(vibroprint.cli, "ThreadPoolExecutor", Counted)
+    return starts
+
+
 def write_slide(path, microphone, material, duration, sample_rate=500e3):
     beam = vp.BeamSpec(vp.get_material("TPU"), vp.CrossSection.square(mm_to_m(2.6)), mm_to_m(2.0))
     scenario = vp.SlideScenario(
@@ -909,16 +935,19 @@ def test_stacks_flush_mid_slice_and_match_per_file_results(tmp_path, monkeypatch
                 write_slide(tmp_path / f"{rep}_{mic}_{material}.wav", mic, material, duration)
     argv = ["analyze", str(tmp_path / "*.wav"), "--window", window, "--write-spectra"]
     inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
-    slices = vibroprint.cli._slices(inputs)
-    assert 1 < len(slices) < len(inputs)
+    slices, any_long = vibroprint.cli._slices(inputs)
+    assert 1 < len(slices) < len(inputs) and not any_long
 
+    # The default run stays in the calling thread; with every file a slice
+    # of its own, the second runs on the pool, so its artifacts pin the first.
     artifacts = []
-    for slice_bytes in (vibroprint.cli._SLICE_BYTES, 1):
+    for slice_bytes, pools in ((vibroprint.cli._SLICE_BYTES, []), (1, [2])):
         monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
         rows = spectra_rows(monkeypatch)
+        starts = pool_starts(monkeypatch)
         out = tmp_path / f"out{slice_bytes}"
         assert run([*argv, "--output-dir", str(out)]) == 0
-        assert sum(rows) == len(inputs)
+        assert sum(rows) == len(inputs) and starts == pools
         names = ["auc.csv", "ratios.json", *sorted(p.name for p in out.glob("mean_spectrum_*.csv"))]
         artifacts.append((rows, {name: (out / name).read_bytes() for name in names}))
     (stacked, stacked_files), (per_file, per_file_files) = artifacts
@@ -926,6 +955,54 @@ def test_stacks_flush_mid_slice_and_match_per_file_results(tmp_path, monkeypatch
     assert per_file == [1] * len(inputs)
     assert len(stacked_files) == 2 + 6
     assert stacked_files == per_file_files
+
+
+def test_a_corpus_of_short_recordings_starts_no_thread(tmp_path, monkeypatch):
+    for k in range(16):
+        write_slide(tmp_path / f"{k:02d}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
+    inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
+    slices, any_long = vibroprint.cli._slices(inputs)
+    assert len(slices) > 1 and not any_long
+
+    def refused(*args, **kwargs):
+        raise AssertionError("analyze started a thread pool")
+
+    monkeypatch.setattr(vibroprint.cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(vibroprint.cli, "ThreadPoolExecutor", refused)
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def test_one_long_recording_puts_the_corpus_on_the_pool(tmp_path, monkeypatch):
+    for rep in (1, 2):
+        for material in ("Default", "ST45B"):
+            write_slide(tmp_path / f"{rep}_Left_{material}.wav", "Left", material, 0.02)
+    for material in ("Default", "ST45B"):
+        write_slide(tmp_path / f"3_Right_{material}.wav", "Right", material, 0.3)
+    argv = ["analyze", str(tmp_path / "*.wav"), "--write-spectra"]
+    inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
+    assert vibroprint.cli._slices(inputs)[1]
+
+    # One core leaves one worker, which runs in the calling thread.
+    artifacts = []
+    for cpus, pools in ((2, [2]), (1, [])):
+        starts = pool_starts(monkeypatch, cpus)
+        out = tmp_path / f"out{cpus}"
+        assert run([*argv, "--output-dir", str(out)]) == 0
+        assert starts == pools
+        names = ["auc.csv", "ratios.json", *sorted(p.name for p in out.glob("mean_spectrum_*.csv"))]
+        artifacts.append({name: (out / name).read_bytes() for name in names})
+    assert len(artifacts[0]) == 2 + 4
+    assert artifacts[0] == artifacts[1]
+
+
+def test_analyze_refuses_a_manifest_without_recordings(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"schema_version": 1, "objects": [], "observations": []}))
+    out = tmp_path / "out"
+    assert run(["analyze", "--manifest", str(path), "--output-dir", str(out)]) == 1
+    assert f"error: {path}: the manifest lists no recordings" in capsys.readouterr().err
+    assert not list(out.iterdir())
+    assert vibroprint.cli._slices([]) == ([], False)
 
 
 @pytest.mark.parametrize("nan_at, unlabeled_at", [(3, 12), (12, 3)])
@@ -940,7 +1017,8 @@ def test_analyze_names_the_earlier_of_two_bad_files_in_different_slices(
     unlabeled.with_suffix(".json").unlink()
     earlier, later = sorted((nan, unlabeled))
     inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
-    slice_of = {path: i for i, part in enumerate(vibroprint.cli._slices(inputs)) for path, _ in part}
+    slices, _ = vibroprint.cli._slices(inputs)
+    slice_of = {path: i for i, part in enumerate(slices) for path, _ in part}
     assert slice_of[earlier] < slice_of[later]
     assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

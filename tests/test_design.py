@@ -465,6 +465,15 @@ def test_feasible_csv_schema(tmp_path, materials):
     assert len(rows) == 1 + len(region.grid)
 
 
+def test_feasible_csv_chunks_match_one_pass(tmp_path, monkeypatch, materials):
+    region = vp.feasible_region(vp.reference_design_constraints(materials["TPU"]), STEP)
+    assert len(region.grid) % 5 and len(region.grid) < vp.design._CSV_CHUNK_ROWS
+    vp.design.write_feasible_csv(region, tmp_path / "whole.csv")
+    monkeypatch.setattr(vp.design, "_CSV_CHUNK_ROWS", 5)
+    vp.design.write_feasible_csv(region, tmp_path / "chunked.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_sweep_csv_schema_and_annotations(tmp_path, materials):
     table = vp.frequency_sweep(
         materials["ST45B"],

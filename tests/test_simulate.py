@@ -81,7 +81,8 @@ def test_zero_amplitudes_give_zero_signal(tpu_beam):
 
 
 def test_impulse_nyquist_violation(tpu_beam):
-    with pytest.raises(NyquistError):
+    # The first mode sits near 9 kHz, above the 5 kHz Nyquist frequency.
+    with pytest.raises(NyquistError, match="this rate fits not even mode 1$"):
         ring_down(tpu_beam, sample_rate=10e3)
 
 
