@@ -8,7 +8,8 @@ and produces the plot-ready frequency-vs-length sweep (`frequency_sweep`).
 
 Both tables keep their cells as columns: one read-only numpy record array
 filled from a single `beams.modal_frequencies` call, whose CSV writer
-formats each distinct dimension and length once.
+formats each distinct dimension and length once, and each row's
+frequency once where the material has a point density.
 """
 
 from __future__ import annotations
@@ -364,26 +365,43 @@ def _mm_labels(values: np.ndarray) -> list[str]:
     return [labels[i] for i in index.tolist()]
 
 
+def _equal_columns(*columns: np.ndarray) -> bool:
+    """Whether every column equals the first, so that each row's first value
+    can be formatted once and its text reused for the others.
+
+    The reuse is exact: `beams.modal_frequencies` returns only finite
+    frequencies above 0, and for such floats `==` means the same bits, so
+    the reused text is the text `repr` gives each column.  A chunk with one
+    unequal row formats every column."""
+    return all(np.array_equal(columns[0], column) for column in columns[1:])
+
+
 def write_feasible_csv(region: FeasibleRegion, path: str | Path) -> None:
     """Columns: side_mm, length_mm, frequency_hz_min, frequency_hz_max.
-    Cells are formatted _CSV_CHUNK_ROWS at a time."""
+    Cells are formatted _CSV_CHUNK_ROWS at a time; a chunk whose two
+    frequency columns are equal (a point-density material) formats each
+    cell's frequency once (`_equal_columns`)."""
     grid = region.grid
     with Path(path).open("w", newline="") as fh:
         fh.write("side_mm,length_mm,frequency_hz_min,frequency_hz_max\r\n")
         for start in range(0, len(grid), _CSV_CHUNK_ROWS):
             chunk = grid[start : start + _CSV_CHUNK_ROWS]
-            rows = zip(
-                _mm_labels(chunk.side), _mm_labels(chunk.length),
-                chunk.freq_low.tolist(), chunk.freq_high.tolist(),
-            )
-            fh.writelines(f"{side},{length},{lo!r},{hi!r}\r\n" for side, length, lo, hi in rows)
+            sides, lengths = _mm_labels(chunk.side), _mm_labels(chunk.length)
+            if _equal_columns(chunk.freq_low, chunk.freq_high):
+                rows = zip(sides, lengths, map(repr, chunk.freq_low.tolist()))
+                fh.writelines(f"{side},{length},{f},{f}\r\n" for side, length, f in rows)
+            else:
+                rows = zip(sides, lengths, chunk.freq_low.tolist(), chunk.freq_high.tolist())
+                fh.writelines(f"{side},{length},{lo!r},{hi!r}\r\n" for side, length, lo, hi in rows)
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Columns: row_type, shape, dimension_mm, length_mm, frequency_hz_min,
     frequency_hz_max, frequency_hz_nominal.  Band annotations appear as
     row_type band_low/band_high/band_peak with the frequency in the
-    nominal column.  Rows are formatted _CSV_CHUNK_ROWS at a time."""
+    nominal column.  Rows are formatted _CSV_CHUNK_ROWS at a time; a chunk
+    whose three frequency columns are equal (a point-density material)
+    formats each row's frequency once (`_equal_columns`)."""
     rows, band = table.rows, table.band
     notes = {} if band is None else {
         "band_low": band.low, "band_high": band.high, "band_peak": band.peak_frequency
@@ -393,14 +411,19 @@ def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
         fh.write(header + "\r\n")
         for start in range(0, rows.size, _CSV_CHUNK_ROWS):
             chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            series = zip(
-                chunk["shape"].tolist(), _mm_labels(chunk.dimension), _mm_labels(chunk.length),
-                *(chunk[name].tolist() for name in ("freq_low", "freq_high", "freq_nominal")),
-            )
-            fh.writelines(
-                f"series,{shape},{dim},{length},{lo!r},{hi!r},{nom!r}\r\n"
-                for shape, dim, length, lo, hi, nom in series
-            )
+            labels = chunk["shape"].tolist(), _mm_labels(chunk.dimension), _mm_labels(chunk.length)
+            freqs = chunk.freq_low, chunk.freq_high, chunk.freq_nominal
+            if _equal_columns(*freqs):
+                series = zip(*labels, map(repr, chunk.freq_low.tolist()))
+                fh.writelines(
+                    f"series,{shape},{dim},{length},{f},{f},{f}\r\n" for shape, dim, length, f in series
+                )
+            else:
+                series = zip(*labels, *(column.tolist() for column in freqs))
+                fh.writelines(
+                    f"series,{shape},{dim},{length},{lo!r},{hi!r},{nom!r}\r\n"
+                    for shape, dim, length, lo, hi, nom in series
+                )
         fh.writelines(f"{label},,,,,,{value!r}\r\n" for label, value in notes.items())
 
 

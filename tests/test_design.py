@@ -3,6 +3,7 @@
 import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import vibroprint as vp
@@ -465,8 +466,54 @@ def test_feasible_csv_schema(tmp_path, materials):
     assert len(rows) == 1 + len(region.grid)
 
 
-def test_feasible_csv_chunks_match_one_pass(tmp_path, monkeypatch, materials):
-    region = vp.feasible_region(vp.reference_design_constraints(materials["TPU"]), STEP)
+# Six reference-feasible cells per material: PLA has a density range, so each
+# cell's two frequencies differ; ST45B and TPU have a point density, so they
+# are equal.
+FEASIBLE_PIN = {
+    "PLA": ((0.9, 1.0), (3.4, 3.6), [
+        "0.9,3.4,18354.319795894145,18895.40504924389",
+        "0.9,3.5,17320.484640043782,17831.09243830689",
+        "0.9,3.6,16371.600064856195,16854.234750714455",
+        "1,3.4,20393.688662104607,20994.894499159876",
+        "1,3.5,19244.98293338198,19812.324931452098",
+        "1,3.6,18190.666738729105,18726.927500793845",
+    ]),
+    "ST45B": ((0.9, 1.0), (3.8, 4.0), [
+        "0.9,3.8,12998.102338303133,12998.102338303133",
+        "0.9,3.9,12340.078748527103,12340.078748527103",
+        "0.9,4,11730.787360318578,11730.787360318578",
+        "1,3.8,14442.33593144793,14442.33593144793",
+        "1,3.9,13711.19860947456,13711.19860947456",
+        "1,4,13034.208178131752,13034.208178131752",
+    ]),
+    "TPU": ((2.4, 2.6), (1.9, 2.0), [
+        "2.4,1.9,9224.134781297324,9224.134781297324",
+        "2.4,2,8324.781640120835,8324.781640120835",
+        "2.5,1.9,9608.473730518046,9608.473730518046",
+        "2.5,2,8671.647541792536,8671.647541792536",
+        "2.6,1.9,9992.81267973877,9992.81267973877",
+        "2.6,2,9018.513443464239,9018.513443464239",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEASIBLE_PIN))
+def test_feasible_csv_bytes_are_pinned(tmp_path, materials, name):
+    sides_mm, lengths_mm, rows = FEASIBLE_PIN[name]
+    constraints = replace(
+        vp.reference_design_constraints(materials[name]),
+        side_range=tuple(mm_to_m(v) for v in sides_mm),
+        length_range=tuple(mm_to_m(v) for v in lengths_mm),
+    )
+    path = tmp_path / "grid.csv"
+    vp.design.write_feasible_csv(vp.feasible_region(constraints, STEP), path)
+    header = "side_mm,length_mm,frequency_hz_min,frequency_hz_max"
+    assert path.read_bytes() == "".join(line + "\r\n" for line in [header, *rows]).encode()
+
+
+@pytest.mark.parametrize("name", ["TPU", "PLA"])
+def test_feasible_csv_chunks_match_one_pass(tmp_path, monkeypatch, materials, name):
+    region = vp.feasible_region(vp.reference_design_constraints(materials[name]), STEP)
     assert len(region.grid) % 5 and len(region.grid) < vp.design._CSV_CHUNK_ROWS
     vp.design.write_feasible_csv(region, tmp_path / "whole.csv")
     monkeypatch.setattr(vp.design, "_CSV_CHUNK_ROWS", 5)
@@ -526,21 +573,67 @@ SWEEP_PIN_SPAN = [
 ]
 
 
+# TPU has a point density: each row's three frequencies are equal.
+SWEEP_PIN_TPU_SPAN = [
+    "series,square,1,3,1541.6262296520067,1541.6262296520067,1541.6262296520067",
+    "series,square,1,3.5,1132.6233523973926,1132.6233523973926,1132.6233523973926",
+    "series,square,1,4,867.1647541792538,867.1647541792538,867.1647541792538",
+    "series,hexagon,0.8,3,1950.0200745432594,1950.0200745432594,1950.0200745432594",
+    "series,hexagon,0.8,3.5,1432.667809868517,1432.667809868517,1432.667809868517",
+    "series,hexagon,0.8,4,1096.8862919305834,1096.8862919305834,1096.8862919305834",
+    "series,hexagon_hollow,0.8,3,2180.1887220839676,2180.1887220839676,2180.1887220839676",
+    "series,hexagon_hollow,0.8,3.5,1601.7713060208741,1601.7713060208741,1601.7713060208741",
+    "series,hexagon_hollow,0.8,4,1226.3561561722315,1226.3561561722315,1226.3561561722315",
+    "series,circle,0.5,3,1335.087478019061,1335.087478019061,1335.087478019061",
+    "series,circle,0.5,3.5,980.8805960956365,980.8805960956365,980.8805960956365",
+    "series,circle,0.5,4,750.9867063857216,750.9867063857216,750.9867063857216",
+]
+
+
 @pytest.mark.parametrize(
-    "length_range_mm, series",
+    "name, length_range_mm, series",
     # The degenerate range keeps each section's 3.5 mm row.
-    [((3.0, 4.0), SWEEP_PIN_SPAN), ((3.5, 3.5), SWEEP_PIN_SPAN[1::3])],
-    ids=["span", "degenerate"],
+    [
+        ("PLA", (3.0, 4.0), SWEEP_PIN_SPAN),
+        ("PLA", (3.5, 3.5), SWEEP_PIN_SPAN[1::3]),
+        ("TPU", (3.0, 4.0), SWEEP_PIN_TPU_SPAN),
+    ],
+    ids=["span", "degenerate", "point-density-span"],
 )
-def test_sweep_csv_bytes_are_pinned(tmp_path, materials, length_range_mm, series):
+def test_sweep_csv_bytes_are_pinned(tmp_path, materials, name, length_range_mm, series):
     table = vp.frequency_sweep(
-        materials["PLA"], SWEEP_PIN_SECTIONS, tuple(mm_to_m(v) for v in length_range_mm), 3, band=BAND
+        materials[name], SWEEP_PIN_SECTIONS, tuple(mm_to_m(v) for v in length_range_mm), 3, band=BAND
     )
     path = tmp_path / "sweep.csv"
     vp.design.write_sweep_csv(table, path)
     expected = "".join(line + "\r\n" for line in [SWEEP_PIN_HEADER, *series, *SWEEP_PIN_BAND])
     assert path.read_bytes() == expected.encode()
 
+
+
+def test_one_unequal_row_in_a_point_density_chunk_writes_both_values(tmp_path, materials):
+    """TPU has a point density, so every row's frequencies are equal; move one
+    row's freq_high up one ulp.  That row must write both values, and every
+    other row the one text of its frequency in each column."""
+    region = vp.feasible_region(vp.reference_design_constraints(materials["TPU"]), STEP)
+    grid = region.grid.copy()
+    grid.freq_high[3] = np.nextafter(grid.freq_high[3], np.inf)
+    vp.design.write_feasible_csv(replace(region, grid=grid), tmp_path / "grid.csv")
+
+    table = vp.frequency_sweep(materials["TPU"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
+    rows = table.rows.copy()
+    rows.freq_high[3] = np.nextafter(rows.freq_high[3], np.inf)
+    vp.design.write_sweep_csv(replace(table, rows=rows), tmp_path / "sweep.csv")
+
+    for name, columns, first in (
+        ("grid.csv", (grid.freq_low, grid.freq_high), 2),
+        ("sweep.csv", (rows.freq_low, rows.freq_high, rows.freq_nominal), 4),
+    ):
+        with (tmp_path / name).open() as fh:
+            written = [row[first:] for row in list(csv.reader(fh))[1:]]
+        assert written == [[repr(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+        assert written[3][1] != written[3][0]
+        assert all(len(set(row)) == 1 for i, row in enumerate(written) if i != 3)
 
 def test_layout_csv_schema(tmp_path, materials):
     layouts = scan_then_pick(vp.reference_layout_constraints(materials["ST45B"]))
