@@ -14,13 +14,11 @@ __version__ = "0.1.0"
 from .beams import (
     BeamSpec,
     CrossSection,
-    FrequencyInterval,
     Shape,
     area,
     frequency_bounds,
     modal_frequencies,
     mode_constant,
-    natural_frequency,
     nominal_frequency,
     second_moment,
 )

@@ -193,19 +193,6 @@ def mode_constant(n: int) -> float:
     return _fixed_free_root(n)
 
 
-@dataclass(frozen=True)
-class FrequencyInterval:
-    """Frequency bounds (Hz) induced by a material's density range.
-
-    `low` is the frequency at maximum density, `high` at minimum density,
-    `nominal` at the nominal (midpoint) density.
-    """
-
-    low: float
-    high: float
-    nominal: float
-
-
 def modal_frequencies(
     material: Material, sections: Sequence[CrossSection], lengths: Sequence[float], n: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,19 +240,6 @@ def modal_frequencies(
 
 def _beam_frequencies(beam: BeamSpec, n: int) -> tuple[float, float, float]:
     return tuple(f.item() for f in modal_frequencies(beam.material, [beam.section], [beam.length], n))
-
-
-def natural_frequency(beam: BeamSpec, n: int = 1) -> float | FrequencyInterval:
-    """Natural frequency (Hz) of mode n.
-
-    Returns a plain float for point-density materials and a
-    FrequencyInterval for materials with a density range (frequency is
-    decreasing in density, so low = f(rho_max), high = f(rho_min)).
-    """
-    low, high, nominal = _beam_frequencies(beam, n)
-    if beam.material.density_range is None:
-        return nominal
-    return FrequencyInterval(low=low, high=high, nominal=nominal)
 
 
 def frequency_bounds(beam: BeamSpec, n: int = 1) -> tuple[float, float]:

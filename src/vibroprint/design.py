@@ -7,14 +7,13 @@ under its finger-clearance cap from that one scan (`segment_layouts`),
 and produces the plot-ready frequency-vs-length sweep (`frequency_sweep`).
 
 Both tables keep their cells as columns: one read-only numpy record array
-filled from a single `beams.modal_frequencies` call, whose CSV writer
-formats each distinct dimension and length once, and each row's
-frequency once where the material has a point density.
+filled from a single `beams.modal_frequencies` call.  Their CSV writers,
+and the layouts', hand those columns to `units.write_csv`, which formats
+every row.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -26,7 +25,7 @@ from .beams import CrossSection, modal_frequencies
 from .errors import EmptyRegionError, LayoutError
 from .materials import Material, PrinterConstraints, default_printer_constraints
 from .mic import MIC_LOW_BAND, SensitivityBand
-from .units import m_to_mm, mm_to_m
+from .units import m_to_mm, mm_to_m, write_csv
 
 
 class Segment(str, Enum):
@@ -55,10 +54,6 @@ DEFAULT_GRID_STEP = mm_to_m(0.1)
 # Cells one design scan or sweep may hold: at a peak of about 113 B per
 # design cell and 136 B per sweep row, near 1 GiB.
 MAX_SCAN_CELLS = 10**7
-
-# Rows write_sweep_csv and write_feasible_csv format at once: about 12 MB at
-# 178 B per sweep row.
-_CSV_CHUNK_ROWS = 2**16
 
 
 def material_class(material: Material) -> str:
@@ -358,94 +353,43 @@ def reference_layout_constraints(
     )
 
 
-def _mm_labels(values: np.ndarray) -> list[str]:
-    """`.6g` mm text of each value, formatted once per distinct value."""
-    axis, index = np.unique(values, return_inverse=True)
-    labels = [f"{m_to_mm(v):.6g}" for v in axis.tolist()]
-    return [labels[i] for i in index.tolist()]
-
-
-def _equal_columns(*columns: np.ndarray) -> bool:
-    """Whether every column equals the first, so that each row's first value
-    can be formatted once and its text reused for the others.
-
-    The reuse is exact: `beams.modal_frequencies` returns only finite
-    frequencies above 0, and for such floats `==` means the same bits, so
-    the reused text is the text `repr` gives each column.  A chunk with one
-    unequal row formats every column."""
-    return all(np.array_equal(columns[0], column) for column in columns[1:])
-
-
 def write_feasible_csv(region: FeasibleRegion, path: str | Path) -> None:
     """Columns: side_mm, length_mm, frequency_hz_min, frequency_hz_max.
-    Cells are formatted _CSV_CHUNK_ROWS at a time; a chunk whose two
-    frequency columns are equal (a point-density material) formats each
-    cell's frequency once (`_equal_columns`)."""
+    Rows are formatted by `units.write_csv`."""
     grid = region.grid
-    with Path(path).open("w", newline="") as fh:
-        fh.write("side_mm,length_mm,frequency_hz_min,frequency_hz_max\r\n")
-        for start in range(0, len(grid), _CSV_CHUNK_ROWS):
-            chunk = grid[start : start + _CSV_CHUNK_ROWS]
-            sides, lengths = _mm_labels(chunk.side), _mm_labels(chunk.length)
-            if _equal_columns(chunk.freq_low, chunk.freq_high):
-                rows = zip(sides, lengths, map(repr, chunk.freq_low.tolist()))
-                fh.writelines(f"{side},{length},{f},{f}\r\n" for side, length, f in rows)
-            else:
-                rows = zip(sides, lengths, chunk.freq_low.tolist(), chunk.freq_high.tolist())
-                fh.writelines(f"{side},{length},{lo!r},{hi!r}\r\n" for side, length, lo, hi in rows)
+    write_csv(
+        path,
+        "side_mm,length_mm,frequency_hz_min,frequency_hz_max",
+        [grid.side, grid.length, grid.freq_low, grid.freq_high],
+    )
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Columns: row_type, shape, dimension_mm, length_mm, frequency_hz_min,
     frequency_hz_max, frequency_hz_nominal.  Band annotations appear as
     row_type band_low/band_high/band_peak with the frequency in the
-    nominal column.  Rows are formatted _CSV_CHUNK_ROWS at a time; a chunk
-    whose three frequency columns are equal (a point-density material)
-    formats each row's frequency once (`_equal_columns`)."""
+    nominal column.  Rows are formatted by `units.write_csv`."""
     rows, band = table.rows, table.band
-    notes = {} if band is None else {
-        "band_low": band.low, "band_high": band.high, "band_peak": band.peak_frequency
-    }
-    header = "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal"
-    with Path(path).open("w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for start in range(0, rows.size, _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            labels = chunk["shape"].tolist(), _mm_labels(chunk.dimension), _mm_labels(chunk.length)
-            freqs = chunk.freq_low, chunk.freq_high, chunk.freq_nominal
-            if _equal_columns(*freqs):
-                series = zip(*labels, map(repr, chunk.freq_low.tolist()))
-                fh.writelines(
-                    f"series,{shape},{dim},{length},{f},{f},{f}\r\n" for shape, dim, length, f in series
-                )
-            else:
-                series = zip(*labels, *(column.tolist() for column in freqs))
-                fh.writelines(
-                    f"series,{shape},{dim},{length},{lo!r},{hi!r},{nom!r}\r\n"
-                    for shape, dim, length, lo, hi, nom in series
-                )
-        fh.writelines(f"{label},,,,,,{value!r}\r\n" for label, value in notes.items())
+    notes = () if band is None else (
+        ("band_low", band.low), ("band_high", band.high), ("band_peak", band.peak_frequency)
+    )
+    write_csv(
+        path,
+        "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal",
+        ["series", *(rows[name] for name in rows.dtype.names)],
+        tail=[(label, "", "", "", "", "", value) for label, value in notes],
+    )
 
 
 def write_layout_csv(layouts: list[SegmentLayout], path: str | Path) -> None:
     """Columns: segment, side_mm, length_mm, pitch_mm, frequency_hz_min,
-    frequency_hz_max."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["segment", "side_mm", "length_mm", "pitch_mm", "frequency_hz_min", "frequency_hz_max"]
-        )
-        for layout in layouts:
-            writer.writerow(
-                [
-                    layout.segment.value,
-                    f"{m_to_mm(layout.side):.6g}",
-                    f"{m_to_mm(layout.length):.6g}",
-                    f"{m_to_mm(layout.pitch):.6g}",
-                    repr(layout.freq_low),
-                    repr(layout.freq_high),
-                ]
-            )
+    frequency_hz_max.  Rows are formatted by `units.write_csv`."""
+    values = np.array([(lay.side, lay.length, lay.pitch, lay.freq_low, lay.freq_high) for lay in layouts])
+    write_csv(
+        path,
+        "segment,side_mm,length_mm,pitch_mm,frequency_hz_min,frequency_hz_max",
+        [np.array([layout.segment.value for layout in layouts]), *values.reshape(-1, 5).T],
+    )
 
 
 def layout_report(layouts: list[SegmentLayout]) -> str:

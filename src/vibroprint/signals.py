@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BaselineError, SpectrumGridError
+from .units import write_csv
 
 # 0 dB corresponds to a full-scale unit-amplitude sinusoid.
 REFERENCE_AMPLITUDE = 1.0
@@ -453,11 +454,11 @@ def normalize_against_baseline(
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
-    """Columns: frequency_hz, magnitude, amplitude_db."""
-    rows = zip(spec.frequencies.tolist(), spec.magnitudes.tolist(), spec.amplitudes_db.tolist())
-    with Path(path).open("w", newline="") as fh:
-        fh.write("frequency_hz,magnitude,amplitude_db\r\n")
-        fh.writelines(f"{f!r},{m!r},{db!r}\r\n" for f, m, db in rows)
+    """Columns: frequency_hz, magnitude, amplitude_db.  Rows are formatted
+    by `units.write_csv`."""
+    write_csv(
+        path, "frequency_hz,magnitude,amplitude_db", [spec.frequencies, spec.magnitudes, spec.amplitudes_db]
+    )
 
 
 def write_auc_csv(report: AucReport, path: str | Path) -> None:

@@ -215,43 +215,43 @@ def test_mode_constant_is_fast():
 def test_st45b_design_point(st45b_beam):
     # square side 1.0 mm, length 3.5 mm
     expected = eq_frequency(2.0e9, 1e-12 / 12.0, 1200.0, 1e-6, 3.5 * MM, beta_oracle(1))
-    got = vp.natural_frequency(st45b_beam, 1)
+    got = vp.nominal_frequency(st45b_beam, 1)
     assert got == pytest.approx(expected, rel=1e-9)
     assert got == pytest.approx(1.702e4, rel=1e-3)
 
 
 def test_tpu_design_point_hits_mic_peak(tpu_beam):
     expected = eq_frequency(9e6, (2.6 * MM) ** 4 / 12.0, 1220.0, (2.6 * MM) ** 2, 2.0 * MM, beta_oracle(1))
-    got = vp.natural_frequency(tpu_beam, 1)
+    got = vp.nominal_frequency(tpu_beam, 1)
     assert got == pytest.approx(expected, rel=1e-9)
     assert got == pytest.approx(9.02e3, rel=1e-3)
 
 
 def test_pla_returns_density_interval(materials):
     beam = vp.BeamSpec(materials["PLA"], vp.CrossSection.square(1 * MM), 4 * MM)
-    f = vp.natural_frequency(beam, 1)
-    assert isinstance(f, vp.FrequencyInterval)
+    low, high = vp.frequency_bounds(beam, 1)
+    nominal = vp.nominal_frequency(beam, 1)
     i, a = 1e-12 / 12.0, 1e-6
-    assert f.low == pytest.approx(eq_frequency(2.641e9, i, 1240.0, a, 4 * MM, beta_oracle(1)), rel=1e-9)
-    assert f.high == pytest.approx(eq_frequency(2.641e9, i, 1170.0, a, 4 * MM, beta_oracle(1)), rel=1e-9)
-    assert f.low == pytest.approx(1.47e4, rel=1e-2)
-    assert f.high == pytest.approx(1.52e4, rel=1e-2)
-    assert f.low < f.nominal < f.high
-    assert vp.nominal_frequency(beam) == pytest.approx(f.nominal)
-    assert vp.frequency_bounds(beam) == (f.low, f.high)
+    assert low == pytest.approx(eq_frequency(2.641e9, i, 1240.0, a, 4 * MM, beta_oracle(1)), rel=1e-9)
+    assert high == pytest.approx(eq_frequency(2.641e9, i, 1170.0, a, 4 * MM, beta_oracle(1)), rel=1e-9)
+    assert low == pytest.approx(1.47e4, rel=1e-2)
+    assert high == pytest.approx(1.52e4, rel=1e-2)
+    assert low < nominal < high
+    grid = vp.modal_frequencies(beam.material, [beam.section], [beam.length])
+    assert [f.item() for f in grid] == [low, high, nominal]
 
 
 def test_inverse_square_length_scaling(st45b_beam):
-    f1 = vp.natural_frequency(st45b_beam, 1)
+    f1 = vp.nominal_frequency(st45b_beam, 1)
     doubled = vp.BeamSpec(st45b_beam.material, st45b_beam.section, 2.0 * st45b_beam.length)
-    f2 = vp.natural_frequency(doubled, 1)
+    f2 = vp.nominal_frequency(doubled, 1)
     assert f2 == pytest.approx(f1 / 4.0, rel=1e-9)
 
 
 def test_square_frequency_linear_in_side(materials):
     m = materials["ST45B"]
-    f1 = vp.natural_frequency(vp.BeamSpec(m, vp.CrossSection.square(0.5 * MM), 4 * MM), 1)
-    f2 = vp.natural_frequency(vp.BeamSpec(m, vp.CrossSection.square(1.0 * MM), 4 * MM), 1)
+    f1 = vp.nominal_frequency(vp.BeamSpec(m, vp.CrossSection.square(0.5 * MM), 4 * MM), 1)
+    f2 = vp.nominal_frequency(vp.BeamSpec(m, vp.CrossSection.square(1.0 * MM), 4 * MM), 1)
     assert f2 == pytest.approx(2.0 * f1, rel=1e-9)
 
 
@@ -260,7 +260,7 @@ def test_frequency_monotone_in_material_constants():
     base = vp.Material(name="base", density=1000.0, youngs_modulus=1e9)
     stiffer = vp.Material(name="stiff", density=1000.0, youngs_modulus=2e9)
     denser = vp.Material(name="dense", density=2000.0, youngs_modulus=1e9)
-    f = lambda mat: vp.natural_frequency(vp.BeamSpec(mat, section, 3 * MM), 1)
+    f = lambda mat: vp.nominal_frequency(vp.BeamSpec(mat, section, 3 * MM), 1)
     assert f(stiffer) > f(base)
     assert f(denser) < f(base)
 
@@ -276,7 +276,7 @@ def test_shape_ordering_and_hollow_property():
         length = rng.uniform(1.0, 50.0) * MM
         mat = vp.Material(name="r", density=rho, youngs_modulus=e)
         freqs = {
-            shape: vp.natural_frequency(vp.BeamSpec(mat, ctor(dim), length), 1)
+            shape: vp.nominal_frequency(vp.BeamSpec(mat, ctor(dim), length), 1)
             for shape, ctor in (
                 ("square", vp.CrossSection.square),
                 ("hexagon", vp.CrossSection.hexagon),
@@ -286,8 +286,8 @@ def test_shape_ordering_and_hollow_property():
         assert freqs["square"] < freqs["hexagon"] < freqs["circle"]
 
         inner = dim * rng.uniform(0.2, 0.9)
-        solid = vp.natural_frequency(vp.BeamSpec(mat, vp.CrossSection.square(dim), length), 1)
-        hollow = vp.natural_frequency(
+        solid = vp.nominal_frequency(vp.BeamSpec(mat, vp.CrossSection.square(dim), length), 1)
+        hollow = vp.nominal_frequency(
             vp.BeamSpec(mat, vp.CrossSection.square(dim, inner), length), 1
         )
         assert hollow > solid
@@ -298,12 +298,12 @@ def test_unit_boundary_path_equivalence(materials):
     m = materials["ST45B"]
     si = vp.BeamSpec(m, vp.CrossSection.square(0.0013), 0.0037)
     mm = vp.BeamSpec(m, vp.CrossSection.square(mm_to_m(1.3)), mm_to_m(3.7))
-    assert vp.natural_frequency(mm, 1) == pytest.approx(vp.natural_frequency(si, 1), rel=1e-12)
+    assert vp.nominal_frequency(mm, 1) == pytest.approx(vp.nominal_frequency(si, 1), rel=1e-12)
 
 
 def test_higher_modes_increase_frequency(st45b_beam):
-    f1 = vp.natural_frequency(st45b_beam, 1)
-    f2 = vp.natural_frequency(st45b_beam, 2)
+    f1 = vp.nominal_frequency(st45b_beam, 1)
+    f2 = vp.nominal_frequency(st45b_beam, 2)
     b1, b2 = vp.mode_constant(1), vp.mode_constant(2)
     assert f2 == pytest.approx(f1 * (b2 / b1) ** 2, rel=1e-9)
 
@@ -337,11 +337,10 @@ def test_modal_frequencies_match_scalar_formula_exactly(materials, name, n):
                 for rho in (rho_max, rho_min, m.density)
             ]
             assert [low[i, j], high[i, j], nominal[i, j]] == want
-            f = vp.natural_frequency(vp.BeamSpec(m, section, length), n)
+            beam = vp.BeamSpec(m, section, length)
+            assert [*vp.frequency_bounds(beam, n), vp.nominal_frequency(beam, n)] == want
             if m.density_range is None:
-                assert want[0] == want[1] == want[2] == f
-            else:
-                assert (f.low, f.high, f.nominal) == tuple(want)
+                assert want[0] == want[1] == want[2]
 
 
 def test_beam_requires_positive_length(materials):

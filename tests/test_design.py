@@ -511,13 +511,27 @@ def test_feasible_csv_bytes_are_pinned(tmp_path, materials, name):
     assert path.read_bytes() == "".join(line + "\r\n" for line in [header, *rows]).encode()
 
 
-@pytest.mark.parametrize("name", ["TPU", "PLA"])
-def test_feasible_csv_chunks_match_one_pass(tmp_path, monkeypatch, materials, name):
+def chunk_input(materials, name):
+    """(writer, table, data rows) for one input of the chunk test below."""
+    if name == "sweep":
+        # A banded sweep: its band rows follow the last chunk.
+        table = vp.frequency_sweep(materials["PLA"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 7, band=BAND)
+        return vp.design.write_sweep_csv, table, len(table.rows)
+    if name == "spectrum":
+        samples = np.sin(2 * np.pi * 9000.0 * np.arange(1000) / 48000.0)
+        spec = vp.spectrum(vp.Recording(samples, 48000.0), "hann")
+        return vp.signals.write_spectrum_csv, spec, spec.frequencies.size
     region = vp.feasible_region(vp.reference_design_constraints(materials[name]), STEP)
-    assert len(region.grid) % 5 and len(region.grid) < vp.design._CSV_CHUNK_ROWS
-    vp.design.write_feasible_csv(region, tmp_path / "whole.csv")
-    monkeypatch.setattr(vp.design, "_CSV_CHUNK_ROWS", 5)
-    vp.design.write_feasible_csv(region, tmp_path / "chunked.csv")
+    return vp.design.write_feasible_csv, region, len(region.grid)
+
+
+@pytest.mark.parametrize("name", ["TPU", "PLA", "sweep", "spectrum"])
+def test_feasible_csv_chunks_match_one_pass(tmp_path, monkeypatch, materials, name):
+    write, table, rows = chunk_input(materials, name)
+    assert rows % 5 and rows < vp.units._CSV_CHUNK_ROWS
+    write(table, tmp_path / "whole.csv")
+    monkeypatch.setattr(vp.units, "_CSV_CHUNK_ROWS", 5)
+    write(table, tmp_path / "chunked.csv")
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
@@ -612,28 +626,30 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, materials, name, length_range_mm, 
 
 
 def test_one_unequal_row_in_a_point_density_chunk_writes_both_values(tmp_path, materials):
-    """TPU has a point density, so every row's frequencies are equal; move one
-    row's freq_high up one ulp.  That row must write both values, and every
-    other row the one text of its frequency in each column."""
+    """TPU has a point density, so every row's frequencies are equal.  Change
+    row 3: move its freq_high up one ulp, or set its freq_low to 0.0 and its
+    freq_high to -0.0, equal as floats but not in bits.  That row must write
+    both values, and every other row the one text of its frequency in each
+    column."""
     region = vp.feasible_region(vp.reference_design_constraints(materials["TPU"]), STEP)
-    grid = region.grid.copy()
-    grid.freq_high[3] = np.nextafter(grid.freq_high[3], np.inf)
-    vp.design.write_feasible_csv(replace(region, grid=grid), tmp_path / "grid.csv")
-
     table = vp.frequency_sweep(materials["TPU"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
-    rows = table.rows.copy()
-    rows.freq_high[3] = np.nextafter(rows.freq_high[3], np.inf)
-    vp.design.write_sweep_csv(replace(table, rows=rows), tmp_path / "sweep.csv")
+    for change in (lambda lo, hi: (lo, np.nextafter(hi, np.inf)), lambda lo, hi: (0.0, -0.0)):
+        grid, rows = region.grid.copy(), table.rows.copy()
+        for columns in (grid, rows):
+            columns.freq_low[3], columns.freq_high[3] = change(columns.freq_low[3], columns.freq_high[3])
+        vp.design.write_feasible_csv(replace(region, grid=grid), tmp_path / "grid.csv")
+        vp.design.write_sweep_csv(replace(table, rows=rows), tmp_path / "sweep.csv")
 
-    for name, columns, first in (
-        ("grid.csv", (grid.freq_low, grid.freq_high), 2),
-        ("sweep.csv", (rows.freq_low, rows.freq_high, rows.freq_nominal), 4),
-    ):
-        with (tmp_path / name).open() as fh:
-            written = [row[first:] for row in list(csv.reader(fh))[1:]]
-        assert written == [[repr(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
-        assert written[3][1] != written[3][0]
-        assert all(len(set(row)) == 1 for i, row in enumerate(written) if i != 3)
+        for name, columns, first in (
+            ("grid.csv", (grid.freq_low, grid.freq_high), 2),
+            ("sweep.csv", (rows.freq_low, rows.freq_high, rows.freq_nominal), 4),
+        ):
+            with (tmp_path / name).open() as fh:
+                written = [row[first:] for row in list(csv.reader(fh))[1:]]
+            assert written == [[repr(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+            assert written[3][1] != written[3][0]
+            assert all(len(set(row)) == 1 for i, row in enumerate(written) if i != 3)
+
 
 def test_layout_csv_schema(tmp_path, materials):
     layouts = scan_then_pick(vp.reference_layout_constraints(materials["ST45B"]))

@@ -6,9 +6,10 @@ walks the symbol table of every module with the stdlib ``symtable`` and
 reports each free global name that is neither bound at module level nor a
 builtin. The second walks each module's syntax tree with the stdlib ``ast``
 and reports each module-level import that nothing in the module reads, such
-as the import of a deleted class. The last two check the benchmark's side:
-the functions its tracer wraps, and the names and keywords its workloads
-reach vibroprint through.
+as the import of a deleted class. The third keeps the numeric CSV row
+format in ``units``: no other module may hold a CRLF row end. The last two
+check the benchmark's side: the functions its tracer wraps, and the names
+and keywords its workloads reach vibroprint through.
 """
 
 import ast
@@ -79,6 +80,23 @@ def test_guard_reports_an_unused_import():
         "from math import pi, tau\n\ndef f():\n    return os.sep, tau\n"
     )
     assert unused_imports(source, "m.py") == ["m.py:system", "m.py:pi"]
+
+
+def crlf_constants(source: str, filename: str) -> list[str]:
+    """Return ``file:line`` for each string constant that holds a CRLF row end."""
+    return [
+        f"{Path(filename).name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\r\n" in node.value
+    ]
+
+
+def test_csv_row_format_lives_in_units():
+    # units.write_csv is the one writer of the numeric tables; csv.writer ends the others' rows.
+    paths = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "units.py")
+    found = [name for path in paths for name in crlf_constants(path.read_text(), str(path))]
+    assert not found, "CRLF row ends outside units.write_csv: " + ", ".join(found)
+    assert crlf_constants('x = 1\n\ndef f(a):\n    return f"{a}\\r\\n"\n', "m.py") == ["m.py:4"]
 
 
 SPANS = PACKAGE_DIR.parents[1] / "benchmarks" / "spans.py"
