@@ -83,6 +83,7 @@ from .signals import (
     RecordingMeta,
     REFERENCE_AMPLITUDE,
     Spectrum,
+    SpectrumMean,
     band_auc,
     dominant_frequency,
     mean_spectrum,

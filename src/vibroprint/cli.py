@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import warnings
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -57,8 +58,8 @@ from .signals import (
     WINDOWS,
     AucEntry,
     RecordingMeta,
+    SpectrumMean,
     band_auc,
-    mean_spectrum,
     normalize_against_baseline,
     report_to_json_dict,
     spectra,
@@ -430,6 +431,14 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     file is read, then each file's own fault (unreadable, unlabeled, or a top
     bin below the band's top) as that file is read, and last the
     per-microphone guard on grids and procedures.
+
+    Slice results are consumed as they arrive, in input order.  Under
+    --write-spectra each spectrum is added to its (microphone, material)
+    `SpectrumMean` and then dropped, so the run holds one sum per group
+    (O(groups x bins)) and the spectra of the slices in flight, not every
+    spectrum; each group's sum runs in input order, as the mean of its
+    stacked spectra would.  A recording that the guard refuses is never
+    added, so a group's sum only ever sees its microphone's first grid.
     """
     band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
     if not 0 <= band[0] < band[1]:
@@ -469,11 +478,13 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     # interpreter lock back and forth, so they run in the calling thread
     # (about a third less time on analyze-many), as does a single worker.
     workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, len(slices))
-    if any_long and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [result for part in pool.map(analyze_slice, slices) for result in part]
-    else:
-        results = [result for part in map(analyze_slice, slices) for result in part]
+
+    def parts():
+        if any_long and workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(analyze_slice, slices)
+        else:
+            yield from map(analyze_slice, slices)
 
     # Noise and tonal peaks scale differently with record length and rate, so
     # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.
@@ -481,23 +492,31 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     # squeeze excite the skin differently.  An unset label is a value of its own.
     firsts: dict[str, tuple] = {}
     entries: list[AucEntry] = []
-    groups: dict[tuple[str, str], list] = {}
-    for meta, grid, auc, spec in results:
-        mic, mat = meta.microphone, meta.fingerprint_material
-        procedure = (meta.exploration_procedure, meta.force_code)
-        first_grid, first_procedure = firsts.setdefault(mic, (grid, procedure))
-        if grid != first_grid:
-            raise SpectrumGridError(
-                f"microphone {mic!r} mixes recordings of (sample rate Hz, samples) "
-                f"{first_grid} and {grid}; their AUCs are not comparable"
-            )
-        if procedure != first_procedure:
-            raise VibroprintError(
-                f"microphone {mic!r} mixes recordings of (exploration_procedure, "
-                f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
-            )
-        entries.append(AucEntry(mic, mat, auc, object=meta.object, repetition=meta.repetition))
-        groups.setdefault((mic, mat), []).append(spec)
+    means: defaultdict[tuple[str, str], SpectrumMean] = defaultdict(SpectrumMean)
+    guard_fault = None
+    for part in parts():
+        for meta, grid, auc, spec in part:
+            if guard_fault is not None:
+                continue  # read on: a later file's own fault still comes first
+            mic, mat = meta.microphone, meta.fingerprint_material
+            procedure = (meta.exploration_procedure, meta.force_code)
+            first_grid, first_procedure = firsts.setdefault(mic, (grid, procedure))
+            if grid != first_grid:
+                guard_fault = SpectrumGridError(
+                    f"microphone {mic!r} mixes recordings of (sample rate Hz, samples) "
+                    f"{first_grid} and {grid}; their AUCs are not comparable"
+                )
+            elif procedure != first_procedure:
+                guard_fault = VibroprintError(
+                    f"microphone {mic!r} mixes recordings of (exploration_procedure, "
+                    f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
+                )
+            else:
+                entries.append(AucEntry(mic, mat, auc, object=meta.object, repetition=meta.repetition))
+                if spec is not None:
+                    means[mic, mat].add(spec)
+    if guard_fault is not None:
+        raise guard_fault
 
     report = normalize_against_baseline(entries, args.baseline_material, band)
     write_auc_csv(report, out_dir / "auc.csv")
@@ -505,9 +524,8 @@ def _cmd_analyze(args, out_dir: Path) -> None:
         json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
     )
 
-    if args.write_spectra:
-        for (mic, mat), specs in sorted(groups.items()):
-            write_spectrum_csv(mean_spectrum(specs), out_dir / f"mean_spectrum_{mic}_{mat}.csv")
+    for mic, mat in sorted(means):
+        write_spectrum_csv(means[mic, mat].spectrum(), out_dir / f"mean_spectrum_{mic}_{mat}.csv")
 
     for (mic, mat), stats in sorted(report.groups.items()):
         print(

@@ -20,6 +20,12 @@ read-only and shared by every spectrum on that grid.  Each thread keeps
 two flat scratch arrays (the windowed samples and their transform) that
 grow to the largest stack it has seen and are handed out as (rows, n)
 views, so a stack allocates only its results' magnitudes.
+
+`SpectrumMean` is the one bin-wise mean: it adds each spectrum's
+magnitudes into a single float64 sum in the order given and divides by
+the count once, so a group's mean holds one grid's worth of memory
+however many spectra it averages; `mean_spectrum` is its whole-iterable
+form.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import csv
 import functools
 import math
 import threading
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -272,33 +279,77 @@ def spectrum(rec: Recording, window: str = DEFAULT_WINDOW) -> Spectrum:
     return spectra([rec], window)[0]
 
 
-def mean_spectrum(specs: list[Spectrum]) -> Spectrum:
-    """Bin-wise arithmetic mean of linear magnitudes over a shared grid."""
-    if not specs:
-        raise ValueError("mean_spectrum needs at least one spectrum")
-    first = specs[0]
-    for s in specs[1:]:
-        if s.frequencies.shape != first.frequencies.shape or not np.allclose(
-            s.frequencies, first.frequencies, rtol=1e-12, atol=0.0
-        ):
-            raise SpectrumGridError(
-                "spectra use different frequency grids; record length or rate differs"
+class SpectrumMean:
+    """Running bin-wise mean of linear magnitudes over one frequency grid.
+
+    `add` checks each spectrum's grid against the first one's and adds its
+    magnitudes into one float64 sum, in the order given; `spectrum` divides
+    that sum by the count once.  It holds one sum, the first grid and the
+    count, never the spectra themselves.  For grids of at least 2 bins the
+    result equals ``np.mean(np.stack(mags), axis=0)`` bit for bit, because
+    numpy also adds the rows of a stack in order and then divides once (a
+    single-bin grid would be summed pairwise; `Recording` needs 2 samples,
+    so every spectrum has at least 2 bins).
+    """
+
+    def __init__(self):
+        self._sum: np.ndarray | None = None
+        self._count = 0
+        # The first spectrum's grid and window; its magnitudes may be a row
+        # of a larger stack, so the spectrum itself is not kept.
+        self._frequencies = self._resolution = self._window = None
+
+    def add(self, spec: Spectrum) -> None:
+        if self._sum is None:
+            self._sum = np.array(spec.magnitudes, dtype=float)
+            self._frequencies, self._resolution, self._window = (
+                spec.frequencies, spec.resolution, spec.window
             )
-    window = first.window if all(s.window == first.window for s in specs) else "mixed"
-    mags = np.mean([s.magnitudes for s in specs], axis=0)
-    return Spectrum(
-        frequencies=first.frequencies,
-        magnitudes=mags,
-        resolution=first.resolution,
-        window=window,
-    )
+        else:
+            if (
+                spec.frequencies.shape != self._frequencies.shape
+                or spec.magnitudes.shape != self._sum.shape
+                or not np.allclose(spec.frequencies, self._frequencies, rtol=1e-12, atol=0.0)
+            ):
+                raise SpectrumGridError(
+                    "spectra use different frequency grids; record length or rate differs"
+                )
+            self._sum += spec.magnitudes
+            if spec.window != self._window:
+                self._window = "mixed"
+        self._count += 1
+
+    def spectrum(self) -> Spectrum:
+        """The mean so far; its window is the spectra's one window, or "mixed"."""
+        if not self._count:
+            raise ValueError("mean_spectrum needs at least one spectrum")
+        return Spectrum(
+            frequencies=self._frequencies,
+            magnitudes=self._sum / self._count,
+            resolution=self._resolution,
+            window=self._window,
+        )
+
+
+def mean_spectrum(specs: Iterable[Spectrum]) -> Spectrum:
+    """Bin-wise arithmetic mean of linear magnitudes over a shared grid.
+
+    A `SpectrumMean` over `specs` (a list or any iterable, read once): the
+    magnitudes are summed in order and divided by the count once, so a
+    generator's spectra are never all held together.
+    """
+    mean = SpectrumMean()
+    for spec in specs:
+        mean.add(spec)
+    return mean.spectrum()
 
 
 def band_auc(spec: Spectrum, band: tuple[float, float]) -> float:
     """Trapezoidal integral of linear magnitude over [band[0], band[1]] Hz.
 
     Band edges between bins are linearly interpolated, which makes the
-    integral exactly additive over adjacent bands.
+    integral exactly additive over adjacent bands.  The bins strictly inside
+    the band are one index range of the ascending grid, found by bisection.
     """
     lo, hi = band
     if not lo < hi:
@@ -308,7 +359,7 @@ def band_auc(spec: Spectrum, band: tuple[float, float]) -> float:
             f"band [{lo}, {hi}] outside spectrum range [0, {spec.nyquist}]"
         )
     f, m = spec.frequencies, spec.magnitudes
-    inner = (f > lo) & (f < hi)
+    inner = slice(np.searchsorted(f, lo, side="right"), np.searchsorted(f, hi, side="left"))
     xs = np.concatenate(([lo], f[inner], [hi]))
     ys = np.concatenate(([np.interp(lo, f, m)], m[inner], [np.interp(hi, f, m)]))
     return float(np.trapezoid(ys, xs))

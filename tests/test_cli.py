@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -993,6 +994,91 @@ def test_one_long_recording_puts_the_corpus_on_the_pool(tmp_path, monkeypatch):
         artifacts.append({name: (out / name).read_bytes() for name in names})
     assert len(artifacts[0]) == 2 + 4
     assert artifacts[0] == artifacts[1]
+
+
+def guard_fault_corpus(tmp_path, guard):
+    """a.wav and b.wav in one Left group that the per-microphone guard refuses
+    (two grids, or two procedures), then c.wav, which cannot be read."""
+    write_slide(tmp_path / "a.wav", "Left", "Default", 0.02)
+    if guard == "grid":
+        write_slide(tmp_path / "b.wav", "Left", "Default", 0.03)
+    else:
+        write_slide(tmp_path / "b.wav", "Left", "Default", 0.02)
+        relabel_sidecar(tmp_path / "b.wav", exploration_procedure="Pressure")
+    (tmp_path / "c.wav").write_bytes(b"not a wav")
+    return tmp_path / "c.wav"
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_thread", "pool"])
+@pytest.mark.parametrize("spectra", [[], ["--write-spectra"]], ids=["auc", "spectra"])
+@pytest.mark.parametrize("guard", ["grid", "procedure"])
+def test_a_later_unreadable_file_wins_over_an_earlier_guard_fault(
+    tmp_path, monkeypatch, capsys, guard, spectra, cpus
+):
+    data = tmp_path / "data"
+    data.mkdir()
+    bad = guard_fault_corpus(data, guard)
+    # One file per slice: the guard's mismatch is two slices before the bad file.
+    monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", 1)
+    starts = pool_starts(monkeypatch, cpus)
+    argv = ["analyze", str(data / "*.wav"), *spectra, "--output-dir", str(tmp_path / "out")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not a RIFF/WAVE file (starts with b'not ')\n"
+    assert starts == ([2] if cpus == 2 else [])
+
+    bad.unlink()
+    assert run(argv) == 1
+    assert "error: microphone 'Left' mixes recordings of" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "auc.csv").exists()
+
+
+@pytest.mark.parametrize("slice_bytes, cpus", [(None, 2), (1, 2)], ids=["in_thread", "pool"])
+def test_write_spectra_refuses_a_group_of_two_grids_with_the_guard(
+    tmp_path, monkeypatch, capsys, slice_bytes, cpus
+):
+    # One (microphone, material) group, Left Default, on two grids.
+    write_slide(tmp_path / "a.wav", "Left", "Default", 0.02)
+    write_slide(tmp_path / "b.wav", "Left", "ST45B", 0.02)
+    write_slide(tmp_path / "c.wav", "Left", "Default", 0.03)
+    if slice_bytes is not None:
+        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+    starts = pool_starts(monkeypatch, cpus)
+    out = tmp_path / "out"
+    code = run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: microphone 'Left' mixes recordings of (sample rate Hz, samples) "
+        "(500000.0, 10000) and (500000.0, 15000); their AUCs are not comparable\n"
+    )
+    assert starts == ([] if slice_bytes is None else [2])
+    assert not list(out.glob("*.csv"))
+
+
+def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
+    for k in range(6):
+        write_slide(tmp_path / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
+    # One file per slice, run in the calling thread.
+    monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", 1)
+    starts = pool_starts(monkeypatch, cpus=1)
+    stacks, alive = [], []
+
+    def tracked(recs, window="hann"):
+        result = vibroprint.signals.spectra(recs, window)
+        stacks.append(weakref.ref(result[0].magnitudes.base))
+        return result
+
+    def add(mean, spec, add=vibroprint.signals.SpectrumMean.add):
+        alive.append(sum(stack() is not None for stack in stacks))
+        add(mean, spec)
+
+    monkeypatch.setattr(vibroprint.cli, "spectra", tracked)
+    monkeypatch.setattr(vibroprint.signals.SpectrumMean, "add", add)
+    out = tmp_path / "out"
+    assert run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)]) == 0
+    assert starts == [] and len(stacks) == 6
+    assert alive == [1] * 6
+    assert len(list(out.glob("mean_spectrum_*.csv"))) == 2
 
 
 def test_analyze_refuses_a_manifest_without_recordings(tmp_path, capsys):

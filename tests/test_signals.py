@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -304,6 +305,46 @@ def test_mean_commutes_with_uniform_scaling():
     assert np.allclose(mean_scaled.magnitudes, 5.0 * mean.magnitudes, rtol=1e-12)
 
 
+def test_mean_window_is_the_one_window_or_mixed():
+    hann = vp.spectrum(sine(9000.0, n=4096), "hann")
+    rect = vp.spectrum(sine(9000.0, n=4096), "rectangular")
+    assert vp.mean_spectrum([hann, hann]).window == "hann"
+    assert vp.mean_spectrum([hann, rect, hann]).window == "mixed"
+    assert vp.mean_spectrum([rect, hann, hann]).window == "mixed"
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [lambda: vp.mean_spectrum([]), lambda: vp.mean_spectrum(iter([])), lambda: vp.SpectrumMean().spectrum()],
+    ids=["list", "iterator", "no_add"],
+)
+def test_mean_of_nothing_is_refused(mean):
+    with pytest.raises(ValueError, match="at least one spectrum"):
+        mean()
+
+
+def test_mean_rejects_magnitudes_off_the_grid():
+    # One magnitude on a 101-bin grid would broadcast into the sum unseen.
+    stray = replace(flat_spectrum(1.0), magnitudes=np.ones(1))
+    with pytest.raises(SpectrumGridError):
+        vp.mean_spectrum([flat_spectrum(1.0), stray])
+
+
+def test_spectrum_mean_keeps_neither_its_spectra_nor_their_stack():
+    recs = [sine(9000.0 + 100 * k, n=4096) for k in range(3)]
+    specs = vp.spectra(recs, "hann")
+    stack = weakref.ref(specs[0].magnitudes.base)
+    before = specs[0].magnitudes.copy()
+    mean = vp.SpectrumMean()
+    for spec in specs:
+        mean.add(spec)
+    assert np.array_equal(specs[0].magnitudes, before)
+    del specs, spec
+    assert stack() is None
+    expected = np.mean([s.magnitudes for s in vp.spectra(recs, "hann")], axis=0)
+    assert np.array_equal(mean.spectrum().magnitudes, expected)
+
+
 # ---------------------------------------------------------------------------
 # band_auc
 
@@ -336,6 +377,34 @@ def test_auc_additivity():
     right = vp.band_auc(spec, (b, c))
     whole = vp.band_auc(spec, (a, c))
     assert left + right == pytest.approx(whole, rel=1e-12)
+
+
+def mask_band_auc(spec, band):
+    """`band_auc` in its first form: boolean masks over the whole grid."""
+    lo, hi = band
+    f, m = spec.frequencies, spec.magnitudes
+    inner = (f > lo) & (f < hi)
+    xs = np.concatenate(([lo], f[inner], [hi]))
+    ys = np.concatenate(([np.interp(lo, f, m)], m[inner], [np.interp(hi, f, m)]))
+    return float(np.trapezoid(ys, xs))
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001, 100_000, 250_000])
+def test_band_auc_matches_the_mask_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    spec = vp.spectrum(vp.Recording(rng.normal(0, 0.1, n), FS), "hann")
+    f, r = spec.frequencies, spec.resolution
+    k, j = f.size // 7, f.size // 3
+    bands = [
+        (0.0, spec.nyquist),  # both edges at the grid's ends
+        (f[k], f[j]),  # on bins
+        (f[k] + 0.3 * r, f[j] + 0.6 * r),  # between bins
+        (0.0, f[j] + 0.5 * r),
+        (f[k] + 0.25 * r, spec.nyquist),
+        (f[k] + 0.25 * r, f[k] + 0.75 * r),  # no bin inside
+    ]
+    for band in bands:
+        assert vp.band_auc(spec, band).hex() == mask_band_auc(spec, band).hex(), band
 
 
 def test_auc_band_validation():

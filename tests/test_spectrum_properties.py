@@ -4,8 +4,9 @@ Recordings are random samples of odd or even length under either window,
 and bands are random sub-bands of [0, Nyquist].  The identities are the
 AUC's linearity in a scale factor and additivity over adjacent bands,
 Parseval's theorem for the rectangular window (DC and Nyquist counted
-once), the exact amplitude of a sine centred on a bin, and `spectra` of a
-stack giving each row's own `spectrum` bit for bit.  Runs are
+once), the exact amplitude of a sine centred on a bin, `spectra` of a
+stack giving each row's own `spectrum` bit for bit, and `mean_spectrum`'s
+running sum giving numpy's mean of the stacked magnitudes bit for bit.  Runs are
 derandomized and keep no example database, so the suite stays
 deterministic and writes nothing into the working tree.
 """
@@ -123,3 +124,23 @@ def test_each_row_of_a_stack_is_its_own_spectrum_bit_for_bit(stack, rate, window
         assert np.array_equal(spec.magnitudes.view(np.int64), alone.magnitudes.view(np.int64))
         assert spec.frequencies is alone.frequencies
         assert (spec.resolution, spec.window) == (alone.resolution, alone.window)
+
+
+@PROPERTY_SETTINGS
+@given(
+    count=st.integers(1, 64),
+    bins=st.integers(2, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.integers(0, 12),
+)
+def test_mean_spectrum_is_numpys_mean_of_the_stack_bit_for_bit(count, bins, seed, decades):
+    # Magnitudes spread over `decades` decades, so the sums round often.
+    rng = np.random.default_rng(seed)
+    mags = rng.random((count, bins)) * 10.0 ** rng.integers(-decades, decades + 1, (count, bins))
+    frequencies = np.arange(bins) * 100.0
+    specs = [vp.Spectrum(frequencies, row, 100.0, "hann") for row in mags]
+    expected = np.mean([s.magnitudes for s in specs], axis=0)
+    for source in (specs, (s for s in specs)):
+        mean = vp.mean_spectrum(source)
+        assert np.array_equal(mean.magnitudes.view(np.int64), expected.view(np.int64))
+        assert mean.frequencies is frequencies and mean.window == "hann"
