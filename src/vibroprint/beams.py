@@ -184,12 +184,15 @@ def _fixed_free_root(n: int) -> float:
 def mode_constant(n: int) -> float:
     """n-th root (beta_n l) of the fixed-free characteristic equation.
 
-    Roots are found by bisection and cached; mode 1 is 1.875104...
+    Roots are found by bisection and cached; mode 1 is 1.875104...  An
+    index that is not an integer in [1, 2**53] raises ValueError naming it.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
+    # Past 2**53 a float no longer tells n from n - 1, so the interval
+    # ((n - 1) pi, n pi) that holds the n-th root is lost.
+    if not 1 <= n <= 2**53:
+        raise ValueError(f"mode index must be in [1, 2**53], got {n}")
     return _fixed_free_root(n)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import glob as globmod
-import json
 import os
 import sys
 import warnings
@@ -75,7 +74,7 @@ from .simulate import (
     scenario_to_dict,
     slide_signal,
 )
-from .units import hz_to_khz, khz_to_hz, m_to_mm, mm_to_m
+from .units import hz_to_khz, khz_to_hz, m_to_mm, mm_to_m, write_json
 
 _ANALYZE_WORKERS = 8
 
@@ -111,13 +110,13 @@ def _write_run_params(out_dir: Path, args, argv: list[str]) -> None:
         "seed": getattr(args, "seed", None),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "run_params.json").write_text(json.dumps(params, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "run_params.json", params)
 
 
 def _write_table(fmt: str, out_dir: Path, stem: str, fieldnames, rows, payload) -> None:
     """`payload` as <stem>.json under --format json, else `rows` as <stem>.csv."""
     if fmt == "json":
-        (out_dir / f"{stem}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(out_dir / f"{stem}.json", payload)
         return
     with (out_dir / f"{stem}.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -185,8 +184,8 @@ def _cmd_freq(args, out_dir: Path) -> None:
     row = {
         "material": material.name,
         "shape": section.label,
-        "dimension_mm": section.outer * 1e3,
-        "inner_mm": section.inner * 1e3 if section.inner else "",
+        "dimension_mm": m_to_mm(section.outer),
+        "inner_mm": m_to_mm(section.inner) if section.inner else "",
         "length_mm": args.length_mm,
         "mode": args.mode,
         "frequency_hz_min": f_lo,
@@ -234,10 +233,11 @@ def _cmd_design(args, out_dir: Path) -> None:
 
     region = feasible_region(constraints, mm_to_m(args.grid_step_mm))
     write_feasible_csv(region, out_dir / "feasible_grid.csv")
+    sides = [m_to_mm(v) for v in region.side_envelope]
+    lengths = [m_to_mm(v) for v in region.length_envelope]
     print(
         f"feasible region: {len(region.grid)} grid points, "
-        f"sides [{region.side_envelope[0] * 1e3:.2f}, {region.side_envelope[1] * 1e3:.2f}] mm, "
-        f"lengths [{region.length_envelope[0] * 1e3:.2f}, {region.length_envelope[1] * 1e3:.2f}] mm"
+        f"sides [{sides[0]:.2f}, {sides[1]:.2f}] mm, lengths [{lengths[0]:.2f}, {lengths[1]:.2f}] mm"
     )
 
     if constraints.max_length_per_segment:
@@ -331,7 +331,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
 
-    pitch_mm = args.pitch_mm if args.pitch_mm is not None else 2.0 * section.outer * 1e3
+    pitch_mm = args.pitch_mm if args.pitch_mm is not None else 2.0 * m_to_mm(section.outer)
     noise = None
     if str(args.noise_floor_db).lower() != "none":
         values = _numbers(args.noise_floor_db, "--noise-floor-db")
@@ -520,9 +520,7 @@ def _cmd_analyze(args, out_dir: Path) -> None:
 
     report = normalize_against_baseline(entries, args.baseline_material, band)
     write_auc_csv(report, out_dir / "auc.csv")
-    (out_dir / "ratios.json").write_text(
-        json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "ratios.json", report_to_json_dict(report))
 
     for mic, mat in sorted(means):
         write_spectrum_csv(means[mic, mat].spectrum(), out_dir / f"mean_spectrum_{mic}_{mat}.csv")

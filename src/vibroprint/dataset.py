@@ -7,6 +7,10 @@ with an 18-byte ``fmt `` chunk and a ``fact`` chunk.  `read_wav` also
 accepts 24-bit PCM and WAVE_FORMAT_EXTENSIBLE files whose subformat is
 PCM or IEEE float, and skips chunks other than ``fmt `` and ``data``.
 Big-endian (RIFX), RF64, multichannel, 8-bit and 64-bit files are refused.
+One table, `_SAMPLES`, decides each encoding's dtype and PCM full scale for
+reading and writing.  `read_wav` is the one decoder, which
+`read_recording_bundle` calls with the labels it found; `units.write_json`
+decides the sidecar's JSON layout.
 The manifest is a JSON file describing objects and their recorded
 observations; `load_manifest` documents the schema, validates it in one
 pass and turns it into one (WAV path, labels) pair per declared channel
@@ -30,6 +34,7 @@ import numpy as np
 
 from .errors import ManifestError, WavFormatError
 from .signals import BASELINE_MATERIAL, Microphone, Procedure, Recording, RecordingMeta
+from .units import write_json
 
 SCHEMA_VERSION = 1
 
@@ -49,20 +54,21 @@ _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _U32_MAX = 0xFFFFFFFF
 
-# write_wav: encoding -> (format tag, sample dtype).
-ENCODINGS = {"int16": (_PCM, "<i2"), "int32": (_PCM, "<i4"), "float32": (_IEEE_FLOAT, "<f4")}
-# read_wav: (format tag, bytes per sample) -> (dtype, full scale).  24-bit
-# PCM is widened to left-justified int32, as scipy.io.wavfile reads it.
-_DECODINGS = {
+# (format tag, bytes per sample) -> (sample dtype, full scale), for reading
+# and writing.  24-bit PCM is read widened to left-justified int32, as
+# scipy.io.wavfile reads it.
+_SAMPLES = {
     (_PCM, 2): (np.dtype("<i2"), 2.0**15),
     (_PCM, 3): (np.dtype("<i4"), 2.0**31),
     (_PCM, 4): (np.dtype("<i4"), 2.0**31),
     (_IEEE_FLOAT, 4): (np.dtype("<f4"), 1.0),
 }
+# write_wav: encoding -> its key of _SAMPLES.
+ENCODINGS = {"int16": (_PCM, 2), "int32": (_PCM, 4), "float32": (_IEEE_FLOAT, 4)}
 
 
 def _encoding_name(tag: int, width: int) -> str:
-    """The numpy dtype scipy.io.wavfile reads samples that `_DECODINGS` lacks as."""
+    """The numpy dtype scipy.io.wavfile reads samples that `_SAMPLES` lacks as."""
     if tag == _PCM:  # 8-bit WAV samples are unsigned
         return "uint8" if width == 1 else "int64" if 5 <= width <= 8 else f"{width}-byte PCM"
     if tag == _IEEE_FLOAT:
@@ -70,7 +76,7 @@ def _encoding_name(tag: int, width: int) -> str:
     return f"format tag {tag:#06x}"
 
 
-def _read_samples(path: Path, fh) -> tuple[int, np.ndarray]:
+def _read_samples(path: str | Path, fh) -> tuple[int, np.ndarray]:
     """(sample rate, [-1, 1] float64 samples) of the open mono WAV `fh`.
 
     Walks the RIFF chunks up to ``data`` and reads that chunk in place.
@@ -101,7 +107,7 @@ def _read_samples(path: Path, fh) -> tuple[int, np.ndarray]:
         tag = struct.unpack_from("<I", fmt, 24)[0]
     if channels != 1:
         raise WavFormatError(f"{path}: expected mono audio, got {channels} channels")
-    decoding = _DECODINGS.get((tag, width))
+    decoding = _SAMPLES.get((tag, width))
     if decoding is None:
         raise WavFormatError(
             f"{path}: unsupported sample encoding {_encoding_name(tag, width)}; "
@@ -126,13 +132,15 @@ def _read_samples(path: Path, fh) -> tuple[int, np.ndarray]:
     return rate, samples
 
 
-def _decode_wav(path: Path, meta: RecordingMeta) -> Recording:
-    """A mono PCM WAV as a Recording of [-1, 1] float64 samples with `meta`.
+def read_wav(path: str | Path, meta: RecordingMeta | None = None) -> Recording:
+    """Read a mono PCM WAV into a Recording of [-1, 1] float64 samples.
 
+    `meta` gives the recording's labels, as `read_recording_bundle` passes
+    them from a manifest or sidecar; without it the labels are empty.
     Every fault of the file, a non-finite sample included, raises
     WavFormatError naming it.
     """
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise WavFormatError(f"WAV file not found: {path}")
     try:
         with open(path, "rb") as fh:
@@ -140,17 +148,9 @@ def _decode_wav(path: Path, meta: RecordingMeta) -> Recording:
     except OSError as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
     try:
-        return Recording(samples, float(rate), meta)
+        return Recording(samples, float(rate), RecordingMeta() if meta is None else meta)
     except ValueError as exc:
         raise WavFormatError(f"{path}: {exc}") from exc
-
-
-def read_wav(path: str | Path) -> Recording:
-    """Read a mono PCM WAV into a [-1, 1] float Recording.
-
-    Metadata is left empty; `read_recording_bundle` reads a WAV with its labels.
-    """
-    return _decode_wav(Path(path), RecordingMeta())
 
 
 def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> None:
@@ -171,8 +171,8 @@ def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> No
             f"{path}: sample rate {rec.sample_rate!r} Hz is not a whole number "
             f"of hertz in [1, {_U32_MAX}], as a WAV header stores it"
         )
-    tag, dtype = ENCODINGS[encoding]
-    width = np.dtype(dtype).itemsize
+    tag, width = ENCODINGS[encoding]
+    dtype, full = _SAMPLES[tag, width]
     samples = rec.samples
     rate = int(rec.sample_rate)
     n = samples.size
@@ -196,7 +196,6 @@ def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> No
     if tag == _IEEE_FLOAT:
         data = samples.astype(dtype)
     else:
-        full = 2.0 ** (8 * width - 1)
         data = np.clip(np.round(samples * full), -full, full - 1).astype(dtype)
 
     header = struct.pack(
@@ -238,7 +237,7 @@ def write_recording_bundle(
     if timestamp:
         sidecar["created_utc"] = datetime.now(timezone.utc).isoformat()
     sidecar_path = wav_path.with_suffix(".json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar_path, sidecar)
     return sidecar_path
 
 
@@ -264,7 +263,7 @@ def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = Non
         except (ValueError, RecursionError) as exc:
             bad_sidecar = exc
     # A bad WAV is reported before a bad sidecar, whose error waits for the decode.
-    rec = _decode_wav(wav_path, RecordingMeta() if meta is None else meta)
+    rec = read_wav(wav_path, meta)
     if bad_sidecar is not None:
         raise ManifestError(
             f"{sidecar_path}: bad sidecar ({bad_sidecar})", errors=[str(bad_sidecar)]

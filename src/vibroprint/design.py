@@ -25,7 +25,7 @@ from .beams import CrossSection, modal_frequencies
 from .errors import EmptyRegionError, LayoutError
 from .materials import Material, PrinterConstraints, default_printer_constraints
 from .mic import MIC_LOW_BAND, SensitivityBand
-from .units import m_to_mm, mm_to_m, write_csv
+from .units import hz_to_khz, m_to_mm, mm_to_m, write_csv
 
 
 class Segment(str, Enum):
@@ -399,9 +399,9 @@ def layout_report(layouts: list[SegmentLayout]) -> str:
     ]
     for layout in layouts:
         if abs(layout.freq_high - layout.freq_low) < 1e-9:
-            freq = f"{layout.freq_low / 1e3:.2f}"
+            freq = f"{hz_to_khz(layout.freq_low):.2f}"
         else:
-            freq = f"{layout.freq_low / 1e3:.2f}..{layout.freq_high / 1e3:.2f}"
+            freq = f"{hz_to_khz(layout.freq_low):.2f}..{hz_to_khz(layout.freq_high):.2f}"
         lines.append(
             f"{layout.segment.value:<16} {m_to_mm(layout.side):>8.2f} "
             f"{m_to_mm(layout.length):>10.2f} {m_to_mm(layout.pitch):>9.2f} {freq:>16}"

@@ -46,14 +46,6 @@ class ResponseCurve:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "amplitude_db", a)
 
-    @classmethod
-    def from_points(cls, points) -> "ResponseCurve":
-        pts = list(points)
-        return cls(
-            x=np.array([p[0] for p in pts], dtype=float),
-            amplitude_db=np.array([p[1] for p in pts], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class SensitivityBand:
@@ -69,10 +61,6 @@ class SensitivityBand:
             raise ValueError(f"band needs low < high, got [{self.low}, {self.high}]")
         if not self.low <= self.peak_frequency <= self.high:
             raise ValueError("peak_frequency must lie inside the band")
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
 
 
 # The microphone's low sensitive band: [3.2, 26] kHz peaking at 9 kHz.
@@ -166,7 +154,7 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
     if len(rows) < 2:
         raise CurveFormatError(f"{path}: curve needs at least 2 data rows")
     try:
-        return ResponseCurve.from_points(rows)
+        return ResponseCurve(*np.array(rows).T)
     except ValueError as exc:
         raise CurveFormatError(f"{path}: {exc}") from exc
 

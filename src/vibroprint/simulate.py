@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beams import BeamSpec, nominal_frequency
+from .beams import BeamSpec, mode_constant, nominal_frequency
 from .errors import NyquistError
 from .signals import REFERENCE_AMPLITUDE, Procedure, Recording, RecordingMeta
 
@@ -69,6 +69,7 @@ class SlideScenario:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.modes < 1:
             raise ValueError(f"modes must be >= 1, got {self.modes}")
+        mode_constant(self.modes)  # refuses a count past the highest mode index
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.duration * self.sample_rate):

@@ -1,17 +1,21 @@
-"""Boundary unit conversions and the numeric CSV row format.
+"""Boundary unit conversions and the artifact file formats.
 
 Everything inside the library is SI (m, kg, s, Pa, Hz).  Config files and
 the CLI speak the bench units used on the printer and datasheets
 (mm, g/cm3, MPa, kHz); these helpers are the single place where the
-conversion happens.  `write_csv` is the one writer of the numeric tables
-(the feasible grid, the sweep, the layouts and the mean spectra): it
-formats a float column in mm where its header says so and with `repr`
-otherwise, and ends every row with CRLF.
+conversion happens, and so where each unit's text is decided.  The one
+writer of the numeric tables (feasible grid, sweep, layouts, mean
+spectra) is `write_csv`: mm text where a header says so, else `repr`,
+and CRLF row ends.  The one writer of the JSON artifacts (run_params,
+freq, bands, ratios and recording sidecars) is `write_json`, which
+decides their layout.  The PCM full scale of a WAV sample is decided in
+`dataset`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,11 @@ def khz_to_hz(value_khz: float) -> float:
 
 def hz_to_khz(value_hz: float) -> float:
     return value_hz / 1e3
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write `data` as JSON indented by 2 with sorted keys, and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _mm_labels(values: np.ndarray) -> list[str]:

@@ -194,10 +194,17 @@ def test_high_mode_roots_approach_asymptote():
         assert x == pytest.approx((n - 0.5) * math.pi, abs=1e-3)
 
 
-@pytest.mark.parametrize("n", [0, -1, 1.5, "1"])
+@pytest.mark.parametrize(
+    "n", [0, -1, 1.5, "1", 2**53 + 1, 10**400], ids=["0", "-1", "1.5", "1", "2**53+1", "10**400"]
+)
 def test_mode_constant_rejects_bad_index(n):
     with pytest.raises(ValueError):
         vp.mode_constant(n)
+
+
+def test_mode_constant_takes_the_highest_index():
+    x = vp.mode_constant(2**53)
+    assert (2**53 - 1) * math.pi <= x <= 2**53 * math.pi
 
 
 def test_mode_constant_is_fast():

@@ -94,9 +94,6 @@ def test_freq_reports_density_interval_for_pla(tmp_path, capsys):
     assert payload["frequency_hz_max"] == pytest.approx(15168.8, abs=0.5)
 
 
-FREQ_PIN_VALUES = (27216.515872027536, 28018.858620202154, 27608.947267404903)
-
-
 @pytest.mark.parametrize(
     "fmt, expected",
     [
@@ -104,14 +101,22 @@ FREQ_PIN_VALUES = (27216.515872027536, 28018.858620202154, 27608.947267404903)
             "csv",
             "material,shape,dimension_mm,inner_mm,length_mm,mode,"
             "frequency_hz_min,frequency_hz_max,frequency_hz_nominal\r\n"
-            "PLA,hexagon_hollow,0.8,0.4,3.5,1,%r,%r,%r\r\n" % FREQ_PIN_VALUES,
+            "PLA,hexagon_hollow,0.8,0.4,3.5,1,27216.515872027536,28018.858620202154,27608.947267404903\r\n",
         ),
         (
             "json",
-            '{\n  "dimension_mm": 0.8,\n  "frequency_hz_max": %r,\n  "frequency_hz_min": %r,\n'
-            '  "frequency_hz_nominal": %r,\n  "inner_mm": 0.4,\n  "length_mm": 3.5,\n'
-            '  "material": "PLA",\n  "mode": 1,\n  "shape": "hexagon_hollow"\n}\n'
-            % (FREQ_PIN_VALUES[1], FREQ_PIN_VALUES[0], FREQ_PIN_VALUES[2]),
+            """{
+  "dimension_mm": 0.8,
+  "frequency_hz_max": 28018.858620202154,
+  "frequency_hz_min": 27216.515872027536,
+  "frequency_hz_nominal": 27608.947267404903,
+  "inner_mm": 0.4,
+  "length_mm": 3.5,
+  "material": "PLA",
+  "mode": 1,
+  "shape": "hexagon_hollow"
+}
+""",
         ),
     ],
     ids=["csv", "json"],
@@ -559,6 +564,27 @@ def test_impossible_allocation_is_a_domain_error(tmp_path, capsys, argv, message
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
     assert not (tmp_path / "run_params.json").exists()
+
+
+HUGE_INDEX = "1" + "0" * 400
+
+
+# Past a float's range, so the root's interval ((n - 1) pi, n pi) would
+# overflow in `beams`, and the simulate tuples of one value per mode could not
+# be built; `mode_constant` refuses the index first.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "3", "--mode", HUGE_INDEX],
+        [*SIMULATE_TPU, "--modes", HUGE_INDEX, "--amplitudes", "0.1", "--damping", "0.02"],
+    ],
+    ids=["freq_mode", "simulate_modes"],
+)
+def test_a_mode_index_past_a_float_is_a_domain_error(tmp_path, capsys, argv):
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: mode index must be in [1, 2**53], got {HUGE_INDEX}\n"
+    assert not list(tmp_path.iterdir())
 
 
 # Past the scan bound, yet small enough that numpy would try to allocate

@@ -11,6 +11,7 @@ from scipy.io import wavfile
 
 import vibroprint as vp
 from vibroprint.cli import run
+from vibroprint.dataset import ENCODINGS
 from vibroprint.errors import ManifestError, WavFormatError
 
 FS = 500e3
@@ -250,6 +251,48 @@ def test_recording_bundle_round_trip(tmp_path, random_recording):
 
     back = vp.read_recording_bundle(path)
     assert back.meta == meta
+
+
+SIDECAR_PIN = """{
+  "encoding": "int16",
+  "meta": {
+    "exploration_procedure": null,
+    "fingerprint_material": "PLA",
+    "force_code": null,
+    "microphone": "Left",
+    "object": "cup",
+    "repetition": 2
+  },
+  "sample_rate_hz": 48000.0,
+  "samples": 3,
+  "scenario": {
+    "pitch_m": 0.0026,
+    "seed": 3
+  }
+}
+"""
+
+
+def test_sidecar_bytes_are_pinned(tmp_path):
+    meta = vp.RecordingMeta(object="cup", microphone="Left", fingerprint_material="PLA", repetition=2)
+    rec = vp.Recording(np.array([0.0, 0.5, -0.25]), 48000.0, meta)
+    scenario = {"seed": 3, "pitch_m": 0.0026}
+    sidecar = vp.write_recording_bundle(rec, tmp_path / "r.wav", "int16", scenario, timestamp=False)
+    assert sidecar.read_bytes() == SIDECAR_PIN.encode()
+
+
+@pytest.mark.parametrize("encoding", [*ENCODINGS, "pcm24"])
+def test_bundle_read_decodes_as_read_wav(tmp_path, random_recording, encoding):
+    path = tmp_path / "rec.wav"
+    if encoding == "pcm24":
+        path.write_bytes(HAND_BUILT["pcm24"])
+    else:
+        vp.write_wav(random_recording, path, encoding)
+    meta = vp.RecordingMeta(microphone="Palm", fingerprint_material="TPU")
+    direct, bundled = vp.read_wav(path, meta), vp.read_recording_bundle(path, meta)
+    assert direct.meta == bundled.meta == meta
+    assert direct.sample_rate == bundled.sample_rate
+    assert direct.samples.tobytes() == bundled.samples.tobytes()
 
 
 def test_bundle_without_sidecar_has_empty_meta(tmp_path, random_recording):

@@ -89,6 +89,8 @@ def test_impulse_nyquist_violation(tpu_beam):
 def test_impulse_validation(tpu_beam):
     with pytest.raises(ValueError, match="modes must be >= 1"):
         ring_down(tpu_beam, modes=0)
+    with pytest.raises(ValueError, match=rf"mode index must be in \[1, 2\*\*53\], got {2**53 + 1}$"):
+        ring_down(tpu_beam, modes=2**53 + 1, mode_amplitudes=0.1)
     with pytest.raises(ValueError, match="damping must be in"):
         ring_down(tpu_beam, damping_ratio=1.5)
     with pytest.raises(ValueError, match="damping needs 2 entries, got 3"):

@@ -7,8 +7,10 @@ reports each free global name that is neither bound at module level nor a
 builtin. The second walks each module's syntax tree with the stdlib ``ast``
 and reports each module-level import that nothing in the module reads, such
 as the import of a deleted class. The third keeps the numeric CSV row
-format in ``units``: no other module may hold a CRLF row end. The last two
-check the benchmark's side: the functions its tracer wraps, and the names
+format in ``units``: no other module may hold a CRLF row end. The fourth
+keeps the JSON artifact layout and the m to mm and Hz to kHz factor there
+too: no other module may call ``json.dumps`` or hold the float 1e3. The
+last two check the benchmark's side: the functions its tracer wraps, and the names
 and keywords its workloads reach vibroprint through.
 """
 
@@ -97,6 +99,26 @@ def test_csv_row_format_lives_in_units():
     found = [name for path in paths for name in crlf_constants(path.read_text(), str(path))]
     assert not found, "CRLF row ends outside units.write_csv: " + ", ".join(found)
     assert crlf_constants('x = 1\n\ndef f(a):\n    return f"{a}\\r\\n"\n', "m.py") == ["m.py:4"]
+
+
+def format_decisions(source: str, filename: str) -> list[str]:
+    """Return ``file:line:what`` for each ``json.dumps`` call and each float constant 1e3."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+            found.append(f"{Path(filename).name}:{node.lineno}:json.dumps")
+        elif isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e3:
+            found.append(f"{Path(filename).name}:{node.lineno}:1e3")
+    return sorted(found)
+
+
+def test_json_layout_and_unit_factors_live_in_units():
+    # units.write_json writes every JSON artifact, and units converts m to mm and Hz to kHz.
+    paths = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "units.py")
+    found = [name for path in paths for name in format_decisions(path.read_text(), str(path))]
+    assert not found, "JSON layout or unit factor outside units: " + ", ".join(found)
+    source = "import json\n\ndef f(x):\n    return json.dumps(x), x * 1e3, x / 1000.0, x * 1000, 1e-3\n"
+    assert format_decisions(source, "m.py") == ["m.py:4:1e3", "m.py:4:1e3", "m.py:4:json.dumps"]
 
 
 SPANS = PACKAGE_DIR.parents[1] / "benchmarks" / "spans.py"
