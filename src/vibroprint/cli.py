@@ -338,23 +338,21 @@ def _cmd_simulate(args, out_dir: Path) -> None:
         if len(values) != 1:
             raise _UsageError(f"--noise-floor-db takes one number or 'none', got {args.noise_floor_db!r}")
         noise = values[0]
-    if args.amplitudes is None:
-        # half the library default so overlapping ring-downs stay inside [-1, 1]
-        amplitudes = tuple(0.5 ** (k + 1) for k in range(args.modes))
-    else:
-        amplitudes = _per_mode(args.amplitudes, "--amplitudes")
     scenario = SlideScenario(
         beam=beam,
         pitch=mm_to_m(pitch_mm),
         velocity=mm_to_m(args.velocity_mm_s),
         duration=args.duration_s,
         modes=args.modes,
+        mode_amplitudes=None if args.amplitudes is None else _per_mode(args.amplitudes, "--amplitudes"),
         damping_ratio=_per_mode(args.damping, "--damping"),
-        mode_amplitudes=amplitudes,
         noise_floor_db=noise,
         sample_rate=args.sample_rate_hz,
         seed=args.seed,
     )
+    if args.amplitudes is None:
+        # half the library default so overlapping ring-downs stay inside [-1, 1]
+        scenario = replace(scenario, mode_amplitudes=tuple(0.5 * a for a in scenario.mode_amplitudes))
     meta = RecordingMeta(
         object=args.object,
         fingerprint_material=args.tag_material,
@@ -611,7 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
     # The default is the RH8D hand's maximum finger velocity.
     p_sim.add_argument("--velocity-mm-s", type=float, default=953.3)
     p_sim.add_argument("--duration-s", type=float, default=0.5)
-    p_sim.add_argument("--modes", type=int, default=DEFAULT_MODES)
+    p_sim.add_argument(
+        "--modes",
+        type=int,
+        default=DEFAULT_MODES,
+        help="beam modes to ring; every one must lie below half the sample rate",
+    )
     p_sim.add_argument("--damping", default=DEFAULT_DAMPING_RATIO, help="damping ratio(s), comma list")
     p_sim.add_argument(
         "--amplitudes", help="mode amplitudes, comma list (default 0.5, 0.25, ... per mode)"

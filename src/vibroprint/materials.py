@@ -76,8 +76,8 @@ class PrinterConstraints:
     def __post_init__(self):
         for name in ("min_side_supported", "min_hole_diameter"):
             value = getattr(self, name)
-            if not value > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def default_printer_constraints() -> PrinterConstraints:

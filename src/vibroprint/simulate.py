@@ -49,6 +49,14 @@ class SlideScenario:
     `mode_amplitudes`, mode k + 1 gets amplitude 0.5**k.
     `noise_floor_db` sets the expected amplitude-spectrum level of the
     added Gaussian noise (None disables noise).
+
+    Construction checks, in this order: pitch, velocity, duration and
+    sample rate positive and finite; `modes` a mode index in [1, 2**53];
+    seed >= 0; duration * sample_rate and `noise_floor_db` finite; every
+    mode below half the sample rate (NyquistError, naming how many modes
+    the rate fits); one damping ratio in (0, 1) and one finite amplitude
+    per mode; at most one strike per sample.  A scenario that builds can
+    be synthesized.
     """
 
     beam: BeamSpec
@@ -78,6 +86,21 @@ class SlideScenario:
             )
         if self.noise_floor_db is not None and not math.isfinite(self.noise_floor_db):
             raise ValueError(f"noise_floor_db must be finite or None, got {self.noise_floor_db}")
+        highest = nominal_frequency(self.beam, self.modes)
+        if self.sample_rate <= 2.0 * highest:
+            # The modes rise with their index: bisect for the first that does not fit.
+            fits, over = 0, self.modes
+            while over - fits > 1:
+                mid = (fits + over) // 2
+                if self.sample_rate <= 2.0 * nominal_frequency(self.beam, mid):
+                    over = mid
+                else:
+                    fits = mid
+            most = f"at most {fits} mode{'s' * (fits > 1)}" if fits else "not even mode 1"
+            raise NyquistError(
+                f"sample rate {self.sample_rate} Hz cannot represent mode at {highest:.4g} Hz; "
+                f"need > {2.0 * highest:.4g} Hz; this rate fits {most}"
+            )
         damping = _per_mode(self.damping_ratio, self.modes, "damping")
         for zeta in damping:
             if not 0.0 < zeta < 1.0:
@@ -101,20 +124,6 @@ class SlideScenario:
     def excitation_rate(self) -> float:
         """Beam strikes per second: velocity / pitch (Hz)."""
         return self.velocity / self.pitch
-
-
-def _mode_frequencies(beam: BeamSpec, modes: int, sample_rate: float) -> list[float]:
-    freqs = [nominal_frequency(beam, n) for n in range(1, modes + 1)]
-    highest = max(freqs)
-    if sample_rate <= 2.0 * highest:
-        # The modes rise with their index, so the ones that fit come first.
-        fits = next(n for n, f in enumerate(freqs) if sample_rate <= 2.0 * f)
-        most = f"at most {fits} mode{'s' * (fits > 1)}" if fits else "not even mode 1"
-        raise NyquistError(
-            f"sample rate {sample_rate} Hz cannot represent mode at {highest:.4g} Hz; "
-            f"need > {2.0 * highest:.4g} Hz; this rate fits {most}"
-        )
-    return freqs
 
 
 def _ring_down(scenario: SlideScenario, freqs: list[float], n_samples: int) -> np.ndarray:
@@ -146,7 +155,8 @@ def slide_signal(scenario: SlideScenario, meta: RecordingMeta | None = None) -> 
 
     Strikes land every pitch/velocity seconds starting at t = 0.  The
     optional `meta` overrides/extends the labels derived from the
-    scenario.  Deterministic for a fixed seed.
+    scenario.  Deterministic for a fixed seed.  Every mode already fits
+    the rate: `SlideScenario` checked that when it was built.
     """
     rate = scenario.sample_rate
     n_samples = max(2, int(round(scenario.duration * rate)))
@@ -158,7 +168,7 @@ def slide_signal(scenario: SlideScenario, meta: RecordingMeta | None = None) -> 
             stacklevel=2,
         )
 
-    freqs = _mode_frequencies(scenario.beam, scenario.modes, rate)
+    freqs = [nominal_frequency(scenario.beam, n) for n in range(1, scenario.modes + 1)]
     # Kernel long enough for the slowest ring-down to die off (~1e-9).
     slowest = min(
         2.0 * math.pi * f * z for f, z in zip(freqs, scenario.damping_ratio)

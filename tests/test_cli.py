@@ -570,15 +570,16 @@ HUGE_INDEX = "1" + "0" * 400
 
 
 # Past a float's range, so the root's interval ((n - 1) pi, n pi) would
-# overflow in `beams`, and the simulate tuples of one value per mode could not
-# be built; `mode_constant` refuses the index first.
+# overflow in `beams`; `mode_constant` refuses the index before `SlideScenario`
+# broadcasts anything per mode, with or without the per-mode flags.
 @pytest.mark.parametrize(
     "argv",
     [
         ["freq", "--material", "PLA", "--square-side-mm", "1", "--length-mm", "3", "--mode", HUGE_INDEX],
         [*SIMULATE_TPU, "--modes", HUGE_INDEX, "--amplitudes", "0.1", "--damping", "0.02"],
+        [*SIMULATE_TPU, "--modes", HUGE_INDEX],
     ],
-    ids=["freq_mode", "simulate_modes"],
+    ids=["freq_mode", "simulate_modes", "simulate_modes_default_amplitudes"],
 )
 def test_a_mode_index_past_a_float_is_a_domain_error(tmp_path, capsys, argv):
     assert run([*argv, "--output-dir", str(tmp_path)]) == 1
@@ -588,7 +589,9 @@ def test_a_mode_index_past_a_float_is_a_domain_error(tmp_path, capsys, argv):
 
 
 # Past the scan bound, yet small enough that numpy would try to allocate
-# them (4.47 GiB for the design's side axis, 7.45 GiB for the sweep's lengths).
+# them (4.47 GiB for the design's side axis, 7.45 GiB for the sweep's lengths);
+# 2**53 modes, the highest mode index, would need a value per mode, where the
+# slide's rate check bisects the mode indices instead.
 # The address-space limit turns a missing bound into a failed assertion
 # rather than a machine out of memory.
 @pytest.mark.parametrize(
@@ -604,8 +607,13 @@ def test_a_mode_index_past_a_float_is_a_domain_error(tmp_path, capsys, argv):
             + ["--steps", "1000000000"],
             "error: steps 1000000000 x 3 section(s) = 3000000000 rows, above the 1e+07 of one sweep",
         ),
+        (
+            [*SIMULATE_TPU, "--modes", str(2**53)],
+            "error: sample rate 500000.0 Hz cannot represent mode at 2.054e+36 Hz; "
+            "need > 4.108e+36 Hz; this rate fits at most 3 modes",
+        ),
     ],
-    ids=["design_step_1e-9mm", "sweep_1e9_steps"],
+    ids=["design_step_1e-9mm", "sweep_1e9_steps", "simulate_max_mode_index"],
 )
 def test_oversized_scan_is_refused_before_allocating(tmp_path, argv, message):
     resource = pytest.importorskip("resource")

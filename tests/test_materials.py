@@ -252,7 +252,7 @@ def test_default_printer_constraints():
 
 
 def test_printer_constraints_validation():
-    for bad in (0.0, float("nan")):
+    for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="min_side_supported"):
             vp.PrinterConstraints(bad, 0.75e-3)
         with pytest.raises(ValueError, match="min_hole_diameter"):

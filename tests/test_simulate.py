@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vibroprint as vp
+from vibroprint import simulate
 from vibroprint.errors import NyquistError
 from vibroprint.simulate import noise_sigma
 from vibroprint.units import mm_to_m
@@ -84,6 +85,36 @@ def test_impulse_nyquist_violation(tpu_beam):
     # The first mode sits near 9 kHz, above the 5 kHz Nyquist frequency.
     with pytest.raises(NyquistError, match="this rate fits not even mode 1$"):
         ring_down(tpu_beam, sample_rate=10e3)
+
+
+def test_a_refused_mode_count_costs_a_logarithmic_number_of_kernel_calls(tpu_beam, monkeypatch):
+    # One call per mode would take the million modes past the counter's limit.
+    calls = []
+
+    def counted(beam, n=1):
+        calls.append(n)
+        if len(calls) > 100:
+            raise AssertionError("nominal_frequency was called once per mode")
+        return vp.nominal_frequency(beam, n)
+
+    monkeypatch.setattr(simulate, "nominal_frequency", counted)
+    with pytest.raises(NyquistError, match="this rate fits at most 3 modes$"):
+        vp.slide_signal(one_mode_scenario(tpu_beam, modes=10**6))
+    assert len(calls) <= 25
+
+
+def test_a_nyquist_fault_wins_over_per_mode_and_strike_rate_faults(tpu_beam):
+    # Wrong-length damping out of (0, 1), a NaN amplitude and two strikes per
+    # sample, yet the rate is the fault named: it is checked before any broadcast.
+    with pytest.raises(NyquistError, match="this rate fits not even mode 1$"):
+        one_mode_scenario(
+            tpu_beam,
+            modes=2,
+            sample_rate=10e3,
+            damping_ratio=(1.5, 0.02, 0.1),
+            mode_amplitudes=(math.nan,),
+            velocity=2.0 * 10e3 * mm_to_m(5.2),
+        )
 
 
 def test_impulse_validation(tpu_beam):
