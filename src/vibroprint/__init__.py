@@ -34,7 +34,6 @@ from .design import (
     FeasibleRegion,
     Segment,
     SegmentLayout,
-    SweepTable,
     feasible_region,
     frequency_sweep,
     material_class,

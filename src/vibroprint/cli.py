@@ -84,6 +84,9 @@ _ANALYZE_WORKERS = 8
 # this large runs its tasks on the thread pool.
 _SLICE_BYTES = 256 * 1024
 
+# The rule `SensitivityBand` holds every --band-khz to, for the help text.
+_BAND_RULE = "0 <= LOW < HIGH < inf"
+
 
 class _UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
@@ -161,12 +164,18 @@ def _add_section_flags(parser) -> None:
 
 
 def _band(band_khz, peak_khz: float | None = None) -> SensitivityBand:
-    """The --band-khz band; without a peak, the microphone's 9 kHz if inside it, else its midpoint."""
+    """The --band-khz band, the one reader of that flag; without a peak, the
+    microphone's 9 kHz if inside it, else its midpoint.  A band that
+    `SensitivityBand` refuses is a domain error naming the flags as given."""
     lo, hi = (khz_to_hz(v) for v in band_khz)
     peak = MIC_LOW_BAND.peak_frequency if peak_khz is None else khz_to_hz(peak_khz)
     if peak_khz is None and not lo <= peak <= hi:
         peak = 0.5 * (lo + hi)
-    return SensitivityBand(low=lo, high=hi, peak_frequency=peak, peak_amplitude=0.0)
+    try:
+        return SensitivityBand(low=lo, high=hi, peak_frequency=peak, peak_amplitude=0.0)
+    except ValueError as exc:
+        given_peak = "" if peak_khz is None else f" --band-peak-khz {peak_khz}"
+        raise VibroprintError(f"--band-khz {band_khz[0]} {band_khz[1]}{given_peak}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +217,9 @@ def _cmd_freq(args, out_dir: Path) -> None:
 
 
 def _cmd_design(args, out_dir: Path) -> None:
+    b = _band(args.band_khz)
+    band = (b.low, b.high)
     material = _material(args)
-    band = _band(args.band_khz)
 
     custom = args.side_range_mm or args.length_range_mm
     if custom and not (args.side_range_mm and args.length_range_mm):
@@ -253,6 +263,9 @@ def _cmd_design(args, out_dir: Path) -> None:
 
 
 def _cmd_sweep(args, out_dir: Path) -> None:
+    if args.band_peak_khz is not None and not args.band_khz:
+        raise _UsageError("--band-peak-khz needs --band-khz")
+    band = _band(args.band_khz, args.band_peak_khz) if args.band_khz else None
     material = _material(args)
 
     shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
@@ -272,18 +285,14 @@ def _cmd_sweep(args, out_dir: Path) -> None:
             raise _UsageError(f"unknown shape {shape!r}; expected square/hexagon/circle")
         sections += [CrossSection(Shape(shape), mm_to_m(dim)) for dim in dims]
 
-    if args.band_peak_khz is not None and not args.band_khz:
-        raise _UsageError("--band-peak-khz needs --band-khz")
-    band = _band(args.band_khz, args.band_peak_khz) if args.band_khz else None
-    table = frequency_sweep(
+    rows = frequency_sweep(
         material,
         sections,
         (mm_to_m(args.length_range_mm[0]), mm_to_m(args.length_range_mm[1])),
         args.steps,
-        band=band,
     )
-    write_sweep_csv(table, out_dir / "sweep.csv")
-    print(f"sweep: {len(table.rows)} rows -> {out_dir / 'sweep.csv'}")
+    write_sweep_csv(rows, out_dir / "sweep.csv", band)
+    print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +359,6 @@ def _cmd_simulate(args, out_dir: Path) -> None:
         sample_rate=args.sample_rate_hz,
         seed=args.seed,
     )
-    if args.amplitudes is None:
-        # half the library default so overlapping ring-downs stay inside [-1, 1]
-        scenario = replace(scenario, mode_amplitudes=tuple(0.5 * a for a in scenario.mode_amplitudes))
     meta = RecordingMeta(
         object=args.object,
         fingerprint_material=args.tag_material,
@@ -425,7 +431,7 @@ def _slices(inputs: list) -> tuple[list[list], bool]:
 def _cmd_analyze(args, out_dir: Path) -> None:
     """Band AUC of each recording, normalized per microphone against the baseline skin.
 
-    Faults come in input order: a band outside 0 <= LOW < HIGH before any
+    Faults come in input order: a band that `_band` refuses before any
     file is read, then each file's own fault (unreadable, unlabeled, or a top
     bin below the band's top) as that file is read, and last the
     per-microphone guard on grids and procedures.
@@ -438,9 +444,8 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     stacked spectra would.  A recording that the guard refuses is never
     added, so a group's sum only ever sees its microphone's first grid.
     """
-    band = (khz_to_hz(args.band_khz[0]), khz_to_hz(args.band_khz[1]))
-    if not 0 <= band[0] < band[1]:
-        raise VibroprintError(f"--band-khz needs 0 <= LOW < HIGH, got {list(args.band_khz)}")
+    b = _band(args.band_khz)
+    band = (b.low, b.high)
     inputs = _analysis_inputs(args)
 
     def analyze_slice(items):
@@ -516,9 +521,9 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     if guard_fault is not None:
         raise guard_fault
 
-    report = normalize_against_baseline(entries, args.baseline_material, band)
+    report = normalize_against_baseline(entries, args.baseline_material)
     write_auc_csv(report, out_dir / "auc.csv")
-    write_json(out_dir / "ratios.json", report_to_json_dict(report))
+    write_json(out_dir / "ratios.json", report_to_json_dict(report, band))
 
     for mic, mat in sorted(means):
         write_spectrum_csv(means[mic, mat].spectrum(), out_dir / f"mean_spectrum_{mic}_{mat}.csv")
@@ -564,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mic_band_khz = (hz_to_khz(MIC_LOW_BAND.low), hz_to_khz(MIC_LOW_BAND.high))
     p_design.add_argument(
-        "--band-khz", nargs=2, type=float, default=mic_band_khz, metavar=("LOW", "HIGH")
+        "--band-khz", nargs=2, type=float, default=mic_band_khz, metavar=("LOW", "HIGH"),
+        help=f"first-mode target band in kHz, {_BAND_RULE} (default: the microphone's low band)",
     )
     p_design.add_argument("--side-range-mm", nargs=2, type=float, metavar=("LOW", "HIGH"))
     p_design.add_argument("--length-range-mm", nargs=2, type=float, metavar=("LOW", "HIGH"))
@@ -588,7 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--length-range-mm", nargs=2, type=float, required=True, metavar=("LOW", "HIGH")
     )
     p_sweep.add_argument("--steps", type=int, default=25)
-    p_sweep.add_argument("--band-khz", nargs=2, type=float, metavar=("LOW", "HIGH"))
+    p_sweep.add_argument(
+        "--band-khz", nargs=2, type=float, metavar=("LOW", "HIGH"),
+        help=f"band to annotate in the CSV, in kHz, {_BAND_RULE}",
+    )
     p_sweep.add_argument(
         "--band-peak-khz", type=float, help="default 9 kHz if inside --band-khz, else its midpoint"
     )
@@ -638,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--manifest", help="dataset manifest JSON")
     analysis_band_khz = tuple(hz_to_khz(f) for f in DEFAULT_ANALYSIS_BAND)
     p_an.add_argument(
-        "--band-khz", nargs=2, type=float, default=analysis_band_khz, metavar=("LOW", "HIGH")
+        "--band-khz", nargs=2, type=float, default=analysis_band_khz, metavar=("LOW", "HIGH"),
+        help=f"AUC band in kHz, {_BAND_RULE}, with HIGH at most each recording's Nyquist",
     )
     p_an.add_argument("--window", choices=WINDOWS, default=DEFAULT_WINDOW)
     p_an.add_argument("--baseline-material", default=BASELINE_MATERIAL)

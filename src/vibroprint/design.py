@@ -61,33 +61,27 @@ def material_class(material: Material) -> str:
     return "rigid" if material.youngs_modulus > _RIGID_MODULUS_THRESHOLD else "flexible"
 
 
-def _band_bounds(band) -> tuple[float, float]:
-    if isinstance(band, SensitivityBand):
-        return (band.low, band.high)
-    lo, hi = band
-    if not lo <= hi:  # also rejects NaN
-        raise ValueError(f"target band must satisfy low <= high, got [{lo}, {hi}]")
-    return (float(lo), float(hi))
-
-
 @dataclass(frozen=True)
 class DesignConstraints:
     """Inputs to the feasibility search (SI units).
 
-    `target_band` may be a SensitivityBand or a plain (low, high) Hz pair
-    (a degenerate low == high pair is allowed and simply yields an empty
-    region).  `max_length_per_segment` maps Segment -> clearance cap (m).
+    `target_band` is a (low, high) Hz pair with 0 <= low <= high < inf; a
+    point band low == high keeps only the cells whose first-mode interval
+    is exactly that frequency.  `max_length_per_segment` maps Segment ->
+    clearance cap (m).
     """
 
     material: Material
     printer: PrinterConstraints
-    target_band: SensitivityBand | tuple[float, float]
+    target_band: tuple[float, float]
     side_range: tuple[float, float]
     length_range: tuple[float, float]
     max_length_per_segment: dict[Segment, float] | None = None
 
     def __post_init__(self):
-        _band_bounds(self.target_band)  # validates
+        b_lo, b_hi = self.target_band
+        if not 0 <= b_lo <= b_hi < math.inf:  # also rejects NaN
+            raise ValueError(f"target band needs 0 <= low <= high < inf, got [{b_lo}, {b_hi}] Hz")
         s_lo, s_hi = self.side_range
         l_lo, l_hi = self.length_range
         if not 0 < s_lo <= s_hi < math.inf:
@@ -103,10 +97,6 @@ class DesignConstraints:
             raise ValueError(
                 f"side_range minimum {s_lo} m is below the printable width {min_side} m"
             )
-
-    @property
-    def band_bounds(self) -> tuple[float, float]:
-        return _band_bounds(self.target_band)
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
             f"above the {MAX_SCAN_CELLS:.0e} of one scan"
         )
 
-    band_lo, band_hi = constraints.band_bounds
+    band_lo, band_hi = constraints.target_band
     sides = _axis_grid(s_lo, s_hi, grid_step)
     lengths = _axis_grid(l_lo, l_hi, grid_step)
     sections = [CrossSection.square(side) for side in sides.tolist()]
@@ -198,33 +188,24 @@ def feasible_region(constraints: DesignConstraints, grid_step: float = DEFAULT_G
     )
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Sweep cells as columns: `rows` is a read-only numpy record array with
-    fields `shape` (the section's `label`), `dimension` (side or radius) and
-    `length` (m), and `freq_low`, `freq_high` and `freq_nominal` (Hz), one
-    record per (section, length) cell in section-major order.  `ndarray.shape`
-    hides the first field as an attribute, so read it as ``rows["shape"]``.
-    The optional band rides along for the CSV's annotation rows."""
-
-    rows: np.recarray
-    band: SensitivityBand | None = None
-
-
 def frequency_sweep(
     material: Material,
     sections: list[CrossSection],
     length_range: tuple[float, float],
     steps: int,
-    band: SensitivityBand | None = None,
-) -> SweepTable:
+) -> np.recarray:
     """First-mode frequency of each section over a span of lengths.
 
     One series per section, `steps` lengths from length_range (collapsed
     to a single row per section when the range is degenerate), all from
-    one `modal_frequencies` call.  The optional band is carried along for
-    annotation rows in the CSV.  A table past MAX_SCAN_CELLS rows raises
+    one `modal_frequencies` call.  A table past MAX_SCAN_CELLS rows raises
     ValueError before any array is built.
+
+    Returns the cells as columns: a read-only numpy record array with
+    fields `shape` (the section's `label`), `dimension` (side or radius) and
+    `length` (m), and `freq_low`, `freq_high` and `freq_nominal` (Hz), one
+    record per (section, length) cell in section-major order.  `ndarray.shape`
+    hides the first field as an attribute, so read it as ``rows["shape"]``.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -252,7 +233,7 @@ def frequency_sweep(
         names="shape,dimension,length,freq_low,freq_high,freq_nominal",
     )
     rows.flags.writeable = False
-    return SweepTable(rows=rows, band=band)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -319,7 +300,7 @@ def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -
 
 
 def reference_design_constraints(
-    material: Material, target_band: SensitivityBand = MIC_LOW_BAND
+    material: Material, target_band: tuple[float, float] = (MIC_LOW_BAND.low, MIC_LOW_BAND.high)
 ) -> DesignConstraints:
     """Published search ranges for the material's stiffness class."""
     sides, lengths, _ = _CLASS_REFERENCE_MM[material_class(material)]
@@ -333,7 +314,7 @@ def reference_design_constraints(
 
 
 def reference_layout_constraints(
-    material: Material, target_band: SensitivityBand = MIC_LOW_BAND
+    material: Material, target_band: tuple[float, float] = (MIC_LOW_BAND.low, MIC_LOW_BAND.high)
 ) -> DesignConstraints:
     """Search constraints for the final per-segment layouts.
 
@@ -364,12 +345,12 @@ def write_feasible_csv(region: FeasibleRegion, path: str | Path) -> None:
     )
 
 
-def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
+def write_sweep_csv(rows: np.recarray, path: str | Path, band: SensitivityBand | None = None) -> None:
     """Columns: row_type, shape, dimension_mm, length_mm, frequency_hz_min,
-    frequency_hz_max, frequency_hz_nominal.  Band annotations appear as
-    row_type band_low/band_high/band_peak with the frequency in the
-    nominal column.  Rows are formatted by `units.write_csv`."""
-    rows, band = table.rows, table.band
+    frequency_hz_max, frequency_hz_nominal, for the `frequency_sweep` rows.
+    The optional band's annotations appear as row_type
+    band_low/band_high/band_peak with the frequency in the nominal column.
+    Rows are formatted by `units.write_csv`."""
     notes = () if band is None else (
         ("band_low", band.low), ("band_high", band.high), ("band_peak", band.peak_frequency)
     )

@@ -25,7 +25,7 @@ DEFAULT_THRESHOLD_DB = -42.0
 
 @dataclass(frozen=True)
 class ResponseCurve:
-    """Sampled amplitude curve, strictly increasing in x."""
+    """Sampled amplitude curve, strictly increasing in x from x >= 0 Hz."""
 
     x: np.ndarray
     amplitude_db: np.ndarray
@@ -41,6 +41,8 @@ class ResponseCurve:
             raise ValueError("curve x values must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(a))):
             raise ValueError("curve values must be finite")
+        if x[0] < 0:
+            raise ValueError(f"curve frequencies must be >= 0, got {x[0]}")
         x.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -49,7 +51,11 @@ class ResponseCurve:
 
 @dataclass(frozen=True)
 class SensitivityBand:
-    """Contiguous interval where the response stays at or above a threshold."""
+    """Contiguous interval where the response stays at or above a threshold.
+
+    Requires 0 <= low < high < inf (Hz), the one rule every frequency band
+    obeys, and low <= peak_frequency <= high.
+    """
 
     low: float
     high: float
@@ -57,8 +63,8 @@ class SensitivityBand:
     peak_amplitude: float
 
     def __post_init__(self):
-        if not self.low < self.high:
-            raise ValueError(f"band needs low < high, got [{self.low}, {self.high}]")
+        if not 0 <= self.low < self.high < math.inf:  # also rejects NaN
+            raise ValueError(f"band needs 0 <= low < high < inf, got [{self.low}, {self.high}] Hz")
         if not self.low <= self.peak_frequency <= self.high:
             raise ValueError("peak_frequency must lie inside the band")
 
@@ -132,7 +138,8 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
         raise CurveFormatError(f"cannot decode {path}: {exc}") from None
 
     rows = []
-    reader = csv.reader(line for line in lines if not line.lstrip().startswith("#"))
+    kept = [(n, line) for n, line in enumerate(lines, start=1) if not line.lstrip().startswith("#")]
+    reader = csv.reader(line for _, line in kept)
     try:
         header = tuple(h.strip() for h in next(reader))
     except StopIteration:
@@ -141,7 +148,8 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
         raise CurveFormatError(
             f"{path}: header must be {','.join(FREQUENCY_HEADER)}, got {','.join(header)}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = kept[reader.line_num - 1][0]
         if not row:
             continue
         if len(row) != 2:

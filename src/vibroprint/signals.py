@@ -430,7 +430,6 @@ class AucReport:
     mean is exactly 1.0.
     """
 
-    band: tuple[float, float]
     baseline_material: str
     baseline_mean: dict[str, float]
     groups: dict[tuple[str, str], GroupStats]
@@ -451,7 +450,6 @@ def _group_stats(aucs: np.ndarray, baseline: float) -> GroupStats:
 def normalize_against_baseline(
     entries: list[AucEntry],
     baseline_material: str = BASELINE_MATERIAL,
-    band: tuple[float, float] = DEFAULT_ANALYSIS_BAND,
 ) -> AucReport:
     """Group AUC entries by (microphone, material) and normalize per microphone.
 
@@ -495,7 +493,6 @@ def normalize_against_baseline(
     }
 
     return AucReport(
-        band=band,
         baseline_material=baseline_material,
         baseline_mean=baseline_mean,
         groups=groups,
@@ -533,8 +530,9 @@ def write_auc_csv(report: AucReport, path: str | Path) -> None:
             )
 
 
-def report_to_json_dict(report: AucReport) -> dict:
-    """JSON-ready summary keyed microphone -> material -> stats (+ objects)."""
+def report_to_json_dict(report: AucReport, band: tuple[float, float]) -> dict:
+    """JSON-ready summary keyed microphone -> material -> stats (+ objects),
+    with the (low, high) Hz band that the report's AUCs integrate."""
     mics: dict = {
         mic: {"baseline_mean_auc": report.baseline_mean[mic], "groups": {}}
         for mic in sorted(report.baseline_mean)
@@ -545,7 +543,7 @@ def report_to_json_dict(report: AucReport) -> dict:
     for (mic, mat, obj), stats in sorted(report.by_object.items()):
         mics[mic]["groups"][mat]["by_object"][obj] = dict(vars(stats))
     return {
-        "band_hz": list(report.band),
+        "band_hz": list(band),
         "baseline_material": report.baseline_material,
         "microphones": mics,
     }

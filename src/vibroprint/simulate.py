@@ -46,7 +46,8 @@ class SlideScenario:
     designs), `velocity` the sliding speed (m/s); beams are struck at
     velocity / pitch per second.  `damping_ratio` and `mode_amplitudes`
     accept a scalar (applied to every mode) or one value per mode; without
-    `mode_amplitudes`, mode k + 1 gets amplitude 0.5**k.
+    `mode_amplitudes`, mode k + 1 gets amplitude 0.5**(k + 1), so one
+    strike's modes sum to less than 1.
     `noise_floor_db` sets the expected amplitude-spectrum level of the
     added Gaussian noise (None disables noise).
 
@@ -107,7 +108,7 @@ class SlideScenario:
                 raise ValueError(f"damping must be in (0, 1), got {zeta}")
         amplitudes = self.mode_amplitudes
         if amplitudes is None:
-            amplitudes = tuple(0.5**k for k in range(self.modes))
+            amplitudes = tuple(0.5 ** (k + 1) for k in range(self.modes))
         amplitudes = _per_mode(amplitudes, self.modes, "amplitudes")
         if not all(math.isfinite(a) for a in amplitudes):
             raise ValueError(f"mode_amplitudes must be finite, got {amplitudes}")

@@ -1165,7 +1165,32 @@ def test_bad_band_is_refused_before_any_file_is_read(tmp_path, capsys, band):
     argv = ["analyze", str(tmp_path / "*.wav"), "--band-khz", *band, "--output-dir", str(out)]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert "--band-khz needs 0 <= LOW < HIGH" in err and "a.wav" not in err
+    assert f"error: --band-khz {float(band[0])} {float(band[1])}: band needs 0 <= low < high < inf" in err
+    assert "a.wav" not in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "band", [["-1", "5"], ["5", "1"], ["3.2", "inf"], ["nan", "5"], ["5", "5"]],
+    ids=["negative", "reversed", "infinite", "nan", "point"],
+)
+@pytest.mark.parametrize("subcommand", ["design", "sweep", "analyze"])
+def test_a_bad_band_is_one_refusal_on_every_subcommand(tmp_path, capsys, subcommand, band):
+    # Every input file is malformed, so a refusal that came after a read would name it.
+    ini, wav = tmp_path / "materials.ini", tmp_path / "a.wav"
+    ini.write_text("not an ini file")
+    wav.write_bytes(b"not a wav file")
+    inputs = {
+        "design": ["design", "--material", "PLA", "--materials", str(ini)],
+        "sweep": [*SWEEP_PLA, "--materials", str(ini)],
+        "analyze": ["analyze", str(wav)],
+    }[subcommand]
+    out = tmp_path / "out"
+    assert run([*inputs, "--band-khz", *band, "--output-dir", str(out)]) == 1
+    lo, hi = (float(v) for v in band)
+    assert capsys.readouterr().err == (
+        f"error: --band-khz {lo} {hi}: band needs 0 <= low < high < inf, got [{khz_to_hz(lo)}, {khz_to_hz(hi)}] Hz\n"
+    )
     assert not list(out.iterdir())
 
 

@@ -78,9 +78,9 @@ def test_degenerate_band_reports_nearest_miss(materials):
 
 def test_band_enlargement_is_monotone(materials):
     c_small = vp.reference_design_constraints(
-        materials["ST45B"], target_band=vp.SensitivityBand(8000.0, 15000.0, 9000.0, -30.0)
+        materials["ST45B"], target_band=(8000.0, 15000.0)
     )
-    c_big = vp.reference_design_constraints(materials["ST45B"], target_band=BAND)
+    c_big = vp.reference_design_constraints(materials["ST45B"], target_band=(BAND.low, BAND.high))
     small = vp.feasible_region(c_small, STEP)
     big = vp.feasible_region(c_big, STEP)
     small_pts = {(p.side, p.length) for p in small.grid}
@@ -90,7 +90,7 @@ def test_band_enlargement_is_monotone(materials):
 
 def test_grid_refinement_shifts_envelopes_at_most_one_coarse_step(materials):
     # A band that clips the rectangle so the envelope actually moves.
-    band = vp.SensitivityBand(8000.0, 18000.0, 9000.0, -30.0)
+    band = (8000.0, 18000.0)
     constraints = vp.reference_design_constraints(materials["ST45B"], target_band=band)
     coarse = vp.feasible_region(constraints, STEP)
     fine = vp.feasible_region(constraints, STEP / 2.0)
@@ -116,7 +116,7 @@ def test_constraints_validation(materials):
         vp.DesignConstraints(
             material=materials["ST45B"],
             printer=printer,
-            target_band=BAND,
+            target_band=(BAND.low, BAND.high),
             side_range=(mm_to_m(0.2), mm_to_m(1.0)),
             length_range=(mm_to_m(3.4), mm_to_m(4.0)),
         )
@@ -124,7 +124,7 @@ def test_constraints_validation(materials):
         vp.DesignConstraints(
             material=materials["ST45B"],
             printer=printer,
-            target_band=BAND,
+            target_band=(BAND.low, BAND.high),
             side_range=(mm_to_m(1.0), mm_to_m(0.4)),
             length_range=(mm_to_m(3.4), mm_to_m(4.0)),
         )
@@ -144,7 +144,10 @@ def test_range_bounds_must_be_finite(materials, axis):
     ranges[axis] = (ranges[axis][0], float("inf"))
     with pytest.raises(ValueError, match=f"{axis} must be non-empty, positive and finite"):
         vp.DesignConstraints(
-            material=materials["ST45B"], printer=vp.default_printer_constraints(), target_band=BAND, **ranges
+            material=materials["ST45B"],
+            printer=vp.default_printer_constraints(),
+            target_band=(BAND.low, BAND.high),
+            **ranges,
         )
 
 
@@ -179,7 +182,7 @@ def test_nan_band_is_rejected(materials, band):
 
 def scalar_scan(constraints, step):
     """(kept cells in side-major order, (miss, cell) of the first strictly smallest miss)."""
-    band_lo, band_hi = constraints.band_bounds
+    band_lo, band_hi = constraints.target_band
     kept, nearest = [], None
     for side in vp.design._axis_grid(*constraints.side_range, step):
         for length in vp.design._axis_grid(*constraints.length_range, step):
@@ -195,7 +198,7 @@ def scalar_scan(constraints, step):
 
 
 ORACLE_STEP = mm_to_m(0.01)
-CLIPPED_BAND = vp.SensitivityBand(8000.0, 18000.0, 9000.0, -30.0)
+CLIPPED_BAND = (8000.0, 18000.0)
 
 
 def region_cells(region):
@@ -239,8 +242,8 @@ def test_kept_lengths_are_the_closed_form_interval(materials):
     assert len(by_side) > 1
     for side, index in by_side.items():
         assert index == list(range(index[0], index[-1] + 1))
-        shortest = (c_high * side / CLIPPED_BAND.high) ** 0.5
-        longest = (c_low * side / CLIPPED_BAND.low) ** 0.5
+        shortest = (c_high * side / CLIPPED_BAND[1]) ** 0.5
+        longest = (c_low * side / CLIPPED_BAND[0]) ** 0.5
         inside = [i for i, length in enumerate(lengths) if shortest < length < longest]
         assert set(inside) <= set(index)
         assert index[0] >= inside[0] - 1 and index[-1] <= inside[-1] + 1
@@ -373,13 +376,13 @@ def test_layouts_need_caps(materials):
 
 
 def test_degenerate_length_range_gives_one_row_per_section(materials):
-    table = vp.frequency_sweep(
+    rows = vp.frequency_sweep(
         materials["ST45B"],
         [vp.CrossSection.square(mm_to_m(1.0)), vp.CrossSection.circle(mm_to_m(1.0))],
         (mm_to_m(3.5), mm_to_m(3.5)),
         steps=10,
     )
-    assert len(table.rows) == 2
+    assert len(rows) == 2
 
 
 def test_sweep_orders_shapes_at_every_length(materials):
@@ -389,9 +392,8 @@ def test_sweep_orders_shapes_at_every_length(materials):
         vp.CrossSection.hexagon(dim),
         vp.CrossSection.circle(dim),
     ]
-    table = vp.frequency_sweep(materials["ST45B"], sections, (mm_to_m(2.0), mm_to_m(5.0)), 7)
+    rows = vp.frequency_sweep(materials["ST45B"], sections, (mm_to_m(2.0), mm_to_m(5.0)), 7)
     by_length = {}
-    rows = table.rows
     for shape, length, nominal in zip(rows["shape"].tolist(), rows.length.tolist(), rows.freq_nominal.tolist()):
         by_length.setdefault(length, {})[shape] = nominal
     for freqs in by_length.values():
@@ -402,7 +404,7 @@ def test_doubling_lengths_quarters_frequencies(materials):
     section = [vp.CrossSection.square(mm_to_m(1.0))]
     t1 = vp.frequency_sweep(materials["ST45B"], section, (mm_to_m(2.0), mm_to_m(4.0)), 5)
     t2 = vp.frequency_sweep(materials["ST45B"], section, (mm_to_m(4.0), mm_to_m(8.0)), 5)
-    for f1, f2 in zip(t1.rows.freq_nominal.tolist(), t2.rows.freq_nominal.tolist()):
+    for f1, f2 in zip(t1.freq_nominal.tolist(), t2.freq_nominal.tolist()):
         assert f2 == pytest.approx(f1 / 4.0, rel=1e-9)
 
 
@@ -417,8 +419,8 @@ def test_sweep_matches_per_beam_frequencies_exactly(materials, name, length_rang
     ]
     length_range = tuple(mm_to_m(v) for v in length_range_mm)
     table = vp.frequency_sweep(material, sections, length_range, 9)
-    rows = table.rows.tolist()
-    lengths = sorted(set(table.rows.length.tolist()))
+    rows = table.tolist()
+    lengths = sorted(set(table.length.tolist()))
     assert len(rows) == len(sections) * len(lengths)
     assert len(lengths) == (1 if length_range_mm[0] == length_range_mm[1] else 9)
     for row, (section, length) in zip(rows, ((s, x) for s in sections for x in lengths)):
@@ -435,14 +437,14 @@ def test_sweep_matches_per_beam_frequencies_exactly(materials, name, length_rang
 
 
 def test_sweep_table_is_read_only(materials):
-    table = vp.frequency_sweep(
+    rows = vp.frequency_sweep(
         materials["PLA"], [vp.CrossSection.square(mm_to_m(1.0))], (mm_to_m(3.0), mm_to_m(4.0)), 3
     )
-    assert not table.rows.flags.writeable
+    assert not rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        table.rows.freq_low[0] = 0.0
+        rows.freq_low[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        table.rows["shape"][0] = "circle"
+        rows["shape"][0] = "circle"
 
 
 def test_sweep_requires_two_steps(materials):
@@ -515,8 +517,8 @@ def chunk_input(materials, name):
     """(writer, table, data rows) for one input of the chunk test below."""
     if name == "sweep":
         # A banded sweep: its band rows follow the last chunk.
-        table = vp.frequency_sweep(materials["PLA"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 7, band=BAND)
-        return vp.design.write_sweep_csv, table, len(table.rows)
+        rows = vp.frequency_sweep(materials["PLA"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 7)
+        return lambda rows, path: vp.design.write_sweep_csv(rows, path, BAND), rows, len(rows)
     if name == "spectrum":
         samples = np.sin(2 * np.pi * 9000.0 * np.arange(1000) / 48000.0)
         spec = vp.spectrum(vp.Recording(samples, 48000.0), "hann")
@@ -541,10 +543,9 @@ def test_sweep_csv_schema_and_annotations(tmp_path, materials):
         [vp.CrossSection.square(mm_to_m(1.0))],
         (mm_to_m(3.0), mm_to_m(4.0)),
         3,
-        band=BAND,
     )
     path = tmp_path / "sweep.csv"
-    vp.design.write_sweep_csv(table, path)
+    vp.design.write_sweep_csv(table, path, BAND)
     with path.open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -615,11 +616,9 @@ SWEEP_PIN_TPU_SPAN = [
     ids=["span", "degenerate", "point-density-span"],
 )
 def test_sweep_csv_bytes_are_pinned(tmp_path, materials, name, length_range_mm, series):
-    table = vp.frequency_sweep(
-        materials[name], SWEEP_PIN_SECTIONS, tuple(mm_to_m(v) for v in length_range_mm), 3, band=BAND
-    )
+    table = vp.frequency_sweep(materials[name], SWEEP_PIN_SECTIONS, tuple(mm_to_m(v) for v in length_range_mm), 3)
     path = tmp_path / "sweep.csv"
-    vp.design.write_sweep_csv(table, path)
+    vp.design.write_sweep_csv(table, path, BAND)
     expected = "".join(line + "\r\n" for line in [SWEEP_PIN_HEADER, *series, *SWEEP_PIN_BAND])
     assert path.read_bytes() == expected.encode()
 
@@ -634,11 +633,11 @@ def test_one_unequal_row_in_a_point_density_chunk_writes_both_values(tmp_path, m
     region = vp.feasible_region(vp.reference_design_constraints(materials["TPU"]), STEP)
     table = vp.frequency_sweep(materials["TPU"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
     for change in (lambda lo, hi: (lo, np.nextafter(hi, np.inf)), lambda lo, hi: (0.0, -0.0)):
-        grid, rows = region.grid.copy(), table.rows.copy()
+        grid, rows = region.grid.copy(), table.copy()
         for columns in (grid, rows):
             columns.freq_low[3], columns.freq_high[3] = change(columns.freq_low[3], columns.freq_high[3])
         vp.design.write_feasible_csv(replace(region, grid=grid), tmp_path / "grid.csv")
-        vp.design.write_sweep_csv(replace(table, rows=rows), tmp_path / "sweep.csv")
+        vp.design.write_sweep_csv(rows, tmp_path / "sweep.csv")
 
         for name, columns, first in (
             ("grid.csv", (grid.freq_low, grid.freq_high), 2),

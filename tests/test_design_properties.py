@@ -70,7 +70,7 @@ def design_cases(draw):
 @given(case=design_cases())
 def test_region_keeps_exactly_the_cells_inside_the_band(case):
     constraints, step, cells = case
-    band_lo, band_hi = constraints.band_bounds
+    band_lo, band_hi = constraints.target_band
     inside = [cell for cell in cells if band_lo <= cell[2] and cell[3] <= band_hi]
     try:
         region = vp.feasible_region(constraints, step)

@@ -251,13 +251,20 @@ def test_load_curve_rejects_distance_header(tmp_path, capsys):
         ("frequency_hz,amplitude_db\n1,-70\nx,-60\n", "non-numeric"),
         ("frequency_hz,amplitude_db\n2,-70\n1,-60\n", "increasing"),
         ("frequency_hz,amplitude_db\n1,-70,9\n2,-60\n", "2 columns"),
+        # A row is named by its line in the file, comment lines counted.
+        ("# a\n# b\nfrequency_hz,amplitude_db\n100,-70\n200,abc\n", "bad.csv:5: non-numeric value"),
+        ("# a\nfrequency_hz,amplitude_db\n\n1,-70,9\n2,-60\n", "bad.csv:4: expected 2 columns"),
+        ("frequency_hz,amplitude_db\n-100,-30\n100,-30\n200,-60\n", "bad.csv: curve frequencies must be >= 0"),
     ],
 )
-def test_load_curve_rejects_malformed(tmp_path, body, message):
+def test_load_curve_rejects_malformed(tmp_path, capsys, body, message):
     path = tmp_path / "bad.csv"
     path.write_text(body)
     with pytest.raises(CurveFormatError, match=message):
         vp.load_response_curve(path)
+    assert run(["bands", "--curve", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_load_curve_missing_file():

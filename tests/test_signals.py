@@ -610,7 +610,8 @@ def test_auc_csv_and_json_roundtrip(tmp_path):
     ]
     assert len(rows) == 5
 
-    payload = report_to_json_dict(report)
+    payload = report_to_json_dict(report, (1000.0, 5000.0))
+    assert payload["band_hz"] == [1000.0, 5000.0]
     assert payload["baseline_material"] == "Default"
     left = payload["microphones"]["Left"]
     assert left["groups"]["ST45B"]["normalized_mean"] == pytest.approx(10.0)

@@ -278,7 +278,7 @@ def test_default_mode_shapes_follow_mode_count(tpu_beam):
     scenario = vp.SlideScenario(
         beam=tpu_beam, pitch=mm_to_m(5.2), velocity=mm_to_m(900.0), duration=0.01, modes=2
     )
-    assert scenario.mode_amplitudes == (1.0, 0.5)
+    assert scenario.mode_amplitudes == (0.5, 0.25)
     assert scenario.damping_ratio == (0.02, 0.02)
 
 
