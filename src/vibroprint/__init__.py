@@ -71,7 +71,6 @@ from .mic import (
     sensitive_bands,
 )
 from .signals import (
-    AucEntry,
     AucReport,
     BASELINE_MATERIAL,
     DEFAULT_ANALYSIS_BAND,

@@ -19,9 +19,10 @@ import sys
 import warnings
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import groupby
+from itertools import groupby, takewhile
 from pathlib import Path
 
 from . import __version__
@@ -55,7 +56,6 @@ from .signals import (
     DEFAULT_ANALYSIS_BAND,
     DEFAULT_WINDOW,
     WINDOWS,
-    AucEntry,
     RecordingMeta,
     SpectrumMean,
     band_auc,
@@ -97,11 +97,10 @@ def _material(args):
     return get_material(args.material, catalog)
 
 
-def _output_dir(args) -> Path:
-    raw = args.output_dir or os.environ.get("VIBROPRINT_OUTPUT_DIR") or "."
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _output_dir(args) -> tuple[Path, list[Path]]:
+    """The output directory, and those of it and its parents not yet made, deepest first."""
+    path = Path(args.output_dir or os.environ.get("VIBROPRINT_OUTPUT_DIR") or ".")
+    return path, list(takewhile(lambda p: not p.exists(), (path, *path.parents)))
 
 
 def _write_run_params(out_dir: Path, args, argv: list[str]) -> None:
@@ -436,6 +435,9 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     bin below the band's top) as that file is read, and last the
     per-microphone guard on grids and procedures.
 
+    Each slice gives columns (labels, grids, band AUCs) with one `band_auc`
+    call per `spectra` stack; their labels and AUCs form the run's table.
+
     Slice results are consumed as they arrive, in input order.  Under
     --write-spectra each spectrum is added to its (microphone, material)
     `SpectrumMean` and then dropped, so the run holds one sum per group
@@ -449,9 +451,10 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     inputs = _analysis_inputs(args)
 
     def analyze_slice(items):
-        """(labels, (sample rate, samples), band AUC, Spectrum under --write-spectra)
-        of each WAV in `items`, in order: all are read and checked first, then
-        each run of consecutive recordings on one grid shares a `spectra` call."""
+        """Columns of the WAVs in `items`, in order: labels, (sample rate, samples)
+        grids, band AUCs, and the spectra under --write-spectra (else none).
+        All are read and checked first, then each run of consecutive recordings
+        on one grid shares a `spectra` call and a `band_auc` call."""
         recs = []
         for path, labels in items:
             rec = read_recording_bundle(path, labels)
@@ -465,13 +468,15 @@ def _cmd_analyze(args, out_dir: Path) -> None:
                     f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {rec.nyquist}]"
                 )
             recs.append(rec)
-        results = []
+        grids, aucs, specs = [], [], []
         for grid, batch in groupby(recs, key=lambda rec: (rec.sample_rate, rec.samples.size)):
             batch = list(batch)
-            for rec, spec in zip(batch, spectra(batch, args.window)):
-                kept = spec if args.write_spectra else None
-                results.append((rec.meta, grid, band_auc(spec, band), kept))
-        return results
+            stack = spectra(batch, args.window)
+            aucs += band_auc(stack, band).tolist()
+            grids += [grid] * len(batch)
+            if args.write_spectra:
+                specs += stack
+        return [rec.meta for rec in recs], grids, aucs, specs
 
     slices, any_long = _slices(inputs)
     # The pool pays only when a recording fills a slice: long recordings go
@@ -494,14 +499,17 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     # They also need one exploration procedure and force code: a slide and a
     # squeeze excite the skin differently.  An unset label is a value of its own.
     firsts: dict[str, tuple] = {}
-    entries: list[AucEntry] = []
+    labels: list[RecordingMeta] = []
+    aucs: list[float] = []
     means: defaultdict[tuple[str, str], SpectrumMean] = defaultdict(SpectrumMean)
     guard_fault = None
-    for part in parts():
-        for meta, grid, auc, spec in part:
+    for metas, grids, part_aucs, specs in parts():
+        labels += metas
+        aucs += part_aucs
+        for i, (meta, grid) in enumerate(zip(metas, grids)):
             if guard_fault is not None:
-                continue  # read on: a later file's own fault still comes first
-            mic, mat = meta.microphone, meta.fingerprint_material
+                break  # read on: a later file's own fault still comes first
+            mic = meta.microphone
             procedure = (meta.exploration_procedure, meta.force_code)
             first_grid, first_procedure = firsts.setdefault(mic, (grid, procedure))
             if grid != first_grid:
@@ -514,14 +522,12 @@ def _cmd_analyze(args, out_dir: Path) -> None:
                     f"microphone {mic!r} mixes recordings of (exploration_procedure, "
                     f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
                 )
-            else:
-                entries.append(AucEntry(mic, mat, auc, object=meta.object, repetition=meta.repetition))
-                if spec is not None:
-                    means[mic, mat].add(spec)
+            elif specs:
+                means[mic, meta.fingerprint_material].add(specs[i])
     if guard_fault is not None:
         raise guard_fault
 
-    report = normalize_against_baseline(entries, args.baseline_material)
+    report = normalize_against_baseline(labels, aucs, args.baseline_material)
     write_auc_csv(report, out_dir / "auc.csv")
     write_json(out_dir / "ratios.json", report_to_json_dict(report, band))
 
@@ -665,17 +671,23 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    created: list[Path] = []
     try:
-        out_dir = _output_dir(args)
+        out_dir, created = _output_dir(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
         args.handler(args, out_dir)
         _write_run_params(out_dir, args, argv)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (VibroprintError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    for path in created:  # deepest first: one that the run wrote into stays, with its parents
+        with suppress(OSError):
+            path.rmdir()
+    return code
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:

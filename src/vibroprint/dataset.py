@@ -9,7 +9,8 @@ PCM or IEEE float, and skips chunks other than ``fmt `` and ``data``.
 Big-endian (RIFX), RF64, multichannel, 8-bit and 64-bit files are refused.
 One table, `_SAMPLES`, decides each encoding's dtype and PCM full scale for
 reading and writing.  `read_wav` is the one decoder, which
-`read_recording_bundle` calls with the labels it found; `units.write_json`
+`read_recording_bundle` calls with the labels it found; it reads each file
+with one ``read()`` and walks the chunks in that buffer.  `units.write_json`
 decides the sidecar's JSON layout.
 The manifest is a JSON file describing objects and their recorded
 observations; `load_manifest` documents the schema, validates it in one
@@ -76,29 +77,27 @@ def _encoding_name(tag: int, width: int) -> str:
     return f"format tag {tag:#06x}"
 
 
-def _read_samples(path: str | Path, fh) -> tuple[int, np.ndarray]:
-    """(sample rate, [-1, 1] float64 samples) of the open mono WAV `fh`.
+def _read_samples(path: str | Path, buf: bytes) -> tuple[int, np.ndarray]:
+    """(sample rate, [-1, 1] float64 samples) of the mono WAV whose bytes are `buf`.
 
-    Walks the RIFF chunks up to ``data`` and reads that chunk in place.
+    Walks the RIFF chunks in `buf` up to ``data`` and decodes that chunk in place.
     """
-    head = fh.read(12)
-    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file (starts with {head[:4]!r})")
+    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file (starts with {buf[:4]!r})")
     fmt = None
+    pos = 12
     while True:
-        chunk = fh.read(8)
-        if len(chunk) < 8:
+        if len(buf) - pos < 8:
             raise WavFormatError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
-        chunk_id, size = struct.unpack("<4sI", chunk)
+        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
+        pos += 8
         if chunk_id == b"data":
             break
         if chunk_id == b"fmt ":
-            fmt = fh.read(size)
+            fmt = buf[pos : pos + size]
             if len(fmt) < max(size, 16):
                 raise WavFormatError(f"{path}: truncated or short fmt chunk ({len(fmt)} bytes)")
-            fh.seek(size % 2, os.SEEK_CUR)
-        else:
-            fh.seek(size + size % 2, os.SEEK_CUR)  # chunks are padded to even sizes
+        pos += size + size % 2  # chunks are padded to even sizes
     if fmt is None:
         raise WavFormatError(f"{path}: no fmt chunk before the data chunk")
 
@@ -113,7 +112,7 @@ def _read_samples(path: str | Path, fh) -> tuple[int, np.ndarray]:
             f"{path}: unsupported sample encoding {_encoding_name(tag, width)}; "
             "expected int16, 24-bit or int32 PCM, or float32"
         )
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+    if size > len(buf) - pos:
         raise WavFormatError(f"{path}: truncated data chunk (header says {size} bytes)")
     count = size // width
     if count == 0:
@@ -122,10 +121,10 @@ def _read_samples(path: str | Path, fh) -> tuple[int, np.ndarray]:
     dtype, scale = decoding
     if width == 3:
         packed = np.zeros((count, 4), np.uint8)
-        packed[:, 1:] = np.fromfile(fh, np.uint8, 3 * count).reshape(count, 3)
+        packed[:, 1:] = np.frombuffer(buf, np.uint8, 3 * count, pos).reshape(count, 3)
         data = packed.view(dtype).ravel()
     else:
-        data = np.fromfile(fh, dtype, count)
+        data = np.frombuffer(buf, dtype, count, pos)
     samples = data.astype(np.float64)
     if scale != 1.0:
         samples /= scale
@@ -143,10 +142,10 @@ def read_wav(path: str | Path, meta: RecordingMeta | None = None) -> Recording:
     if not os.path.isfile(path):
         raise WavFormatError(f"WAV file not found: {path}")
     try:
-        with open(path, "rb") as fh:
-            rate, samples = _read_samples(path, fh)
+        buf = Path(path).read_bytes()
     except OSError as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    rate, samples = _read_samples(path, buf)
     try:
         return Recording(samples, float(rate), RecordingMeta() if meta is None else meta)
     except ValueError as exc:

@@ -25,7 +25,9 @@ views, so a stack allocates only its results' magnitudes.
 magnitudes into a single float64 sum in the order given and divides by
 the count once, so a group's mean holds one grid's worth of memory
 however many spectra it averages; `mean_spectrum` is its whole-iterable
-form.
+form.  `band_auc` integrates a stack of spectra on one grid in one call.
+The per-recording table is two columns, labels and band AUCs, which
+`normalize_against_baseline` groups by a stable sort into contiguous slices.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ import csv
 import functools
 import math
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -282,7 +285,9 @@ def spectrum(rec: Recording, window: str = DEFAULT_WINDOW) -> Spectrum:
 class SpectrumMean:
     """Running bin-wise mean of linear magnitudes over one frequency grid.
 
-    `add` checks each spectrum's grid against the first one's and adds its
+    `add` checks each spectrum's grid against the first one's (a spectrum
+    sharing that grid's array, as every `spectra` result on it does, needs
+    no comparison) and adds its
     magnitudes into one float64 sum, in the order given; `spectrum` divides
     that sum by the count once.  It holds one sum, the first grid and the
     count, never the spectra themselves.  For grids of at least 2 bins the
@@ -306,11 +311,11 @@ class SpectrumMean:
                 spec.frequencies, spec.resolution, spec.window
             )
         else:
-            if (
-                spec.frequencies.shape != self._frequencies.shape
-                or spec.magnitudes.shape != self._sum.shape
-                or not np.allclose(spec.frequencies, self._frequencies, rtol=1e-12, atol=0.0)
-            ):
+            same_grid = spec.frequencies is self._frequencies or (
+                spec.frequencies.shape == self._frequencies.shape
+                and np.allclose(spec.frequencies, self._frequencies, rtol=1e-12, atol=0.0)
+            )
+            if not same_grid or spec.magnitudes.shape != self._sum.shape:
                 raise SpectrumGridError(
                     "spectra use different frequency grids; record length or rate differs"
                 )
@@ -344,25 +349,48 @@ def mean_spectrum(specs: Iterable[Spectrum]) -> Spectrum:
     return mean.spectrum()
 
 
-def band_auc(spec: Spectrum, band: tuple[float, float]) -> float:
+def _edge(f: np.ndarray, m: np.ndarray, start: int, x: float) -> np.ndarray:
+    """np.interp(x, f, row) for each row of `m` (bins start.. of each spectrum) by
+    numpy's formula: m[j] if x is on bin j (or below the grid), else slope * (x - f[j]) + m[j]."""
+    j = max(int(np.searchsorted(f, x, side="right")) - 1, 0)
+    below = m[:, j - start]
+    if x <= f[j]:
+        return below
+    slope = (m[:, j + 1 - start] - below) / (f[j + 1] - f[j])
+    return slope * (x - f[j]) + below
+
+
+def band_auc(spec: Spectrum | Sequence[Spectrum], band: tuple[float, float]) -> float | np.ndarray:
     """Trapezoidal integral of linear magnitude over [band[0], band[1]] Hz.
 
-    Band edges between bins are linearly interpolated, which makes the
-    integral exactly additive over adjacent bands.  The bins strictly inside
-    the band are one index range of the ascending grid, found by bisection.
+    `spec` is one spectrum, giving a float, or spectra on one grid (as
+    `spectra` returns them), giving a float64 array of one AUC each; one
+    spectrum is the one-row case.  The bins strictly inside the band (one
+    index range of the ascending grid, found by bisection) and one beyond
+    each end are gathered, and the stack is integrated along its last axis.
+    Band edges between bins are interpolated by `np.interp`'s formula, which
+    makes the integral exactly additive over adjacent bands; for finite
+    magnitudes each row equals `np.interp` and `np.trapezoid` of that
+    spectrum alone, bit for bit.
     """
+    stack = [spec] if isinstance(spec, Spectrum) else spec
+    if not stack:
+        raise ValueError("band_auc needs at least one spectrum")
+    f = stack[0].frequencies
+    if any(s.frequencies is not f and not np.array_equal(s.frequencies, f) for s in stack):
+        raise SpectrumGridError("band_auc needs spectra on one frequency grid")
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"band must satisfy low < high, got [{lo}, {hi}]")
-    if lo < 0 or hi > spec.nyquist:
-        raise ValueError(
-            f"band [{lo}, {hi}] outside spectrum range [0, {spec.nyquist}]"
-        )
-    f, m = spec.frequencies, spec.magnitudes
-    inner = slice(np.searchsorted(f, lo, side="right"), np.searchsorted(f, hi, side="left"))
-    xs = np.concatenate(([lo], f[inner], [hi]))
-    ys = np.concatenate(([np.interp(lo, f, m)], m[inner], [np.interp(hi, f, m)]))
-    return float(np.trapezoid(ys, xs))
+    if lo < 0 or hi > f[-1]:
+        raise ValueError(f"band [{lo}, {hi}] outside spectrum range [0, {float(f[-1])}]")
+    first, last = np.searchsorted(f, lo, side="right"), np.searchsorted(f, hi, side="left")
+    start = max(first - 1, 0)
+    m = np.stack([s.magnitudes[start : last + 1] for s in stack])
+    inner = m[:, first - start : last - start]
+    ys = np.column_stack((_edge(f, m, start, lo), inner, _edge(f, m, start, hi)))
+    aucs = np.trapezoid(ys, np.concatenate(([lo], f[first:last], [hi])), axis=-1)
+    return float(aucs[0]) if isinstance(spec, Spectrum) else aucs
 
 
 def dominant_frequency(spec: Spectrum, search_band: tuple[float, float]) -> tuple[float, float]:
@@ -399,21 +427,6 @@ def dominant_frequency(spec: Spectrum, search_band: tuple[float, float]) -> tupl
 
 
 @dataclass(frozen=True)
-class AucEntry:
-    """Band AUC of one recording, with its grouping labels."""
-
-    microphone: str
-    fingerprint_material: str
-    auc: float
-    object: str | None = None
-    repetition: int | None = None
-
-    def __post_init__(self):
-        if self.auc < 0:
-            raise ValueError(f"auc must be >= 0, got {self.auc}")
-
-
-@dataclass(frozen=True)
 class GroupStats:
     count: int
     mean_auc: float
@@ -427,14 +440,15 @@ class AucReport:
 
     Normalization is per microphone: every group's AUC is divided by that
     microphone's baseline-group mean, so the baseline group's normalized
-    mean is exactly 1.0.
+    mean is exactly 1.0.  `labels` and `aucs` are the per-recording table.
     """
 
     baseline_material: str
     baseline_mean: dict[str, float]
     groups: dict[tuple[str, str], GroupStats]
     by_object: dict[tuple[str, str, str], GroupStats]
-    entries: tuple[AucEntry, ...]
+    labels: tuple[RecordingMeta, ...]
+    aucs: np.ndarray
 
 
 def _group_stats(aucs: np.ndarray, baseline: float) -> GroupStats:
@@ -447,32 +461,45 @@ def _group_stats(aucs: np.ndarray, baseline: float) -> GroupStats:
     )
 
 
+def _grouped(keys: list[tuple], values: np.ndarray) -> dict[tuple, np.ndarray]:
+    """Each distinct key's values in input order: the contiguous runs of one
+    stable sort of the rows by their keys' integer codes, numbered in order
+    of appearance."""
+    codes: dict[tuple, int] = {}
+    column = [codes.setdefault(key, len(codes)) for key in keys]
+    # Python's stable sort: numpy's argsort, diff and split would page in
+    # more of numpy's library (about 0.2 MB of peak RSS on analyze-many).
+    runs = groupby(sorted(range(len(column)), key=column.__getitem__), key=column.__getitem__)
+    return {key: values[list(rows)] for key, (_, rows) in zip(codes, runs)}
+
+
 def normalize_against_baseline(
-    entries: list[AucEntry],
+    labels: Sequence[RecordingMeta],
+    aucs: Sequence[float] | np.ndarray,
     baseline_material: str = BASELINE_MATERIAL,
 ) -> AucReport:
-    """Group AUC entries by (microphone, material) and normalize per microphone.
+    """Group the per-recording table by (microphone, material) and normalize per microphone.
 
-    Every microphone present must have at least one baseline entry
-    (fingerprint_material == baseline_material); otherwise BaselineError.
+    The table is two columns: each recording's labels, with microphone and
+    fingerprint_material set, and its band AUC (>= 0).  Every microphone
+    present must have at least one baseline recording (fingerprint_material
+    == baseline_material); otherwise BaselineError.
     """
-    if not entries:
-        raise ValueError("no AUC entries to normalize")
+    aucs = np.array(aucs, dtype=float)
+    if not labels or aucs.shape != (len(labels),):
+        raise ValueError(
+            f"need 1 or more labels with one AUC each, got {len(labels)} and AUCs of shape {aucs.shape}"
+        )
+    if (aucs < 0).any():
+        raise ValueError(f"auc must be >= 0, got {aucs.min()}")
 
-    # One pass: AUCs per group and per object, each list in entry order.
-    group_aucs: dict[tuple[str, str], list[float]] = {}
-    object_aucs: dict[tuple[str, str, str], list[float]] = {}
-    for e in entries:
-        group_aucs.setdefault((e.microphone, e.fingerprint_material), []).append(e.auc)
-        if e.object is not None:
-            object_aucs.setdefault(
-                (e.microphone, e.fingerprint_material, e.object), []
-            ).append(e.auc)
+    group_aucs = _grouped([(m.microphone, m.fingerprint_material) for m in labels], aucs)
+    object_aucs = _grouped([(m.microphone, m.fingerprint_material, m.object) for m in labels], aucs)
 
     baseline_mean: dict[str, float] = {}
     for mic in sorted({mic for mic, _ in group_aucs}):
         base = group_aucs.get((mic, baseline_material))
-        if not base:
+        if base is None:
             raise BaselineError(
                 f"microphone {mic!r} has no '{baseline_material}' baseline group"
             )
@@ -484,12 +511,12 @@ def normalize_against_baseline(
         baseline_mean[mic] = mean
 
     groups = {
-        key: _group_stats(np.array(group_aucs[key]), baseline_mean[key[0]])
+        key: _group_stats(group_aucs[key], baseline_mean[key[0]])
         for key in sorted(group_aucs)
     }
     by_object = {
-        key: _group_stats(np.array(object_aucs[key]), baseline_mean[key[0]])
-        for key in sorted(object_aucs)
+        key: _group_stats(object_aucs[key], baseline_mean[key[0]])
+        for key in sorted(k for k in object_aucs if k[2] is not None)
     }
 
     return AucReport(
@@ -497,7 +524,8 @@ def normalize_against_baseline(
         baseline_mean=baseline_mean,
         groups=groups,
         by_object=by_object,
-        entries=tuple(entries),
+        labels=tuple(labels),
+        aucs=aucs,
     )
 
 
@@ -517,15 +545,15 @@ def write_auc_csv(report: AucReport, path: str | Path) -> None:
         writer.writerow(
             ["microphone", "fingerprint_material", "object", "repetition", "auc", "normalized"]
         )
-        for e in report.entries:
+        for meta, auc in zip(report.labels, report.aucs.tolist()):
             writer.writerow(
                 [
-                    e.microphone,
-                    e.fingerprint_material,
-                    e.object or "",
-                    e.repetition if e.repetition is not None else "",
-                    repr(e.auc),
-                    repr(e.auc / report.baseline_mean[e.microphone]),
+                    meta.microphone,
+                    meta.fingerprint_material,
+                    meta.object or "",
+                    meta.repetition if meta.repetition is not None else "",
+                    repr(auc),
+                    repr(auc / report.baseline_mean[meta.microphone]),
                 ]
             )
 

@@ -627,7 +627,7 @@ def test_oversized_scan_is_refused_before_allocating(tmp_path, argv, message):
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (1, message + "\n")
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
@@ -800,6 +800,41 @@ def test_analyze_computes_each_spectrum_once(tmp_path, monkeypatch, source):
         "mean_spectrum_Left_Default.csv",
         "mean_spectrum_Left_ST45B.csv",
     ]
+
+
+def counted(monkeypatch, name):
+    """The first argument of each call analyze makes to its binding of `name`."""
+    firsts = []
+    fn = getattr(vibroprint.cli, name)
+
+    def wrapper(*args, **kwargs):
+        firsts.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(vibroprint.cli, name, wrapper)
+    return firsts
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 1], ids=["calling_thread", "pool"])
+def test_analyze_reads_integrates_and_normalizes_once_each(tmp_path, monkeypatch, slice_bytes):
+    # The benchmark's tracer times these calls by name: one read per recording,
+    # one band integral per stack and one normalization per run keep its spans meaningful.
+    for rep in (1, 2):
+        for mic, duration in (("Left", 0.02), ("Palm", 0.011)):
+            for material in ("Default", "ST45B"):
+                write_slide(tmp_path / f"{rep}_{mic}_{material}.wav", mic, material, duration)
+    if slice_bytes is not None:
+        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+    reads, integrals, reports = (
+        counted(monkeypatch, name)
+        for name in ("read_recording_bundle", "band_auc", "normalize_against_baseline")
+    )
+    rows = spectra_rows(monkeypatch)
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
+    assert sorted(reads) == sorted(tmp_path.glob("*.wav"))
+    assert [len(stack) for stack in integrals] == rows
+    assert len(rows) == (4 if slice_bytes is None else 8)
+    assert [len(labels) for labels in reports] == [8]
 
 
 @pytest.mark.parametrize("caps", [[], ["--no-caps"]], ids=["layouts", "no_caps"])
@@ -1121,7 +1156,7 @@ def test_analyze_refuses_a_manifest_without_recordings(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["analyze", "--manifest", str(path), "--output-dir", str(out)]) == 1
     assert f"error: {path}: the manifest lists no recordings" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
     assert vibroprint.cli._slices([]) == ([], False)
 
 
@@ -1167,7 +1202,7 @@ def test_bad_band_is_refused_before_any_file_is_read(tmp_path, capsys, band):
     err = capsys.readouterr().err
     assert f"error: --band-khz {float(band[0])} {float(band[1])}: band needs 0 <= low < high < inf" in err
     assert "a.wav" not in err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1191,7 +1226,35 @@ def test_a_bad_band_is_one_refusal_on_every_subcommand(tmp_path, capsys, subcomm
     assert capsys.readouterr().err == (
         f"error: --band-khz {lo} {hi}: band needs 0 <= low < high < inf, got [{khz_to_hz(lo)}, {khz_to_hz(hi)}] Hz\n"
     )
-    assert not list(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([*DESIGN_PLA, "--band-khz", "-1", "5"], 1),
+        ([*DESIGN_PLA, "--caps-mm", "1", "1", "1", "1"], 2),
+        (["analyze", "absent/*.wav"], 1),
+    ],
+    ids=["refused_band", "usage_error", "missing_input"],
+)
+def test_a_refused_run_leaves_no_directory_behind(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run([*argv, "--output-dir", str(existing / "nd" / "a" / "b")]) == code
+    assert list(tmp_path.iterdir()) == [existing] and not list(existing.iterdir())
+    # A directory that was there before the run is never removed.
+    assert run([*argv, "--output-dir", str(existing)]) == code
+    assert existing.is_dir()
+
+
+def test_a_failed_run_keeps_the_directories_it_wrote_into(tmp_path):
+    # The feasible grid is written before the layout search finds no beam.
+    argv = [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "5"]
+    out = tmp_path / "nd" / "out"
+    assert run([*argv, "--caps-mm", "1", "1", "1", "1", "--output-dir", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["feasible_grid.csv"]
 
 
 def test_analyze_refuses_a_file_matched_by_two_globs(tmp_path, monkeypatch, capsys):
@@ -1202,7 +1265,7 @@ def test_analyze_refuses_a_file_matched_by_two_globs(tmp_path, monkeypatch, caps
     argv = ["analyze", "*.wav", str(tmp_path / "ST45B_*.wav"), "--output-dir", str(out)]
     assert run(argv) == 1
     assert f"error: {tmp_path / 'ST45B_1.wav'}: named more than once" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_analyze_refuses_a_file_named_by_two_manifest_observations(tmp_path, capsys):
@@ -1214,7 +1277,7 @@ def test_analyze_refuses_a_file_named_by_two_manifest_observations(tmp_path, cap
     out = tmp_path / "out"
     assert run(["analyze", "--manifest", str(path), "--output-dir", str(out)]) == 1
     assert f"error: {tmp_path / 'Default_1.wav'}: named more than once" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_prints_manifest_warnings_without_source_lines(tmp_path):

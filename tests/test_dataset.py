@@ -2,17 +2,25 @@
 
 import json
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.io import wavfile
 
 import vibroprint as vp
 from vibroprint.cli import run
-from vibroprint.dataset import ENCODINGS
+from vibroprint.dataset import _SAMPLES, ENCODINGS
 from vibroprint.errors import ManifestError, WavFormatError
+
+# Keep hypothesis's cache of local sources out of the work tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "vibroprint-hypothesis")
 
 FS = 500e3
 
@@ -229,6 +237,57 @@ def test_bad_wav_is_a_format_error_naming_the_file(tmp_path, raw, message):
     with pytest.raises(WavFormatError, match=message) as excinfo:
         vp.read_wav(path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.fixture(scope="module")
+def wav_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("chunks")
+
+
+# Chunks a reader must skip, of any size: odd ones carry a pad byte.
+extra_chunks = st.lists(
+    st.tuples(st.sampled_from([b"LIST", b"JUNK", b"fact", b"bext", b"cue "]), st.binary(max_size=9)),
+    max_size=3,
+)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    encoding=st.sampled_from(sorted(_SAMPLES)),
+    extensible=st.booleans(),
+    count=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    before=extra_chunks,
+    fmt_at=st.integers(0, 3),
+    after=extra_chunks,
+    short=st.integers(0, 2**20),
+)
+def test_chunk_walk_reads_as_scipy_does(
+    wav_dir, encoding, extensible, count, seed, before, fmt_at, after, short
+):
+    tag, width = encoding
+    rng = np.random.default_rng(seed)
+    # Any PCM bytes are a valid sample; float32 samples stay finite, past full scale too.
+    floats = rng.uniform(-2.0, 2.0, count).astype("<f4")
+    data = floats.tobytes() if tag == 3 else rng.bytes(width * count)
+    fmt = fmt_chunk(0xFFFE, width, subformat=tag) if extensible else fmt_chunk(tag, width)
+    head = [*before[:fmt_at], fmt, *before[fmt_at:]]
+    path = wav_dir / "walk.wav"
+    path.write_bytes(riff(*head, (b"data", data), *after))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)  # unknown chunk ids
+        rate, expected = wavfile.read(path)
+    full_scale = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}.get(expected.dtype, 1.0)
+    rec = vp.read_wav(path)
+    assert rec.sample_rate == rate == FS
+    assert np.array_equal(rec.samples, expected.astype(np.float64) / full_scale)
+
+    # The same file ending inside its data chunk: 1 to all of the sample bytes missing.
+    raw = riff(*head, (b"data", data))
+    end = len(raw) - len(data) % 2  # before the pad byte
+    path.write_bytes(raw[: end - 1 - short % len(data)])
+    with pytest.raises(WavFormatError, match="truncated data chunk"):
+        vp.read_wav(path)
 
 
 def test_recording_bundle_round_trip(tmp_path, random_recording):
@@ -684,7 +743,7 @@ def test_bad_label_is_refused_on_every_path(
         out = tmp_path / "sim"
         assert run([*SIMULATE_TPU, *flags, "--output-dir", str(out)]) == 1
         assert repr(value) in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 def _first_observation(data):

@@ -264,7 +264,7 @@ def test_load_curve_rejects_malformed(tmp_path, capsys, body, message):
         vp.load_response_curve(path)
     assert run(["bands", "--curve", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert f"error: {path}" in capsys.readouterr().err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_curve_missing_file():

@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +330,22 @@ def test_mean_rejects_magnitudes_off_the_grid():
         vp.mean_spectrum([flat_spectrum(1.0), stray])
 
 
+def test_mean_compares_a_grid_only_when_it_is_another_array(monkeypatch):
+    spec = flat_spectrum(1.0)
+    compared = []
+    allclose = np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a, **k: compared.append(a) or allclose(*a, **k))
+    mean = vp.SpectrumMean()
+    mean.add(spec)
+    mean.add(spec)
+    assert not compared  # the same grid array: nothing to compare
+    mean.add(replace(spec, frequencies=spec.frequencies.copy()))
+    assert len(compared) == 1
+    with pytest.raises(SpectrumGridError):
+        mean.add(replace(spec, frequencies=spec.frequencies + 1.0))
+    assert np.array_equal(mean.spectrum().magnitudes, spec.magnitudes)
+
+
 def test_spectrum_mean_keeps_neither_its_spectra_nor_their_stack():
     recs = [sine(9000.0 + 100 * k, n=4096) for k in range(3)]
     specs = vp.spectra(recs, "hann")
@@ -454,29 +470,30 @@ def test_dominant_frequency_empty_band():
 
 
 def entries(groups, mic="Left"):
-    """groups: {material: [aucs]} -> AucEntry list."""
+    """groups: {material: [aucs]} -> (labels, auc) rows of the per-recording table."""
     out = []
     for material, aucs in groups.items():
         for i, auc in enumerate(aucs):
-            out.append(
-                vp.AucEntry(
-                    microphone=mic,
-                    fingerprint_material=material,
-                    auc=auc,
-                    object="obj",
-                    repetition=i + 1,
-                )
+            meta = vp.RecordingMeta(
+                microphone=mic, fingerprint_material=material, object="obj", repetition=i + 1
             )
+            out.append((meta, auc))
     return out
 
 
+def normalize(rows):
+    """`normalize_against_baseline` of (labels, auc) rows, split into its two columns."""
+    labels, aucs = zip(*rows)
+    return vp.normalize_against_baseline(list(labels), list(aucs))
+
+
 def test_baseline_group_normalizes_to_exactly_one():
-    report = vp.normalize_against_baseline(entries({"Default": [0.3, 0.5, 0.7]}))
+    report = normalize(entries({"Default": [0.3, 0.5, 0.7]}))
     assert report.groups[("Left", "Default")].normalized_mean == 1.0  # exact
 
 
 def test_identical_groups_normalize_to_one():
-    report = vp.normalize_against_baseline(
+    report = normalize(
         entries({"Default": [0.4, 0.6], "ST45B": [0.4, 0.6]})
     )
     assert report.groups[("Left", "ST45B")].normalized_mean == pytest.approx(1.0, rel=1e-12)
@@ -484,7 +501,7 @@ def test_identical_groups_normalize_to_one():
 
 def test_elevenfold_group():
     base = [0.11, 0.13, 0.12]
-    report = vp.normalize_against_baseline(
+    report = normalize(
         entries({"Default": base, "ST45B": [11.0 * a for a in base]})
     )
     assert report.groups[("Left", "ST45B")].normalized_mean == pytest.approx(11.0, rel=1e-9)
@@ -492,7 +509,7 @@ def test_elevenfold_group():
 
 def test_missing_baseline_raises():
     with pytest.raises(BaselineError, match="Right"):
-        vp.normalize_against_baseline(
+        normalize(
             entries({"Default": [0.5], "ST45B": [1.0]}) + entries({"ST45B": [1.0]}, mic="Right")
         )
 
@@ -500,11 +517,11 @@ def test_missing_baseline_raises():
 def test_microphones_normalize_independently():
     left = entries({"Default": [1.0], "ST45B": [3.0]}, mic="Left")
     right = entries({"Default": [2.0], "ST45B": [2.0]}, mic="Right")
-    report = vp.normalize_against_baseline(left + right)
+    report = normalize(left + right)
     assert report.groups[("Left", "ST45B")].normalized_mean == pytest.approx(3.0)
     assert report.groups[("Right", "ST45B")].normalized_mean == pytest.approx(1.0)
     # swapping the microphone labels swaps the ratios
-    swapped = vp.normalize_against_baseline(
+    swapped = normalize(
         entries({"Default": [1.0], "ST45B": [3.0]}, mic="Right")
         + entries({"Default": [2.0], "ST45B": [2.0]}, mic="Left")
     )
@@ -514,18 +531,9 @@ def test_microphones_normalize_independently():
 
 def test_normalization_invariant_under_per_microphone_rescale():
     base = entries({"Default": [0.2, 0.4], "ST45B": [1.1, 1.3]})
-    report1 = vp.normalize_against_baseline(base)
-    scaled = [
-        vp.AucEntry(
-            microphone=e.microphone,
-            fingerprint_material=e.fingerprint_material,
-            auc=e.auc * 37.5,
-            object=e.object,
-            repetition=e.repetition,
-        )
-        for e in base
-    ]
-    report2 = vp.normalize_against_baseline(scaled)
+    report1 = normalize(base)
+    scaled = [(meta, auc * 37.5) for meta, auc in base]
+    report2 = normalize(scaled)
     for key in report1.groups:
         assert report2.groups[key].normalized_mean == pytest.approx(
             report1.groups[key].normalized_mean, rel=1e-9
@@ -536,17 +544,63 @@ def test_normalization_invariant_under_per_microphone_rescale():
 
 
 def test_by_object_breakdown():
-    e1 = vp.AucEntry(microphone="Left", fingerprint_material="Default", auc=1.0, object="wood")
-    e2 = vp.AucEntry(microphone="Left", fingerprint_material="ST45B", auc=4.0, object="wood")
-    e3 = vp.AucEntry(microphone="Left", fingerprint_material="ST45B", auc=2.0, object="sponge")
-    report = vp.normalize_against_baseline([e1, e2, e3])
+    labels = [
+        vp.RecordingMeta(microphone="Left", fingerprint_material=material, object=obj)
+        for material, obj in (("Default", "wood"), ("ST45B", "wood"), ("ST45B", "sponge"))
+    ]
+    report = vp.normalize_against_baseline(labels, [1.0, 4.0, 2.0])
     assert report.by_object[("Left", "ST45B", "wood")].normalized_mean == pytest.approx(4.0)
     assert report.by_object[("Left", "ST45B", "sponge")].normalized_mean == pytest.approx(2.0)
 
 
+def loop_normalize(labels, aucs, baseline="Default"):
+    """(group stats, object stats) as normalization first computed them:
+    dicts of lists in input order, one `np.mean` over each list."""
+    groups, objects = {}, {}
+    for meta, auc in zip(labels, aucs):
+        key = (meta.microphone, meta.fingerprint_material)
+        groups.setdefault(key, []).append(auc)
+        if meta.object is not None:
+            objects.setdefault((*key, meta.object), []).append(auc)
+    base = {key[0]: float(np.mean(groups[key[0], baseline])) for key in groups}
+
+    def stats(key, values):
+        mean = float(np.mean(np.array(values)))
+        normalized = np.array(values) / base[key[0]]
+        return (len(values), mean, mean / base[key[0]], float(np.std(normalized)))
+
+    return [{key: stats(key, v) for key, v in sorted(d.items())} for d in (groups, objects)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouping_by_a_stable_sort_matches_the_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    mics, materials = ["Left", "Right", "Palm"], ["Default", "ST45B", "PLA", "TPU"]
+    n = int(rng.integers(1, 2000))
+    # Each microphone's baseline first, then any labels; about one in five has no object.
+    rows = [(mic, "Default") for mic in mics] + [
+        (mics[rng.integers(3)], materials[rng.integers(4)]) for _ in range(n)
+    ]
+    labels = [
+        vp.RecordingMeta(
+            microphone=mic,
+            fingerprint_material=material,
+            object=None if rng.random() < 0.2 else f"obj{rng.integers(52)}",
+        )
+        for mic, material in rows
+    ]
+    # AUCs over many decades, so a sum in another order would round differently.
+    aucs = rng.random(len(rows)) * 10.0 ** rng.integers(-6, 7, len(rows))
+    report = vp.normalize_against_baseline(labels, aucs)
+    groups, objects = loop_normalize(labels, aucs.tolist())
+    for got, want in ((report.groups, groups), (report.by_object, objects)):
+        assert list(got) == list(want)
+        assert [astuple(stats) for stats in got.values()] == list(want.values())
+
+
 def test_auc_entry_rejects_negative():
-    with pytest.raises(ValueError):
-        vp.AucEntry(microphone="Left", fingerprint_material="Default", auc=-0.1)
+    with pytest.raises(ValueError, match="auc must be >= 0"):
+        normalize(entries({"Default": [0.5, -0.1]}))
 
 
 def test_all_aucs_nonnegative_from_spectra():
@@ -593,7 +647,7 @@ def test_spectrum_csv_schema(tmp_path):
 
 
 def test_auc_csv_and_json_roundtrip(tmp_path):
-    report = vp.normalize_against_baseline(
+    report = normalize(
         entries({"Default": [0.2, 0.3], "ST45B": [2.0, 3.0]})
     )
     path = tmp_path / "auc.csv"

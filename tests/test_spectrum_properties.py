@@ -5,8 +5,10 @@ and bands are random sub-bands of [0, Nyquist].  The identities are the
 AUC's linearity in a scale factor and additivity over adjacent bands,
 Parseval's theorem for the rectangular window (DC and Nyquist counted
 once), the exact amplitude of a sine centred on a bin, `spectra` of a
-stack giving each row's own `spectrum` bit for bit, and `mean_spectrum`'s
-running sum giving numpy's mean of the stacked magnitudes bit for bit.  Runs are
+stack giving each row's own `spectrum` bit for bit, `band_auc` of a stack
+giving a plain loop of `np.interp` and `np.trapezoid` per row bit for bit,
+and `mean_spectrum`'s running sum giving numpy's mean of the stacked
+magnitudes bit for bit.  Runs are
 derandomized and keep no example database, so the suite stays
 deterministic and writes nothing into the working tree.
 """
@@ -124,6 +126,47 @@ def test_each_row_of_a_stack_is_its_own_spectrum_bit_for_bit(stack, rate, window
         assert np.array_equal(spec.magnitudes.view(np.int64), alone.magnitudes.view(np.int64))
         assert spec.frequencies is alone.frequencies
         assert (spec.resolution, spec.window) == (alone.resolution, alone.window)
+
+
+def loop_band_auc(f, m, band):
+    """One spectrum's band AUC as `band_auc` first computed it: boolean masks,
+    `np.interp` at the edges and `np.trapezoid`."""
+    lo, hi = band
+    inner = (f > lo) & (f < hi)
+    xs = np.concatenate(([lo], f[inner], [hi]))
+    ys = np.concatenate(([np.interp(lo, f, m)], m[inner], [np.interp(hi, f, m)]))
+    return np.trapezoid(ys, xs)
+
+
+@PROPERTY_SETTINGS
+@given(
+    rows=st.integers(1, 8),
+    n=st.integers(2, 200_000),
+    rate=rates,
+    offset=st.sampled_from([0.0, 0.37]),
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.tuples(fractions, st.booleans(), fractions, st.booleans()),
+)
+def test_stacked_band_auc_is_a_loop_of_single_integrals_bit_for_bit(
+    rows, n, rate, offset, seed, edges
+):
+    # rfft grids of 2 to 100,001 bins; an offset grid starts above 0 Hz, so a
+    # band edge can fall below its first bin.  Each edge is a fraction of the
+    # top bin, moved onto the nearest bin when its flag says so.
+    f = np.fft.rfftfreq(n, 1.0 / rate) + offset * rate / n
+    rng = np.random.default_rng(seed)
+    mags = rng.random((rows, f.size)) * 10.0 ** rng.integers(-6, 7, (rows, f.size))
+    band = []
+    for fraction, on_bin in (edges[:2], edges[2:]):
+        x = fraction * f[-1]
+        band.append(float(f[np.argmin(np.abs(f - x))]) if on_bin else x)
+    band = tuple(sorted(band))
+    assume(band[0] < band[1])
+    specs = [vp.Spectrum(f, row, rate / n, "hann") for row in mags]
+    expected = np.array([loop_band_auc(f, row, band) for row in mags])
+    stacked = vp.band_auc(specs, band)
+    assert np.array_equal(stacked.view(np.int64), expected.view(np.int64))
+    assert vp.band_auc(specs[0], band).hex() == float(expected[0]).hex()
 
 
 @PROPERTY_SETTINGS
