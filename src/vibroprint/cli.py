@@ -87,6 +87,9 @@ _SLICE_BYTES = 256 * 1024
 # The rule `SensitivityBand` holds every --band-khz to, for the help text.
 _BAND_RULE = "0 <= LOW < HIGH < inf"
 
+# The rule `simulate` holds --name to, for its refusal and help text.
+_NAME_RULE = "no '/' or NUL, and not empty, '.', '..' or 'run_params'"
+
 
 class _UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
@@ -241,16 +244,18 @@ def _cmd_design(args, out_dir: Path) -> None:
         constraints = reference_layout_constraints(material, target_band=band)
 
     region = feasible_region(constraints, mm_to_m(args.grid_step_mm))
-    write_feasible_csv(region, out_dir / "feasible_grid.csv")
     sides = [m_to_mm(v) for v in region.side_envelope]
     lengths = [m_to_mm(v) for v in region.length_envelope]
     print(
         f"feasible region: {len(region.grid)} grid points, "
         f"sides [{sides[0]:.2f}, {sides[1]:.2f}] mm, lengths [{lengths[0]:.2f}, {lengths[1]:.2f}] mm"
     )
-
+    # The layouts are searched before any file is written: a `LayoutError` leaves none.
+    layouts = None
     if constraints.max_length_per_segment:
         layouts = segment_layouts(region, constraints.max_length_per_segment)
+    write_feasible_csv(region, out_dir / "feasible_grid.csv")
+    if layouts is not None:
         write_layout_csv(layouts, out_dir / "layouts.csv")
         report = layout_report(layouts)
         (out_dir / "layout_report.txt").write_text(report + "\n")
@@ -335,6 +340,10 @@ def _per_mode(raw, flag: str):
 
 
 def _cmd_simulate(args, out_dir: Path) -> None:
+    # The stem names <name>.wav and its sidecar in --output-dir, beside run_params.json.
+    name = args.name
+    if name in ("", ".", "..", "run_params") or "/" in name or "\0" in name:
+        raise _UsageError(f"--name {name!r} is not a file stem: {_NAME_RULE}")
     material = _material(args)
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
@@ -366,7 +375,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
     )
     rec = slide_signal(scenario, meta=meta)
 
-    wav_path = out_dir / f"{args.name}.wav"
+    wav_path = out_dir / f"{name}.wav"
     write_recording_bundle(rec, wav_path, encoding=args.encoding, scenario=scenario_to_dict(scenario))
     print(
         f"wrote {wav_path} ({rec.samples.size} samples @ {rec.sample_rate:.0f} Hz, "
@@ -430,21 +439,21 @@ def _slices(inputs: list) -> tuple[list[list], bool]:
 def _cmd_analyze(args, out_dir: Path) -> None:
     """Band AUC of each recording, normalized per microphone against the baseline skin.
 
-    Faults come in input order: a band that `_band` refuses before any
-    file is read, then each file's own fault (unreadable, unlabeled, or a top
-    bin below the band's top) as that file is read, and last the
-    per-microphone guard on grids and procedures.
+    Gather: each slice gives columns (labels, grids, band AUCs) with one
+    `band_auc` call per `spectra` stack, consumed as they arrive, in input
+    order.  Under --write-spectra each spectrum is added to the `SpectrumMean`
+    of its (microphone, material, grid) and then dropped, so the run holds one
+    sum per group (O(groups x bins)) and the spectra of the slices in flight,
+    not every spectrum; each sum runs in input order, as the mean of its
+    stacked spectra would.  Check: one pass over the gathered labels and grids
+    refuses the first recording, in input order, whose microphone mixes grids
+    or procedures.  Write: the table, then one mean spectrum per (microphone,
+    material), which the check has left on one grid.
 
-    Each slice gives columns (labels, grids, band AUCs) with one `band_auc`
-    call per `spectra` stack; their labels and AUCs form the run's table.
-
-    Slice results are consumed as they arrive, in input order.  Under
-    --write-spectra each spectrum is added to its (microphone, material)
-    `SpectrumMean` and then dropped, so the run holds one sum per group
-    (O(groups x bins)) and the spectra of the slices in flight, not every
-    spectrum; each group's sum runs in input order, as the mean of its
-    stacked spectra would.  A recording that the guard refuses is never
-    added, so a group's sum only ever sees its microphone's first grid.
+    Faults come in input order: a band that `_band` refuses before any file
+    is read, then each file's own fault (unreadable, unlabeled, or a top bin
+    below the band's top) as that file is read, then the check, and last,
+    under --write-spectra, a label that holds '/' or NUL and so names no file.
     """
     b = _band(args.band_khz)
     band = (b.low, b.high)
@@ -494,45 +503,53 @@ def _cmd_analyze(args, out_dir: Path) -> None:
         else:
             yield from map(analyze_slice, slices)
 
+    labels: list[RecordingMeta] = []
+    grids: list[tuple] = []
+    aucs: list[float] = []
+    means: defaultdict[tuple, SpectrumMean] = defaultdict(SpectrumMean)
+    for metas, part_grids, part_aucs, specs in parts():
+        labels += metas
+        grids += part_grids
+        aucs += part_aucs
+        for meta, grid, spec in zip(metas, part_grids, specs):
+            means[meta.microphone, meta.fingerprint_material, grid].add(spec)
+
     # Noise and tonal peaks scale differently with record length and rate, so
     # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.
     # They also need one exploration procedure and force code: a slide and a
     # squeeze excite the skin differently.  An unset label is a value of its own.
     firsts: dict[str, tuple] = {}
-    labels: list[RecordingMeta] = []
-    aucs: list[float] = []
-    means: defaultdict[tuple[str, str], SpectrumMean] = defaultdict(SpectrumMean)
-    guard_fault = None
-    for metas, grids, part_aucs, specs in parts():
-        labels += metas
-        aucs += part_aucs
-        for i, (meta, grid) in enumerate(zip(metas, grids)):
-            if guard_fault is not None:
-                break  # read on: a later file's own fault still comes first
-            mic = meta.microphone
-            procedure = (meta.exploration_procedure, meta.force_code)
-            first_grid, first_procedure = firsts.setdefault(mic, (grid, procedure))
-            if grid != first_grid:
-                guard_fault = SpectrumGridError(
-                    f"microphone {mic!r} mixes recordings of (sample rate Hz, samples) "
-                    f"{first_grid} and {grid}; their AUCs are not comparable"
-                )
-            elif procedure != first_procedure:
-                guard_fault = VibroprintError(
-                    f"microphone {mic!r} mixes recordings of (exploration_procedure, "
-                    f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
-                )
-            elif specs:
-                means[mic, meta.fingerprint_material].add(specs[i])
-    if guard_fault is not None:
-        raise guard_fault
+    for meta, grid in zip(labels, grids):
+        mic = meta.microphone
+        procedure = (meta.exploration_procedure, meta.force_code)
+        first_grid, first_procedure = firsts.setdefault(mic, (grid, procedure))
+        if grid != first_grid:
+            raise SpectrumGridError(
+                f"microphone {mic!r} mixes recordings of (sample rate Hz, samples) "
+                f"{first_grid} and {grid}; their AUCs are not comparable"
+            )
+        if procedure != first_procedure:
+            raise VibroprintError(
+                f"microphone {mic!r} mixes recordings of (exploration_procedure, "
+                f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
+            )
+    # A label names a mean spectrum's file, so it must not leave --output-dir.
+    spectrum_files = {}
+    for mic, mat, grid in sorted(means):
+        name = f"mean_spectrum_{mic}_{mat}.csv"
+        if "/" in name or "\0" in name:
+            raise VibroprintError(
+                f"microphone {mic!r}, material {mat!r}: a label with '/' or NUL cannot "
+                f"name the mean spectrum file {name!r}"
+            )
+        spectrum_files[name] = means[mic, mat, grid]
 
     report = normalize_against_baseline(labels, aucs, args.baseline_material)
     write_auc_csv(report, out_dir / "auc.csv")
     write_json(out_dir / "ratios.json", report_to_json_dict(report, band))
 
-    for mic, mat in sorted(means):
-        write_spectrum_csv(means[mic, mat].spectrum(), out_dir / f"mean_spectrum_{mic}_{mat}.csv")
+    for name, mean in spectrum_files.items():
+        write_spectrum_csv(mean.spectrum(), out_dir / name)
 
     for (mic, mat), stats in sorted(report.groups.items()):
         print(
@@ -639,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--sample-rate-hz", type=float, default=DEFAULT_SAMPLE_RATE)
     p_sim.add_argument("--encoding", choices=tuple(ENCODINGS), default="float32")
-    p_sim.add_argument("--name", default="slide", help="output file stem")
+    p_sim.add_argument("--name", default="slide", help=f"output file stem: {_NAME_RULE}")
     p_sim.add_argument("--object", help="metadata: object label")
     p_sim.add_argument("--microphone", help="metadata: microphone label")
     p_sim.add_argument("--repetition", type=int)

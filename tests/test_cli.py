@@ -470,6 +470,29 @@ def test_simulate_nyquist_error_names_the_modes_that_fit(tmp_path, capsys, extra
     assert (f"; this rate fits {most}\n" in err) if most else not err
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["", "ELSEWHERE/x", "sub/x", "x\0y", ".", "..", "run_params"],
+    ids=["empty", "absolute", "nested", "nul", "dot", "dotdot", "run_params"],
+)
+def test_simulate_refuses_a_name_that_is_not_a_file_stem(tmp_path, capsys, name):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    name = name.replace("ELSEWHERE", str(elsewhere))
+    # A malformed --materials file: a refusal that came after reading it would name it.
+    ini = tmp_path / "materials.ini"
+    ini.write_text("not an ini file")
+    out = tmp_path / "out"
+    argv = simulate_args(out, extra=("--name", name, "--materials", str(ini)))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --name {name!r} is not a file stem: "
+        "no '/' or NUL, and not empty, '.', '..' or 'run_params'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere", "materials.ini"]
+    assert not list(elsewhere.iterdir())
+
+
 def test_simulate_identical_seeds_are_byte_identical(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert run(simulate_args(d1)) == 0
@@ -1124,6 +1147,62 @@ def test_write_spectra_refuses_a_group_of_two_grids_with_the_guard(
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_thread", "pool"])
+@pytest.mark.parametrize("spectra", [[], ["--write-spectra"]], ids=["auc", "spectra"])
+@pytest.mark.parametrize("first", ["procedure_on_right", "grid_on_left"])
+def test_the_first_incomparable_recording_wins_across_microphones(
+    tmp_path, monkeypatch, capsys, first, spectra, cpus
+):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_slide(data / "a.wav", "Left", "Default", 0.02)
+    write_slide(data / "b.wav", "Right", "Default", 0.02)
+    # c.wav and d.wav each mismatch their microphone's first recording.
+    procedure, grid = data / "c.wav", data / "d.wav"
+    if first == "grid_on_left":
+        procedure, grid = grid, procedure
+    write_slide(procedure, "Right", "ST45B", 0.02)
+    relabel_sidecar(procedure, exploration_procedure="Pressure")
+    write_slide(grid, "Left", "ST45B", 0.03)
+    # One file per slice.
+    monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", 1)
+    starts = pool_starts(monkeypatch, cpus)
+    out = tmp_path / "out"
+    assert run(["analyze", str(data / "*.wav"), *spectra, "--output-dir", str(out)]) == 1
+    expected = {
+        "procedure_on_right": "microphone 'Right' mixes recordings of (exploration_procedure, "
+        "force_code) ('LateralMotion', None) and ('Pressure', None)",
+        "grid_on_left": "microphone 'Left' mixes recordings of (sample rate Hz, samples) "
+        "(500000.0, 10000) and (500000.0, 15000)",
+    }[first]
+    assert capsys.readouterr().err == f"error: {expected}; their AUCs are not comparable\n"
+    assert starts == ([2] if cpus == 2 else [])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("material", ["../escaped", "nul\0"], ids=["path", "nul"])
+def test_write_spectra_refuses_a_label_that_names_no_file(tmp_path, capsys, material):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_slide(data / "a.wav", "Left", "Default", 0.02)
+    write_slide(data / "b.wav", "Left", "ST45B", 0.02)
+    relabel_sidecar(data / "b.wav", fingerprint_material=material)
+    files = sorted(data.iterdir())
+    out = tmp_path / "out"
+    argv = ["analyze", str(data / "*.wav"), "--output-dir", str(out)]
+    assert run([*argv, "--write-spectra"]) == 1
+    name = f"mean_spectrum_Left_{material}.csv"
+    assert capsys.readouterr().err == (
+        f"error: microphone 'Left', material {material!r}: a label with '/' or NUL "
+        f"cannot name the mean spectrum file {name!r}\n"
+    )
+    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == [data] and sorted(data.iterdir()) == files
+    # Without --write-spectra the label names no file, and the run goes on.
+    assert run(argv) == 0
+    assert material in json.loads((out / "ratios.json").read_text())["microphones"]["Left"]["groups"]
+
+
 def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
     for k in range(6):
         write_slide(tmp_path / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
@@ -1249,12 +1328,33 @@ def test_a_refused_run_leaves_no_directory_behind(tmp_path, monkeypatch, argv, c
     assert existing.is_dir()
 
 
-def test_a_failed_run_keeps_the_directories_it_wrote_into(tmp_path):
-    # The feasible grid is written before the layout search finds no beam.
-    argv = [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "5"]
+def test_a_failed_run_keeps_the_directories_it_wrote_into(tmp_path, monkeypatch):
+    # The feasible grid is written before the layout writer fails.
+    def full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(vibroprint.cli, "write_layout_csv", full)
     out = tmp_path / "nd" / "out"
-    assert run([*argv, "--caps-mm", "1", "1", "1", "1", "--output-dir", str(out)]) == 1
+    assert run([*DESIGN_PLA, "--output-dir", str(out)]) == 1
     assert [p.name for p in out.iterdir()] == ["feasible_grid.csv"]
+
+
+def test_a_layout_error_writes_no_artifact(tmp_path, capsys):
+    argv = [*DESIGN_PLA, "--side-range-mm", "0.4", "1", "--length-range-mm", "3", "5"]
+    argv += ["--caps-mm", "1", "1", "1", "1"]
+    out = tmp_path / "nd" / "out"
+    assert run([*argv, "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "feasible region: 146 grid points, sides [0.40, 1.00] mm, lengths [3.00, 5.00] mm\n"
+    assert captured.err == (
+        "error: no feasible beam for segment(s): FingerPhalanx, FingerTip, Palm, ThumbPhalanx\n"
+    )
+    assert not (tmp_path / "nd").exists()
+    # Into the directory of a good run, the refused one changes no file.
+    assert run([*DESIGN_PLA, "--output-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run([*argv, "--output-dir", str(out)]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_analyze_refuses_a_file_matched_by_two_globs(tmp_path, monkeypatch, capsys):
