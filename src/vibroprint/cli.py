@@ -87,8 +87,11 @@ _SLICE_BYTES = 256 * 1024
 # The rule `SensitivityBand` holds every --band-khz to, for the help text.
 _BAND_RULE = "0 <= LOW < HIGH < inf"
 
-# The rule `simulate` holds --name to, for its refusal and help text.
-_NAME_RULE = "no '/' or NUL, and not empty, '.', '..' or 'run_params'"
+# The rule a file that a run names in --output-dir is held to, with the
+# directory's name limit in bytes, for refusals and help text.
+_FILE_NAME_RULE = (
+    "a file name has no '/' or NUL, no leading '.' and at most {} bytes, and is not 'run_params.json'"
+)
 
 
 class _UsageError(Exception):
@@ -104,6 +107,13 @@ def _output_dir(args) -> tuple[Path, list[Path]]:
     """The output directory, and those of it and its parents not yet made, deepest first."""
     path = Path(args.output_dir or os.environ.get("VIBROPRINT_OUTPUT_DIR") or ".")
     return path, list(takewhile(lambda p: not p.exists(), (path, *path.parents)))
+
+
+def _file_name_rule(out_dir: Path, name: str) -> str | None:
+    """`_FILE_NAME_RULE` with `out_dir`'s limit if `name` breaks it, else None."""
+    limit = os.pathconf(out_dir, "PC_NAME_MAX")
+    broken = "/" in name or "\0" in name or name.startswith(".") or name == "run_params.json"
+    return _FILE_NAME_RULE.format(limit) if broken or len(os.fsencode(name)) > limit else None
 
 
 def _write_run_params(out_dir: Path, args, argv: list[str]) -> None:
@@ -342,8 +352,9 @@ def _per_mode(raw, flag: str):
 def _cmd_simulate(args, out_dir: Path) -> None:
     # The stem names <name>.wav and its sidecar in --output-dir, beside run_params.json.
     name = args.name
-    if name in ("", ".", "..", "run_params") or "/" in name or "\0" in name:
-        raise _UsageError(f"--name {name!r} is not a file stem: {_NAME_RULE}")
+    for file in (f"{name}.wav", f"{name}.json"):
+        if rule := _file_name_rule(out_dir, file):
+            raise _UsageError(f"--name {name!r} is not a file stem: {file!r} breaks the rule that {rule}")
     material = _material(args)
     section = _section_from_args(args)
     beam = BeamSpec(material, section, mm_to_m(args.length_mm))
@@ -453,7 +464,7 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     Faults come in input order: a band that `_band` refuses before any file
     is read, then each file's own fault (unreadable, unlabeled, or a top bin
     below the band's top) as that file is read, then the check, and last,
-    under --write-spectra, a label that holds '/' or NUL and so names no file.
+    under --write-spectra, a label that names no file of its own (`_file_name_rule`).
     """
     b = _band(args.band_khz)
     band = (b.low, b.high)
@@ -533,14 +544,14 @@ def _cmd_analyze(args, out_dir: Path) -> None:
                 f"microphone {mic!r} mixes recordings of (exploration_procedure, "
                 f"force_code) {first_procedure} and {procedure}; their AUCs are not comparable"
             )
-    # A label names a mean spectrum's file, so it must not leave --output-dir.
+    # A label names a mean spectrum's file, so it must name one file in --output-dir.
     spectrum_files = {}
     for mic, mat, grid in sorted(means):
         name = f"mean_spectrum_{mic}_{mat}.csv"
-        if "/" in name or "\0" in name:
+        if rule := _file_name_rule(out_dir, name):
             raise VibroprintError(
-                f"microphone {mic!r}, material {mat!r}: a label with '/' or NUL cannot "
-                f"name the mean spectrum file {name!r}"
+                f"microphone {mic!r}, material {mat!r}: the mean spectrum file {name!r} "
+                f"breaks the rule that {rule}"
             )
         spectrum_files[name] = means[mic, mat, grid]
 
@@ -656,7 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--sample-rate-hz", type=float, default=DEFAULT_SAMPLE_RATE)
     p_sim.add_argument("--encoding", choices=tuple(ENCODINGS), default="float32")
-    p_sim.add_argument("--name", default="slide", help=f"output file stem: {_NAME_RULE}")
+    p_sim.add_argument(
+        "--name",
+        default="slide",
+        help=f"stem of <name>.wav and <name>.json, where {_FILE_NAME_RULE.format('NAME_MAX')}",
+    )
     p_sim.add_argument("--object", help="metadata: object label")
     p_sim.add_argument("--microphone", help="metadata: microphone label")
     p_sim.add_argument("--repetition", type=int)

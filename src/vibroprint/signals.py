@@ -27,7 +27,8 @@ the count once, so a group's mean holds one grid's worth of memory
 however many spectra it averages; `mean_spectrum` is its whole-iterable
 form.  `band_auc` integrates a stack of spectra on one grid in one call.
 The per-recording table is two columns, labels and band AUCs, which
-`normalize_against_baseline` groups by a stable sort into contiguous slices.
+`normalize_against_baseline` groups in one pass: each key's row indices,
+in input order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -462,15 +462,12 @@ def _group_stats(aucs: np.ndarray, baseline: float) -> GroupStats:
 
 
 def _grouped(keys: list[tuple], values: np.ndarray) -> dict[tuple, np.ndarray]:
-    """Each distinct key's values in input order: the contiguous runs of one
-    stable sort of the rows by their keys' integer codes, numbered in order
-    of appearance."""
-    codes: dict[tuple, int] = {}
-    column = [codes.setdefault(key, len(codes)) for key in keys]
-    # Python's stable sort: numpy's argsort, diff and split would page in
-    # more of numpy's library (about 0.2 MB of peak RSS on analyze-many).
-    runs = groupby(sorted(range(len(column)), key=column.__getitem__), key=column.__getitem__)
-    return {key: values[list(rows)] for key, (_, rows) in zip(codes, runs)}
+    """Each distinct key's values in input order, keyed in order of first
+    appearance: one pass appends each row's index to its key's list."""
+    rows: dict[tuple, list[int]] = {}
+    for row, key in enumerate(keys):
+        rows.setdefault(key, []).append(row)
+    return {key: values[index] for key, index in rows.items()}
 
 
 def normalize_against_baseline(
@@ -481,7 +478,8 @@ def normalize_against_baseline(
     """Group the per-recording table by (microphone, material) and normalize per microphone.
 
     The table is two columns: each recording's labels, with microphone and
-    fingerprint_material set, and its band AUC (>= 0).  Every microphone
+    fingerprint_material set, and its band AUC (>= 0); a fault in either
+    raises ValueError naming it.  Every microphone
     present must have at least one baseline recording (fingerprint_material
     == baseline_material); otherwise BaselineError.
     """
@@ -492,6 +490,12 @@ def normalize_against_baseline(
         )
     if (aucs < 0).any():
         raise ValueError(f"auc must be >= 0, got {aucs.min()}")
+    for index, meta in enumerate(labels):
+        for name in ("microphone", "fingerprint_material"):
+            if getattr(meta, name) is None:
+                raise ValueError(
+                    f"label {index} has no {name}; each needs microphone and fingerprint_material"
+                )
 
     group_aucs = _grouped([(m.microphone, m.fingerprint_material) for m in labels], aucs)
     object_aucs = _grouped([(m.microphone, m.fingerprint_material, m.object) for m in labels], aucs)

@@ -5,11 +5,11 @@ the CLI speak the bench units used on the printer and datasheets
 (mm, g/cm3, MPa, kHz); these helpers are the single place where the
 conversion happens, and so where each unit's text is decided.  The one
 writer of the numeric tables (feasible grid, sweep, layouts, mean
-spectra) is `write_csv`: mm text where a header says so, else `repr`,
-and CRLF row ends.  The one writer of the JSON artifacts (run_params,
-freq, bands, ratios and recording sidecars) is `write_json`, which
-decides their layout.  The PCM full scale of a WAV sample is decided in
-`dataset`.
+spectra) is `write_csv`: mm text where a header says so, else `repr`
+(one text list for the equal float columns of a chunk), and CRLF row
+ends.  The one writer of the JSON artifacts (run_params, freq, bands,
+ratios and recording sidecars) is `write_json`, which decides their
+layout.  The PCM full scale of a WAV sample is decided in `dataset`.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def _mm_labels(values: np.ndarray) -> list[str]:
 def _chunk_text(names: list[str], columns, rows: slice) -> list:
     """One iterable of cell text per column, over the given rows.
 
-    A float column whose chunk has the same bits as an earlier float
-    column's reuses that column's `repr` text through `itertools.tee`, so a
-    point-density material formats each frequency once."""
+    A float column's `repr` text is one list, which a later float column
+    whose chunk has the same bits shares, so a point-density material
+    formats each frequency once."""
     texts: list = []
-    sources: list[tuple[np.ndarray, list[int]]] = []  # (bits, the columns that show them)
+    seen: list[tuple[np.ndarray, list[str]]] = []  # (bits, their text)
     for name, column in zip(names, columns):
         if isinstance(column, str):
             texts.append(itertools.repeat(column))
@@ -81,14 +81,10 @@ def _chunk_text(names: list[str], columns, rows: slice) -> list:
             texts.append(_mm_labels(column[rows]))
         else:
             bits = column[rows].astype(np.float64, copy=False).view(np.int64)
-            slots = next((s for b, s in sources if np.array_equal(b, bits)), None)
-            if slots is None:
-                sources.append((bits, slots := []))
-            slots.append(len(texts))
-            texts.append(None)
-    for bits, slots in sources:
-        for slot, text in zip(slots, itertools.tee(map(repr, bits.view(np.float64).tolist()), len(slots))):
-            texts[slot] = text
+            text = next((t for b, t in seen if np.array_equal(b, bits)), None)
+            if text is None:
+                seen.append((bits, text := list(map(repr, bits.view(np.float64).tolist()))))
+            texts.append(text)
     return texts
 
 
@@ -101,9 +97,11 @@ def write_csv(path: str | Path, header: str, columns, tail=()) -> None:
     - a numpy str array: its text as is;
     - a float array: `.6g` mm text of its values in m when its header name
       ends in ``_mm``, formatted once per distinct value, else `repr`.
+      Float columns whose chunks have the same bits share one list of
+      `repr` text, formatted once.
 
     Rows are formatted _CSV_CHUNK_ROWS at a time, and each chunk is
-    written with one `write`.
+    written with one `write`; its text lists live until then.
     A tail row is a sequence of str and floats (written with `repr`).  No
     text is quoted, so it must hold no comma, quote or line break; free text
     such as labels and material names goes through `csv` instead.

@@ -470,15 +470,34 @@ def test_simulate_nyquist_error_names_the_modes_that_fit(tmp_path, capsys, extra
     assert (f"; this rate fits {most}\n" in err) if most else not err
 
 
+def file_name_rule(directory) -> str:
+    return (
+        "a file name has no '/' or NUL, no leading '.' and at most "
+        f"{os.pathconf(directory, 'PC_NAME_MAX')} bytes, and is not 'run_params.json'"
+    )
+
+
 @pytest.mark.parametrize(
-    "name",
-    ["", "ELSEWHERE/x", "sub/x", "x\0y", ".", "..", "run_params"],
-    ids=["empty", "absolute", "nested", "nul", "dot", "dotdot", "run_params"],
+    "name, suffix",
+    [
+        ("", ".wav"),
+        ("ELSEWHERE/x", ".wav"),
+        ("sub/x", ".wav"),
+        ("x\0y", ".wav"),
+        (".", ".wav"),
+        ("..", ".wav"),
+        ("run_params", ".json"),
+        (".x", ".wav"),
+        ("LONG", ".json"),
+    ],
+    ids=["empty", "absolute", "nested", "nul", "dot", "dotdot", "run_params", "hidden", "long_sidecar"],
 )
-def test_simulate_refuses_a_name_that_is_not_a_file_stem(tmp_path, capsys, name):
+def test_simulate_refuses_a_name_that_is_not_a_file_stem(tmp_path, capsys, name, suffix):
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     name = name.replace("ELSEWHERE", str(elsewhere))
+    # <name>.wav fills the name limit, so only its sidecar's name is too long.
+    name = name.replace("LONG", "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".wav")))
     # A malformed --materials file: a refusal that came after reading it would name it.
     ini = tmp_path / "materials.ini"
     ini.write_text("not an ini file")
@@ -486,8 +505,8 @@ def test_simulate_refuses_a_name_that_is_not_a_file_stem(tmp_path, capsys, name)
     argv = simulate_args(out, extra=("--name", name, "--materials", str(ini)))
     assert run(argv) == 2
     assert capsys.readouterr().err == (
-        f"usage error: --name {name!r} is not a file stem: "
-        "no '/' or NUL, and not empty, '.', '..' or 'run_params'\n"
+        f"usage error: --name {name!r} is not a file stem: {name + suffix!r} "
+        f"breaks the rule that {file_name_rule(tmp_path)}\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere", "materials.ini"]
     assert not list(elsewhere.iterdir())
@@ -1180,7 +1199,7 @@ def test_the_first_incomparable_recording_wins_across_microphones(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("material", ["../escaped", "nul\0"], ids=["path", "nul"])
+@pytest.mark.parametrize("material", ["../escaped", "nul\0", "m" * 260], ids=["path", "nul", "long"])
 def test_write_spectra_refuses_a_label_that_names_no_file(tmp_path, capsys, material):
     data = tmp_path / "data"
     data.mkdir()
@@ -1193,8 +1212,8 @@ def test_write_spectra_refuses_a_label_that_names_no_file(tmp_path, capsys, mate
     assert run([*argv, "--write-spectra"]) == 1
     name = f"mean_spectrum_Left_{material}.csv"
     assert capsys.readouterr().err == (
-        f"error: microphone 'Left', material {material!r}: a label with '/' or NUL "
-        f"cannot name the mean spectrum file {name!r}\n"
+        f"error: microphone 'Left', material {material!r}: the mean spectrum file {name!r} "
+        f"breaks the rule that {file_name_rule(tmp_path)}\n"
     )
     assert not out.exists()
     assert sorted(tmp_path.iterdir()) == [data] and sorted(data.iterdir()) == files

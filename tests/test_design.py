@@ -650,6 +650,29 @@ def test_one_unequal_row_in_a_point_density_chunk_writes_both_values(tmp_path, m
             assert all(len(set(row)) == 1 for i, row in enumerate(written) if i != 3)
 
 
+@pytest.mark.parametrize("name, per_row", [("TPU", 1), ("PLA", 2), ("sweep", 1)])
+def test_equal_float_chunks_are_formatted_once(tmp_path, monkeypatch, materials, name, per_row):
+    """TPU has a point density, so its frequency columns share one `repr` per
+    row; PLA's differ, so it makes two.  A banded sweep's three tail rows
+    make one each."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(vp.units, "repr", counting, raising=False)
+    if name == "sweep":
+        table = vp.frequency_sweep(materials["TPU"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
+        vp.design.write_sweep_csv(table, tmp_path / "sweep.csv", BAND)
+        rows, tail = len(table), 3
+    else:
+        region = vp.feasible_region(vp.reference_design_constraints(materials[name]), STEP)
+        vp.design.write_feasible_csv(region, tmp_path / "grid.csv")
+        rows, tail = len(region.grid), 0
+    assert len(calls) == per_row * rows + tail
+
+
 def test_layout_csv_schema(tmp_path, materials):
     layouts = scan_then_pick(vp.reference_layout_constraints(materials["ST45B"]))
     path = tmp_path / "layouts.csv"

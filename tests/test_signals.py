@@ -603,6 +603,15 @@ def test_auc_entry_rejects_negative():
         normalize(entries({"Default": [0.5, -0.1]}))
 
 
+@pytest.mark.parametrize("label", ["microphone", "fingerprint_material"])
+def test_a_row_without_a_group_label_is_refused(label):
+    labels = [meta for meta, _ in entries({"Default": [0.5, 0.6], "ST45B": [1.0]})]
+    labels[1] = replace(labels[1], **{label: None})
+    message = f"label 1 has no {label}; each needs microphone and fingerprint_material"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        vp.normalize_against_baseline(labels, [0.5, 0.6, 1.0])
+
+
 def test_all_aucs_nonnegative_from_spectra():
     rng = np.random.default_rng(13)
     for _ in range(5):
