@@ -399,11 +399,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
 
 
 def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
-    """(WAV path, manifest labels) per input; glob inputs take their sidecar's labels.
-
-    A file named twice, by overlapping globs or by two manifest channels,
-    is refused: it would count twice in its group's mean.
-    """
+    """(WAV path, manifest labels) per input; glob inputs take their sidecar's labels."""
     if args.manifest and args.files:
         raise _UsageError("give either --manifest or WAV files, not both")
     if args.manifest:
@@ -417,31 +413,36 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
         for pattern in args.files:
             matched = sorted(globmod.glob(pattern))
             inputs.extend((Path(p), None) for p in matched or [pattern])
-    seen = set()
-    for path, _ in inputs:
-        key = os.path.abspath(path)
-        if key in seen:
-            raise VibroprintError(f"{path}: named more than once in the analyze inputs")
-        seen.add(key)
     return inputs
 
 
 def _slices(inputs: list) -> tuple[list[list], bool]:
     """`inputs` cut into contiguous runs, each closed once its WAV files hold
     `_SLICE_BYTES`, and whether one file alone holds that much; a file that
-    cannot be stat-ed counts as empty, and its read reports the fault."""
+    cannot be stat-ed counts as empty, and its read reports the fault.
+
+    A file named twice, by overlapping globs, by two manifest channels or
+    through a link, is refused: it would count twice in its group's mean.
+    Files are told apart by (device, inode), or by absolute path if they
+    cannot be stat-ed.
+    """
     slices: list[list] = []
     held = 0
     any_long = False
+    seen = set()
     for item in inputs:
         if not slices or held >= _SLICE_BYTES:
             slices.append([])
             held = 0
         slices[-1].append(item)
         try:
-            size = os.stat(item[0]).st_size
+            stat = os.stat(item[0])
+            key, size = (stat.st_dev, stat.st_ino), stat.st_size
         except OSError:
-            size = 0
+            key, size = os.path.abspath(item[0]), 0
+        if key in seen:
+            raise VibroprintError(f"{item[0]}: named more than once in the analyze inputs")
+        seen.add(key)
         held += size
         any_long = any_long or size >= _SLICE_BYTES
     return slices, any_long
@@ -495,7 +496,7 @@ def _cmd_analyze(args, out_dir: Path) -> None:
             aucs += band_auc(stack, band).tolist()
             grids += [grid] * len(batch)
             if args.write_spectra:
-                specs += stack
+                specs += [replace(stack, magnitudes=row) for row in stack.magnitudes]
         return [rec.meta for rec in recs], grids, aucs, specs
 
     slices, any_long = _slices(inputs)
@@ -617,7 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="clearance caps, with custom ranges only; custom ranges have no caps without them",
     )
     p_design.add_argument(
-        "--no-caps", action="store_true", help="feasibility grid only, skip layouts"
+        "--no-caps",
+        action="store_true",
+        help="feasibility grid only, skip layouts; the scan then covers only the published lengths, "
+        "which the default extends down to the smallest cap (rigid: 3.40-4.00 mm, not 3.20-4.00 mm)",
     )
     p_design.set_defaults(handler=_cmd_design)
 

@@ -264,8 +264,8 @@ def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -
     length not exceeding its clearance cap (longer beams keep the
     frequency low), with a tolerance of a millionth of the region's grid
     step.  Raises LayoutError naming each segment whose cap admits no
-    feasible point; layouts for the other segments ride along on the
-    exception.
+    feasible point, with its reason; layouts for the other segments ride
+    along on the exception.
     """
     if not caps:
         raise ValueError("no segment clearance caps given")
@@ -292,7 +292,8 @@ def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -
 
     if failures:
         raise LayoutError(
-            "no feasible beam for segment(s): " + ", ".join(sorted(failures)),
+            "no feasible beam for segment(s): "
+            + "; ".join(f"{name}: {failures[name]}" for name in sorted(failures)),
             segment_errors=failures,
             layouts=tuple(layouts),
         )

@@ -11,7 +11,8 @@ integrating dB would change its meaning.
 `spectra` transforms a stack of recordings of one length and rate with
 one window multiply, one `rfft` along the rows and one `abs`, so many
 short recordings cost a handful of numpy calls (and of interpreter-lock
-releases) rather than a handful each; `spectrum` is its one-row case.
+releases) rather than a handful each, and returns them as one `Spectrum`
+stack; `spectrum` is its one-row case.
 The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
 is built with numpy alone, and each window is cached with its coherent
 gain per (window, n), so a batch of equal-length recordings builds it
@@ -19,13 +20,14 @@ once.  The frequency grid is cached the same way per (n, sample rate),
 read-only and shared by every spectrum on that grid.  Each thread keeps
 two flat scratch arrays (the windowed samples and their transform) that
 grow to the largest stack it has seen and are handed out as (rows, n)
-views, so a stack allocates only its results' magnitudes.
+views, so a stack allocates only its magnitudes.
 
 `SpectrumMean` is the one bin-wise mean: it adds each spectrum's
 magnitudes into a single float64 sum in the order given and divides by
 the count once, so a group's mean holds one grid's worth of memory
 however many spectra it averages; `mean_spectrum` is its whole-iterable
-form.  `band_auc` integrates a stack of spectra on one grid in one call.
+form.  `band_auc` integrates the last axis of what it is given, so a
+stack gives one AUC per row in one call.
 The per-recording table is two columns, labels and band AUCs, which
 `normalize_against_baseline` groups in one pass: each key's row indices,
 in input order.
@@ -38,7 +40,7 @@ import functools
 import math
 import threading
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -90,7 +92,8 @@ class RecordingMeta:
     """Provenance labels attached to a recording; all optional.
 
     The one check of label values, for sidecars, manifests and `simulate`
-    alike.  A label that is set is a non-empty str, or for force_code and
+    alike.  A label that is set is a non-empty str that UTF-8 can encode
+    (a file or a CSV cell may hold it), or for force_code and
     repetition an int that is not a bool; microphone is a `Microphone` and
     exploration_procedure a `Procedure` value; force_code is a 12-bit
     controller value in [0, 4095]; repetition is at least 1.  A fault
@@ -111,6 +114,11 @@ class RecordingMeta:
                 raise ValueError(f"{name} must be {kind.__name__} or None, got {value!r}")
             if value == "":
                 raise ValueError(f"{name} must be a non-empty string, got ''")
+            if isinstance(value, str):
+                try:
+                    value.encode()
+                except UnicodeEncodeError:
+                    raise ValueError(f"{name} must be text that UTF-8 can encode, got {value!r}") from None
         for name, kind in (("microphone", Microphone), ("exploration_procedure", Procedure)):
             value = getattr(self, name)
             try:
@@ -161,7 +169,8 @@ class Recording:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Single-sided magnitude spectrum on a uniform grid up to Nyquist."""
+    """Single-sided magnitude spectrum on a uniform grid up to Nyquist;
+    `magnitudes` is one row of bins, or a (rows, bins) stack on that grid."""
 
     frequencies: np.ndarray
     magnitudes: np.ndarray
@@ -235,14 +244,15 @@ def _scratch_for(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> list[Spectrum]:
+def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> Spectrum:
     """Single-sided amplitude spectra of recordings that share one length and rate.
 
     The stack is windowed, transformed and rectified with one numpy call
-    each, through this thread's scratch.  Each result's `magnitudes` is
-    one row of a new (len(recs), n//2 + 1) array and its `frequencies` is
-    the cached read-only grid for (n, sample rate); every row equals
-    `spectrum` of its recording alone bit for bit.
+    each, through this thread's scratch.  The result is one `Spectrum`:
+    its `magnitudes` is a new (len(recs), n//2 + 1) array, one row per
+    recording, and its `frequencies` is the cached read-only grid for
+    (n, sample rate); every row equals `spectrum` of its recording alone
+    bit for bit.
     """
     if not recs:
         raise ValueError("spectra needs at least one recording")
@@ -264,37 +274,33 @@ def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> list[Spectru
     mags[:, 0] *= 0.5  # DC has no mirror
     if n % 2 == 0:
         mags[:, -1] *= 0.5  # neither does Nyquist for even n
-    frequencies = _frequencies(n, rate)
-    return [
-        Spectrum(frequencies=frequencies, magnitudes=row, resolution=rate / n, window=window)
-        for row in mags
-    ]
+    return Spectrum(frequencies=_frequencies(n, rate), magnitudes=mags, resolution=rate / n, window=window)
 
 
 def spectrum(rec: Recording, window: str = DEFAULT_WINDOW) -> Spectrum:
     """Single-sided amplitude spectrum of the windowed recording.
 
-    The one-row case of `spectra`: `frequencies` is the cached read-only
-    grid for (n, sample rate), shared with every other spectrum on it, and
-    the window product and the transform go through this thread's scratch,
-    so only `magnitudes` is a new full-length array.
+    The one-row case of `spectra`: its `magnitudes` is the stack's one
+    row, the only new full-length array, and its `frequencies` is the
+    cached grid that every other spectrum on (n, sample rate) shares.
     """
-    return spectra([rec], window)[0]
+    stack = spectra([rec], window)
+    return replace(stack, magnitudes=stack.magnitudes[0])
 
 
 class SpectrumMean:
     """Running bin-wise mean of linear magnitudes over one frequency grid.
 
-    `add` checks each spectrum's grid against the first one's (a spectrum
-    sharing that grid's array, as every `spectra` result on it does, needs
-    no comparison) and adds its
-    magnitudes into one float64 sum, in the order given; `spectrum` divides
-    that sum by the count once.  It holds one sum, the first grid and the
-    count, never the spectra themselves.  For grids of at least 2 bins the
-    result equals ``np.mean(np.stack(mags), axis=0)`` bit for bit, because
-    numpy also adds the rows of a stack in order and then divides once (a
-    single-bin grid would be summed pairwise; `Recording` needs 2 samples,
-    so every spectrum has at least 2 bins).
+    `add` takes one spectrum, checks its grid against the first one's (a
+    spectrum sharing that grid's array, as every row of a `spectra` stack
+    on it does, needs no comparison) and adds its magnitudes into one
+    float64 sum, in the order given; `spectrum` divides that sum by the
+    count once.  It holds one sum, the first grid and the count, never the
+    spectra themselves.  For grids of at least 2 bins the result equals
+    ``np.mean(np.stack(mags), axis=0)`` bit for bit, because numpy also
+    adds the rows of a stack in order and then divides once (a single-bin
+    grid would be summed pairwise; `Recording` needs 2 samples, so every
+    spectrum has at least 2 bins).
     """
 
     def __init__(self):
@@ -339,9 +345,9 @@ class SpectrumMean:
 def mean_spectrum(specs: Iterable[Spectrum]) -> Spectrum:
     """Bin-wise arithmetic mean of linear magnitudes over a shared grid.
 
-    A `SpectrumMean` over `specs` (a list or any iterable, read once): the
-    magnitudes are summed in order and divided by the count once, so a
-    generator's spectra are never all held together.
+    A `SpectrumMean` over `specs` (a list or any iterable of single
+    spectra, read once): the magnitudes are summed in order and divided by
+    the count once, so a generator's spectra are never all held together.
     """
     mean = SpectrumMean()
     for spec in specs:
@@ -349,52 +355,43 @@ def mean_spectrum(specs: Iterable[Spectrum]) -> Spectrum:
     return mean.spectrum()
 
 
-def _edge(f: np.ndarray, m: np.ndarray, start: int, x: float) -> np.ndarray:
-    """np.interp(x, f, row) for each row of `m` (bins start.. of each spectrum) by
+def _edge(f: np.ndarray, m: np.ndarray, x: float) -> np.ndarray:
+    """np.interp(x, f, row) for each row of `m` (the last axis on grid f) by
     numpy's formula: m[j] if x is on bin j (or below the grid), else slope * (x - f[j]) + m[j]."""
     j = max(int(np.searchsorted(f, x, side="right")) - 1, 0)
-    below = m[:, j - start]
+    below = m[..., j]
     if x <= f[j]:
         return below
-    slope = (m[:, j + 1 - start] - below) / (f[j + 1] - f[j])
+    slope = (m[..., j + 1] - below) / (f[j + 1] - f[j])
     return slope * (x - f[j]) + below
 
 
-def band_auc(spec: Spectrum | Sequence[Spectrum], band: tuple[float, float]) -> float | np.ndarray:
+def band_auc(spec: Spectrum, band: tuple[float, float]) -> float | np.ndarray:
     """Trapezoidal integral of linear magnitude over [band[0], band[1]] Hz.
 
-    `spec` is one spectrum, giving a float, or spectra on one grid (as
-    `spectra` returns them), giving a float64 array of one AUC each; one
-    spectrum is the one-row case.  The bins strictly inside the band (one
-    index range of the ascending grid, found by bisection) and one beyond
-    each end are gathered, and the stack is integrated along its last axis.
-    Band edges between bins are interpolated by `np.interp`'s formula, which
-    makes the integral exactly additive over adjacent bands; for finite
-    magnitudes each row equals `np.interp` and `np.trapezoid` of that
-    spectrum alone, bit for bit.
+    The last axis of `spec.magnitudes` is integrated: one spectrum gives a
+    float, a stack (as `spectra` returns it) a float64 array of one AUC per
+    row.  The bins strictly inside the band are one index range of the
+    ascending grid, found by bisection.  Band edges between bins are
+    interpolated by `np.interp`'s formula, which makes the integral exactly
+    additive over adjacent bands; for finite magnitudes each row equals
+    `np.interp` and `np.trapezoid` of that row alone, bit for bit.
     """
-    stack = [spec] if isinstance(spec, Spectrum) else spec
-    if not stack:
-        raise ValueError("band_auc needs at least one spectrum")
-    f = stack[0].frequencies
-    if any(s.frequencies is not f and not np.array_equal(s.frequencies, f) for s in stack):
-        raise SpectrumGridError("band_auc needs spectra on one frequency grid")
+    f, m = spec.frequencies, spec.magnitudes
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"band must satisfy low < high, got [{lo}, {hi}]")
     if lo < 0 or hi > f[-1]:
         raise ValueError(f"band [{lo}, {hi}] outside spectrum range [0, {float(f[-1])}]")
     first, last = np.searchsorted(f, lo, side="right"), np.searchsorted(f, hi, side="left")
-    start = max(first - 1, 0)
-    m = np.stack([s.magnitudes[start : last + 1] for s in stack])
-    inner = m[:, first - start : last - start]
-    ys = np.column_stack((_edge(f, m, start, lo), inner, _edge(f, m, start, hi)))
+    lo_y, hi_y = (_edge(f, m, x)[..., None] for x in (lo, hi))
+    ys = np.concatenate((lo_y, m[..., first:last], hi_y), axis=-1)
     aucs = np.trapezoid(ys, np.concatenate(([lo], f[first:last], [hi])), axis=-1)
-    return float(aucs[0]) if isinstance(spec, Spectrum) else aucs
+    return float(aucs) if m.ndim == 1 else aucs
 
 
 def dominant_frequency(spec: Spectrum, search_band: tuple[float, float]) -> tuple[float, float]:
-    """(frequency Hz, amplitude dB) of the strongest bin in the band.
+    """(frequency Hz, amplitude dB) of the strongest bin of one spectrum in the band.
 
     The peak is refined by a parabola through the three bins around the
     maximum (shift clamped to half a bin); exact ties resolve to the
@@ -534,8 +531,8 @@ def normalize_against_baseline(
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
-    """Columns: frequency_hz, magnitude, amplitude_db.  Rows are formatted
-    by `units.write_csv`."""
+    """One spectrum's columns: frequency_hz, magnitude, amplitude_db.  Rows
+    are formatted by `units.write_csv`."""
     write_csv(
         path, "frequency_hz,magnitude,amplitude_db", [spec.frequencies, spec.magnitudes, spec.amplitudes_db]
     )

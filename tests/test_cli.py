@@ -874,9 +874,29 @@ def test_analyze_reads_integrates_and_normalizes_once_each(tmp_path, monkeypatch
     rows = spectra_rows(monkeypatch)
     assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
     assert sorted(reads) == sorted(tmp_path.glob("*.wav"))
-    assert [len(stack) for stack in integrals] == rows
+    assert [len(stack.magnitudes) for stack in integrals] == rows
     assert len(rows) == (4 if slice_bytes is None else 8)
     assert [len(labels) for labels in reports] == [8]
+
+
+def test_analyze_builds_one_spectrum_per_stack(tmp_path, monkeypatch):
+    # Without --write-spectra no spectrum is split into one object per recording.
+    for k in range(4):
+        write_slide(tmp_path / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
+    slices, _ = vibroprint.cli._slices([(p, None) for p in sorted(tmp_path.glob("*.wav"))])
+    assert [len(items) for items in slices] == [4]
+    rows = spectra_rows(monkeypatch)
+    inits = []
+    init = vibroprint.signals.Spectrum.__init__
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(vibroprint.signals.Spectrum, "__init__", counted_init)
+    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
+    assert rows == [4]
+    assert len(inits) == len(rows)
 
 
 @pytest.mark.parametrize("caps", [[], ["--no-caps"]], ids=["layouts", "no_caps"])
@@ -1232,7 +1252,7 @@ def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
 
     def tracked(recs, window="hann"):
         result = vibroprint.signals.spectra(recs, window)
-        stacks.append(weakref.ref(result[0].magnitudes.base))
+        stacks.append(weakref.ref(result.magnitudes))
         return result
 
     def add(mean, spec, add=vibroprint.signals.SpectrumMean.add):
@@ -1365,8 +1385,11 @@ def test_a_layout_error_writes_no_artifact(tmp_path, capsys):
     assert run([*argv, "--output-dir", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "feasible region: 146 grid points, sides [0.40, 1.00] mm, lengths [3.00, 5.00] mm\n"
+    reason = "clearance cap 1 mm admits no feasible length (region lengths start at 3.1 mm)"
     assert captured.err == (
-        "error: no feasible beam for segment(s): FingerPhalanx, FingerTip, Palm, ThumbPhalanx\n"
+        "error: no feasible beam for segment(s): "
+        + "; ".join(f"{seg}: {reason}" for seg in ("FingerPhalanx", "FingerTip", "Palm", "ThumbPhalanx"))
+        + "\n"
     )
     assert not (tmp_path / "nd").exists()
     # Into the directory of a good run, the refused one changes no file.
@@ -1396,6 +1419,35 @@ def test_analyze_refuses_a_file_named_by_two_manifest_observations(tmp_path, cap
     out = tmp_path / "out"
     assert run(["analyze", "--manifest", str(path), "--output-dir", str(out)]) == 1
     assert f"error: {tmp_path / 'Default_1.wav'}: named more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_refuses_a_file_reached_through_a_link(tmp_path, capsys):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    link = data / "Default_1_link.wav"
+    link.symlink_to(data / "Default_1.wav")
+    link.with_suffix(".json").symlink_to(data / "Default_1.json")
+    out = tmp_path / "out"
+    # Two names, one file: the glob matches the file and then its link.
+    assert run(["analyze", str(data / "*.wav"), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {link}: named more than once in the analyze inputs\n"
+    assert not out.exists()
+
+
+def test_analyze_refuses_a_label_that_utf8_cannot_encode(tmp_path, capsys):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    sidecar = data / "ST45B_2.json"
+    raw = json.loads(sidecar.read_text())
+    raw["meta"]["fingerprint_material"] = "\ud800x"
+    sidecar.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run(["analyze", str(data / "*.wav"), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {sidecar}: bad sidecar (fingerprint_material must be text that UTF-8 can encode, "
+        "got '\\ud800x')\n"
+    )
     assert not out.exists()
 
 
