@@ -62,6 +62,9 @@ from .signals import (
     normalize_against_baseline,
     report_to_json_dict,
     spectra,
+    stack_fft,
+    stack_spectrum,
+    window_stack,
     write_auc_csv,
     write_spectrum_csv,
 )
@@ -78,10 +81,12 @@ from .units import hz_to_khz, khz_to_hz, m_to_mm, mm_to_m, write_json
 
 _ANALYZE_WORKERS = 8
 
-# WAV bytes that close an analyze task: short recordings share a task (and one
-# FFT per run of equal grids), while a recording this large ends its task, so
-# long ones go alone.  It also picks the path: only a corpus with a recording
-# this large runs its tasks on the thread pool.
+# WAV bytes that close an analyze slice: short recordings share a slice (and one
+# FFT per run of equal grids), while a recording this large ends its slice, so
+# long ones go alone.  It also picks the path on more than one core: a corpus
+# with a recording this large runs its slices as thread pool tasks, each read
+# and transformed in one thread; any other corpus is read in the calling
+# thread while one helper thread runs the FFTs of the slice read before.
 _SLICE_BYTES = 256 * 1024
 
 # The rule `SensitivityBand` holds every --band-khz to, for the help text.
@@ -419,7 +424,11 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
 def _slices(inputs: list) -> tuple[list[list], bool]:
     """`inputs` cut into contiguous runs, each closed once its WAV files hold
     `_SLICE_BYTES`, and whether one file alone holds that much; a file that
-    cannot be stat-ed counts as empty, and its read reports the fault.
+    cannot be stat-ed counts as empty, and its read reports the fault.  On
+    more than one core, a long file puts the slices on the thread pool, one
+    task per slice, since its decode and FFT each release the interpreter
+    lock; without one, `_cmd_analyze` reads every slice in the calling thread
+    and runs their FFTs on one helper thread.
 
     A file named twice, by overlapping globs, by two manifest channels or
     through a link, is refused: it would count twice in its group's mean.
@@ -451,15 +460,19 @@ def _slices(inputs: list) -> tuple[list[list], bool]:
 def _cmd_analyze(args, out_dir: Path) -> None:
     """Band AUC of each recording, normalized per microphone against the baseline skin.
 
-    Gather: each slice gives columns (labels, grids, band AUCs) with one
-    `band_auc` call per `spectra` stack, consumed as they arrive, in input
-    order.  Under --write-spectra each spectrum is added to the `SpectrumMean`
-    of its (microphone, material, grid) and then dropped, so the run holds one
-    sum per group (O(groups x bins)) and the spectra of the slices in flight,
-    not every spectrum; each sum runs in input order, as the mean of its
-    stacked spectra would.  Check: one pass over the gathered labels and grids
-    refuses the first recording, in input order, whose microphone mixes grids
-    or procedures.  Write: the table, then one mean spectrum per (microphone,
+    Gather: each slice is read (every file checked as it is read), then
+    transformed into columns (labels, grids, band AUCs) with one `band_auc`
+    call per `spectra` stack; the columns are consumed as they arrive, in
+    input order.  One worker does both in the calling thread; a corpus with a
+    long recording reads and transforms each slice in one pool thread; any
+    other corpus is read in the calling thread while one helper thread runs
+    the FFTs of the slice before (`parts`).  Under --write-spectra each
+    spectrum is added to the `SpectrumMean` of its (microphone, material,
+    grid) and then dropped, so the run holds one sum per group (O(groups x
+    bins)) and the spectra of the slices in flight, not every spectrum; each
+    sum runs in input order, as the mean of its stacked spectra would.
+    Check: one pass over the gathered labels and grids refuses the first
+    recording, in input order, whose microphone mixes grids or procedures.  Write: the table, then one mean spectrum per (microphone,
     material), which the check has left on one grid.
 
     Faults come in input order: a band that `_band` refuses before any file
@@ -471,11 +484,8 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     band = (b.low, b.high)
     inputs = _analysis_inputs(args)
 
-    def analyze_slice(items):
-        """Columns of the WAVs in `items`, in order: labels, (sample rate, samples)
-        grids, band AUCs, and the spectra under --write-spectra (else none).
-        All are read and checked first, then each run of consecutive recordings
-        on one grid shares a `spectra` call and a `band_auc` call."""
+    def read(items):
+        """The recordings of `items`, in order, each checked as it is read."""
         recs = []
         for path, labels in items:
             rec = read_recording_bundle(path, labels)
@@ -489,31 +499,89 @@ def _cmd_analyze(args, out_dir: Path) -> None:
                     f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {rec.nyquist}]"
                 )
             recs.append(rec)
-        grids, aucs, specs = [], [], []
-        for grid, batch in groupby(recs, key=lambda rec: (rec.sample_rate, rec.samples.size)):
-            batch = list(batch)
-            stack = spectra(batch, args.window)
+        return recs
+
+    def runs(recs):
+        """Each run of consecutive recordings on one grid: its (sample rate,
+        samples) grid and its recordings."""
+        batches = groupby(recs, key=lambda rec: (rec.sample_rate, rec.samples.size))
+        return [(grid, list(batch)) for grid, batch in batches]
+
+    def columns(stacks):
+        """Columns of a slice given as one (grid, labels, `Spectrum` stack) per
+        run, in order: labels, grids, band AUCs (one `band_auc` call per
+        stack), and the spectra under --write-spectra (else none)."""
+        metas, grids, aucs, specs = [], [], [], []
+        for grid, labels, stack in stacks:
+            metas += labels
+            grids += [grid] * len(labels)
             aucs += band_auc(stack, band).tolist()
-            grids += [grid] * len(batch)
             if args.write_spectra:
                 specs += [replace(stack, magnitudes=row) for row in stack.magnitudes]
-        return [rec.meta for rec in recs], grids, aucs, specs
+        return metas, grids, aucs, specs
+
+    def analyze_slice(items):
+        """Columns of one slice, read and transformed in this thread."""
+        return columns(
+            [(grid, [rec.meta for rec in batch], spectra(batch, args.window))
+             for grid, batch in runs(read(items))]
+        )
+
+    def windowed(items):
+        """One slice read, as each run's (grid, labels) and its `window_stack`."""
+        batches = runs(read(items))
+        labelled = [(grid, [rec.meta for rec in batch]) for grid, batch in batches]
+        return labelled, [window_stack(batch, args.window) for _, batch in batches]
+
+    def ffts(labelled, stacks):
+        return labelled, [stack_fft(stack) for stack in stacks]
+
+    def finished(labelled, transforms):
+        """Columns of a slice from its runs' (grid, labels) and `stack_fft`s."""
+        return columns(
+            [(grid, metas, stack_spectrum(transform, grid[1], grid[0], args.window))
+             for (grid, metas), transform in zip(labelled, transforms)]
+        )
 
     slices, any_long = _slices(inputs)
-    # The pool pays only when a recording fills a slice: long recordings go
-    # one per task, and their WAV decodes and FFTs overlap (benchmarks/run.py
-    # on 2 cores: one thread takes 69-88% longer on analyze-long).  Short
-    # recordings pack into few tasks whose threads mostly hand the
-    # interpreter lock back and forth, so they run in the calling thread
-    # (about a third less time on analyze-many), as does a single worker.
     workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, len(slices))
 
     def parts():
-        if any_long and workers > 1:
+        """Each slice's columns, in input order.  One worker runs every slice
+        in the calling thread.  A corpus with a long recording runs one slice
+        per pool task, read and transformed in one thread: a long file's WAV
+        decode and FFT both release the interpreter lock, so they overlap
+        across threads (on 2 cores one thread took 69-88% longer on
+        analyze-long, and reading every file in the calling thread while the
+        pool transformed took 0.18 -> 0.21 s per pass).
+
+        Short files cost more Python per byte, which threads that each read
+        only trade the lock for.  So the calling thread reads, windows,
+        rectifies and integrates every slice, while one helper thread runs
+        the FFTs of the slice read before.  An FFT is one numpy call that
+        holds no lock, so the helper takes the lock only to start and to
+        finish.  A helper that ran all of `spectra` and `band_auc`, about a
+        dozen numpy calls per stack, had to take the lock back after each,
+        and the reads slowed by about as much as its transforms saved.  At
+        most one slice is read and one transformed at a time, and a fault
+        of an earlier slice's FFTs comes before a later slice's read fault."""
+        if workers <= 1:
+            yield from map(analyze_slice, slices)
+        elif any_long:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(analyze_slice, slices)
         else:
-            yield from map(analyze_slice, slices)
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                pending = None  # the FFTs of the slice in transform
+                for items in slices:
+                    try:
+                        labelled, stacks = windowed(items)
+                    finally:  # the slice before, whose fault comes first
+                        done = None if pending is None else pending.result()
+                    pending = helper.submit(ffts, labelled, stacks)
+                    if done is not None:
+                        yield finished(*done)
+                yield finished(*pending.result())
 
     labels: list[RecordingMeta] = []
     grids: list[tuple] = []

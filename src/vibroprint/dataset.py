@@ -142,7 +142,8 @@ def read_wav(path: str | Path, meta: RecordingMeta | None = None) -> Recording:
     if not os.path.isfile(path):
         raise WavFormatError(f"WAV file not found: {path}")
     try:
-        buf = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            buf = fh.read()
     except OSError as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
     rate, samples = _read_samples(path, buf)
@@ -240,6 +241,20 @@ def write_recording_bundle(
     return sidecar_path
 
 
+def _sidecar_path(wav_path: str | Path) -> str:
+    """The sidecar of `wav_path`: the name ``Path(wav_path).with_suffix(".json")``
+    gives, built with string operations and kept as the caller spelled the
+    directories.  Unlike `os.path.splitext`, a name's last suffix is its last
+    dot only if a character precedes it and one follows (``x.`` gives
+    ``x..json``, ``..wav`` gives ``..json``)."""
+    path = os.fspath(wav_path)
+    name = max(path.rfind(os.sep), path.rfind(os.altsep or os.sep)) + 1
+    dot = path.rfind(".")
+    if name < dot < len(path) - 1:
+        path = path[:dot]
+    return path + ".json"
+
+
 def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = None) -> Recording:
     """Read a WAV with its labels.
 
@@ -247,14 +262,15 @@ def read_recording_bundle(wav_path: str | Path, meta: RecordingMeta | None = Non
     otherwise those of the same-stem .json sidecar when one exists, else
     empty.  A sidecar that is not a JSON object with an object ``meta`` of
     valid labels raises ManifestError naming the sidecar, but only once the
-    WAV itself has passed every check.
+    WAV itself has passed every check.  Messages name the paths as given;
+    no `Path` is built, as this runs once per recording.
     """
-    wav_path = Path(wav_path)
-    sidecar_path = wav_path.with_suffix(".json")
+    sidecar_path = _sidecar_path(wav_path)
     bad_sidecar = None
-    if meta is None and sidecar_path.is_file():
+    if meta is None and os.path.isfile(sidecar_path):
         try:
-            data = json.loads(sidecar_path.read_text())
+            with open(sidecar_path) as fh:
+                data = json.load(fh)
             raw_meta = data.get("meta", {}) if isinstance(data, dict) else None
             if not isinstance(raw_meta, dict):
                 raise ValueError("expected a JSON object with an object 'meta'")

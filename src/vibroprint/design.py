@@ -284,7 +284,8 @@ def segment_layouts(region: FeasibleRegion, caps: dict[Segment, float] | None) -
         if not fits.any():
             failures[segment.value] = (
                 f"clearance cap {m_to_mm(cap):.3g} mm admits no feasible length "
-                f"(region lengths start at {m_to_mm(column.length.min().item()):.3g} mm)"
+                f"(at side {m_to_mm(column.side[0].item()):.2f} mm, "
+                f"lengths start at {m_to_mm(column.length.min().item()):.2f} mm)"
             )
             continue
         side, length, f_lo, f_hi = column[np.argmax(np.where(fits, column.length, -np.inf))].tolist()

@@ -12,7 +12,10 @@ integrating dB would change its meaning.
 one window multiply, one `rfft` along the rows and one `abs`, so many
 short recordings cost a handful of numpy calls (and of interpreter-lock
 releases) rather than a handful each, and returns them as one `Spectrum`
-stack; `spectrum` is its one-row case.
+stack; `spectrum` is its one-row case.  Its three steps are public
+(`window_stack`, `stack_fft`, `stack_spectrum`), so that a caller can run
+the FFT on another thread: it is the one long step, and it holds no
+interpreter lock while it runs.
 The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
 is built with numpy alone, and each window is cached with its coherent
 gain per (window, n), so a batch of equal-length recordings builds it
@@ -244,16 +247,8 @@ def _scratch_for(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> Spectrum:
-    """Single-sided amplitude spectra of recordings that share one length and rate.
-
-    The stack is windowed, transformed and rectified with one numpy call
-    each, through this thread's scratch.  The result is one `Spectrum`:
-    its `magnitudes` is a new (len(recs), n//2 + 1) array, one row per
-    recording, and its `frequencies` is the cached read-only grid for
-    (n, sample rate); every row equals `spectrum` of its recording alone
-    bit for bit.
-    """
+def _grid(recs: list[Recording]) -> tuple[int, float]:
+    """The (samples, sample rate) that every recording of a stack shares."""
     if not recs:
         raise ValueError("spectra needs at least one recording")
     n, rate = recs[0].samples.size, recs[0].sample_rate
@@ -263,18 +258,60 @@ def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> Spectrum:
                 f"spectra needs one (samples, sample rate); got ({n}, {rate}) "
                 f"and ({rec.samples.size}, {rec.sample_rate})"
             )
-    w, total = _window(window, n)
-    windowed, transform = _scratch_for(len(recs), n)
-    np.stack([rec.samples for rec in recs], out=windowed)
-    windowed *= w
+    return n, rate
+
+
+def window_stack(
+    recs: list[Recording], window: str = DEFAULT_WINDOW, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The (len(recs), n) stack of the recordings' samples times the window,
+    written to `out` when given; the recordings share one length and rate.
+    The first of the three steps of `spectra`."""
+    w, _ = _window(window, _grid(recs)[0])
+    stack = np.stack([rec.samples for rec in recs], out=out)
+    stack *= w
+    return stack
+
+
+def stack_fft(windowed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`rfft` of each row of `window_stack`'s result, written to `out` when
+    given.  The second step of `spectra`: one numpy call, which holds no
+    interpreter lock while it runs."""
     # Two arrays, not one: rfft copies an input that overlaps its `out`.
-    np.fft.rfft(windowed, axis=1, out=transform)
+    return np.fft.rfft(windowed, axis=1, out=out)
+
+
+def stack_spectrum(
+    transform: np.ndarray, n: int, sample_rate: float, window: str = DEFAULT_WINDOW
+) -> Spectrum:
+    """The `Spectrum` stack of the n-sample recordings whose `stack_fft` is
+    `transform`: its rows rectified into a new magnitudes array and scaled
+    by the window's coherent gain.  The last step of `spectra`."""
+    _, total = _window(window, n)
     mags = np.abs(transform)
     mags *= 2.0 / total
     mags[:, 0] *= 0.5  # DC has no mirror
     if n % 2 == 0:
         mags[:, -1] *= 0.5  # neither does Nyquist for even n
-    return Spectrum(frequencies=_frequencies(n, rate), magnitudes=mags, resolution=rate / n, window=window)
+    return Spectrum(
+        frequencies=_frequencies(n, sample_rate), magnitudes=mags, resolution=sample_rate / n, window=window
+    )
+
+
+def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> Spectrum:
+    """Single-sided amplitude spectra of recordings that share one length and rate.
+
+    The stack is windowed, transformed and rectified with one numpy call
+    each (`window_stack`, `stack_fft`, `stack_spectrum`), through this
+    thread's scratch.  The result is one `Spectrum`: its `magnitudes` is a
+    new (len(recs), n//2 + 1) array, one row per recording, and its
+    `frequencies` is the cached read-only grid for (n, sample rate); every
+    row equals `spectrum` of its recording alone bit for bit.
+    """
+    n, rate = _grid(recs)
+    windowed, transform = _scratch_for(len(recs), n)
+    stack_fft(window_stack(recs, window, out=windowed), out=transform)
+    return stack_spectrum(transform, n, rate, window)
 
 
 def spectrum(rec: Recording, window: str = DEFAULT_WINDOW) -> Spectrum:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -818,14 +819,17 @@ def test_analyze_mean_spectra_artifacts(tmp_path):
 
 
 def spectra_rows(monkeypatch):
-    """The row count of each `spectra` call analyze makes, in call order."""
+    """The row count of each stack analyze transforms, in order: of each
+    `spectra` call, or where a helper thread runs the FFTs, of each
+    `window_stack` call."""
     rows = []
+    for name in ("spectra", "window_stack"):
 
-    def counted(recs, window="hann"):
-        rows.append(len(recs))
-        return vibroprint.signals.spectra(recs, window)
+        def counted(recs, window="hann", stack=getattr(vibroprint.signals, name)):
+            rows.append(len(recs))
+            return stack(recs, window)
 
-    monkeypatch.setattr(vibroprint.cli, "spectra", counted)
+        monkeypatch.setattr(vibroprint.cli, name, counted)
     return rows
 
 
@@ -1070,38 +1074,64 @@ def test_stacks_flush_mid_slice_and_match_per_file_results(tmp_path, monkeypatch
     slices, any_long = vibroprint.cli._slices(inputs)
     assert 1 < len(slices) < len(inputs) and not any_long
 
-    # The default run stays in the calling thread; with every file a slice
-    # of its own, the second runs on the pool, so its artifacts pin the first.
+    # Three paths, one set of artifacts: the default slices in the calling
+    # thread (one core) and read there while a helper thread runs their FFTs
+    # (two cores), and every file a slice of its own on the pool.  Threads
+    # switch as often as the interpreter lets them.
     artifacts = []
-    for slice_bytes, pools in ((vibroprint.cli._SLICE_BYTES, []), (1, [2])):
+    switch = sys.getswitchinterval()
+    for slice_bytes, cpus, pools in (
+        (vibroprint.cli._SLICE_BYTES, 1, []),
+        (vibroprint.cli._SLICE_BYTES, 2, [1]),
+        (1, 2, [2]),
+    ):
         monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
         rows = spectra_rows(monkeypatch)
-        starts = pool_starts(monkeypatch)
-        out = tmp_path / f"out{slice_bytes}"
-        assert run([*argv, "--output-dir", str(out)]) == 0
+        starts = pool_starts(monkeypatch, cpus)
+        out = tmp_path / f"out{slice_bytes}-{cpus}"
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run([*argv, "--output-dir", str(out)]) == 0
+        finally:
+            sys.setswitchinterval(switch)
         assert sum(rows) == len(inputs) and starts == pools
         names = ["auc.csv", "ratios.json", *sorted(p.name for p in out.glob("mean_spectrum_*.csv"))]
         artifacts.append((rows, {name: (out / name).read_bytes() for name in names}))
-    (stacked, stacked_files), (per_file, per_file_files) = artifacts
+    (stacked, stacked_files), (helper, helper_files), (per_file, per_file_files) = artifacts
     assert max(stacked) > 1 and len(stacked) > len(slices)
+    assert helper == stacked
     assert per_file == [1] * len(inputs)
     assert len(stacked_files) == 2 + 6
-    assert stacked_files == per_file_files
+    assert stacked_files == helper_files == per_file_files
 
 
-def test_a_corpus_of_short_recordings_starts_no_thread(tmp_path, monkeypatch):
+def test_a_corpus_of_short_recordings_is_read_in_the_calling_thread(tmp_path, monkeypatch):
     for k in range(16):
         write_slide(tmp_path / f"{k:02d}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
     inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
     slices, any_long = vibroprint.cli._slices(inputs)
     assert len(slices) > 1 and not any_long
+    # In the main thread or not, per call of each binding.
+    calls = {name: [] for name in ("read_recording_bundle", "spectra", "stack_fft")}
+    for name, threads in calls.items():
 
-    def refused(*args, **kwargs):
-        raise AssertionError("analyze started a thread pool")
+        def tracked(*args, fn=getattr(vibroprint.cli, name), threads=threads):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return fn(*args)
 
-    monkeypatch.setattr(vibroprint.cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(vibroprint.cli, "ThreadPoolExecutor", refused)
-    assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(vibroprint.cli, name, tracked)
+    # Two cores start one helper thread, which runs the FFTs of every slice;
+    # one core starts none and runs `spectra` itself.  Every file is read in
+    # the calling thread.
+    for cpus, pools, spectra, ffts in ((2, [1], [], [False]), (1, [], [True], [])):
+        for threads in calls.values():
+            threads.clear()
+        starts = pool_starts(monkeypatch, cpus)
+        assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / f"out{cpus}")]) == 0
+        assert starts == pools
+        assert calls["read_recording_bundle"] == [True] * len(inputs)
+        assert calls["spectra"] == spectra * len(slices)
+        assert calls["stack_fft"] == ffts * len(slices)
 
 
 def test_one_long_recording_puts_the_corpus_on_the_pool(tmp_path, monkeypatch):
@@ -1127,36 +1157,90 @@ def test_one_long_recording_puts_the_corpus_on_the_pool(tmp_path, monkeypatch):
     assert artifacts[0] == artifacts[1]
 
 
-def guard_fault_corpus(tmp_path, guard):
+def guard_fault_corpus(tmp_path, guard, fillers=0):
     """a.wav and b.wav in one Left group that the per-microphone guard refuses
-    (two grids, or two procedures), then c.wav, which cannot be read."""
+    (two grids, or two procedures), then `fillers` recordings that match
+    a.wav (b_00.wav, ...), then c.wav, which cannot be read."""
     write_slide(tmp_path / "a.wav", "Left", "Default", 0.02)
     if guard == "grid":
         write_slide(tmp_path / "b.wav", "Left", "Default", 0.03)
     else:
         write_slide(tmp_path / "b.wav", "Left", "Default", 0.02)
         relabel_sidecar(tmp_path / "b.wav", exploration_procedure="Pressure")
+    for k in range(fillers):
+        write_slide(tmp_path / f"b_{k:02d}.wav", "Left", "Default", 0.02)
     (tmp_path / "c.wav").write_bytes(b"not a wav")
     return tmp_path / "c.wav"
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in_thread", "pool"])
+# How each analyze path is reached: (_SLICE_BYTES, or None for the default;
+# cores; the max_workers of each pool started).  "in_thread" and "pool" put
+# one file in each slice; "helper" keeps the default slices of several files.
+PATHS = {"in_thread": (1, 1, []), "pool": (1, 2, [2]), "helper": (None, 2, [1])}
+
+
+def take_path(monkeypatch, path):
+    """Set up `path` of PATHS; returns the list of pools started."""
+    slice_bytes, cpus, _ = PATHS[path]
+    if slice_bytes is not None:
+        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+    return pool_starts(monkeypatch, cpus)
+
+
+def hold_transform_until_read(monkeypatch, target):
+    """Make each FFT on the helper thread (`stack_fft`) wait until `target` is
+    read, so a slice read earlier is still in transform when `target` is.
+    Returns the Event that marks the read (set it to release later calls)
+    and the list of whether `target` was read as each call began."""
+    read_target = threading.Event()
+    entered = []
+    read, fft = vibroprint.cli.read_recording_bundle, vibroprint.cli.stack_fft
+
+    def tracked_read(path, labels):
+        if path == target:
+            read_target.set()
+        return read(path, labels)
+
+    def held_fft(windowed):
+        entered.append(read_target.is_set())
+        assert read_target.wait(30), f"a slice was transformed before {target} was read"
+        return fft(windowed)
+
+    monkeypatch.setattr(vibroprint.cli, "read_recording_bundle", tracked_read)
+    monkeypatch.setattr(vibroprint.cli, "stack_fft", held_fft)
+    return read_target, entered
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("spectra", [[], ["--write-spectra"]], ids=["auc", "spectra"])
 @pytest.mark.parametrize("guard", ["grid", "procedure"])
 def test_a_later_unreadable_file_wins_over_an_earlier_guard_fault(
-    tmp_path, monkeypatch, capsys, guard, spectra, cpus
+    tmp_path, monkeypatch, capsys, guard, spectra, path
 ):
     data = tmp_path / "data"
     data.mkdir()
-    bad = guard_fault_corpus(data, guard)
-    # One file per slice: the guard's mismatch is two slices before the bad file.
-    monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", 1)
-    starts = pool_starts(monkeypatch, cpus)
+    bad = guard_fault_corpus(data, guard, fillers=8 if path == "helper" else 0)
+    starts = take_path(monkeypatch, path)
     argv = ["analyze", str(data / "*.wav"), *spectra, "--output-dir", str(tmp_path / "out")]
+    inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
+    slices, _ = vibroprint.cli._slices(inputs)
+    if path == "helper":
+        # The guard's mismatch is in the first slice and the bad file ends
+        # the second, read while the first is still in transform.
+        assert [len(items) for items in slices] == [7, 4]
+        assert slices[1][-1][0] == bad
+        read_bad, entered = hold_transform_until_read(monkeypatch, bad)
+    else:
+        # One file per slice: the guard's mismatch is two slices before the bad file.
+        assert len(slices) == len(inputs)
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: not a RIFF/WAVE file (starts with b'not ')\n"
-    assert starts == ([2] if cpus == 2 else [])
+    assert starts == PATHS[path][2]
+    if path == "helper":
+        # The first slice's transform began before the bad file was read.
+        assert entered and not entered[0]
+        read_bad.set()
 
     bad.unlink()
     assert run(argv) == 1
@@ -1186,11 +1270,11 @@ def test_write_spectra_refuses_a_group_of_two_grids_with_the_guard(
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in_thread", "pool"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("spectra", [[], ["--write-spectra"]], ids=["auc", "spectra"])
 @pytest.mark.parametrize("first", ["procedure_on_right", "grid_on_left"])
 def test_the_first_incomparable_recording_wins_across_microphones(
-    tmp_path, monkeypatch, capsys, first, spectra, cpus
+    tmp_path, monkeypatch, capsys, first, spectra, path
 ):
     data = tmp_path / "data"
     data.mkdir()
@@ -1203,11 +1287,21 @@ def test_the_first_incomparable_recording_wins_across_microphones(
     write_slide(procedure, "Right", "ST45B", 0.02)
     relabel_sidecar(procedure, exploration_procedure="Pressure")
     write_slide(grid, "Left", "ST45B", 0.03)
-    # One file per slice.
-    monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", 1)
-    starts = pool_starts(monkeypatch, cpus)
+    if path == "helper":
+        # Recordings that match their microphone's first put c.wav in the
+        # first slice and d.wav at the end of the second.
+        for k in range(8):
+            write_slide(data / f"c_{k:02d}.wav", ("Left", "Right")[k % 2], "Default", 0.02)
+    starts = take_path(monkeypatch, path)
+    argv = ["analyze", str(data / "*.wav"), *spectra]
+    inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
+    slices, _ = vibroprint.cli._slices(inputs)
+    if path == "helper":
+        assert [len(items) for items in slices] == [7, 5] and slices[1][-1][0] == data / "d.wav"
+    else:
+        assert len(slices) == len(inputs)  # one file per slice
     out = tmp_path / "out"
-    assert run(["analyze", str(data / "*.wav"), *spectra, "--output-dir", str(out)]) == 1
+    assert run([*argv, "--output-dir", str(out)]) == 1
     expected = {
         "procedure_on_right": "microphone 'Right' mixes recordings of (exploration_procedure, "
         "force_code) ('LateralMotion', None) and ('Pressure', None)",
@@ -1215,7 +1309,7 @@ def test_the_first_incomparable_recording_wins_across_microphones(
         "(500000.0, 10000) and (500000.0, 15000)",
     }[first]
     assert capsys.readouterr().err == f"error: {expected}; their AUCs are not comparable\n"
-    assert starts == ([2] if cpus == 2 else [])
+    assert starts == PATHS[path][2]
     assert not out.exists()
 
 
@@ -1265,6 +1359,58 @@ def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
     assert run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)]) == 0
     assert starts == [] and len(stacks) == 6
     assert alive == [1] * 6
+    assert len(list(out.glob("mean_spectrum_*.csv"))) == 2
+
+
+def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
+    for k in range(28):
+        write_slide(tmp_path / f"{k:02d}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
+    inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
+    slices, any_long = vibroprint.cli._slices(inputs)
+    assert len(slices) >= 4 and not any_long
+    slice_of = {path: k for k, items in enumerate(slices) for path, _ in items}
+    starts = pool_starts(monkeypatch, cpus=2)
+    # Weak references to each slice's recordings, and to each stack of
+    # windowed samples, of FFTs and of spectra, as analyze makes them.
+    recordings, made, alive = [], {"window_stack": [], "stack_fft": [], "stack_spectrum": []}, []
+
+    def held():
+        """Slices with a recording alive, then the stacks of each kind alive."""
+        live = {slice_of[path] for path, samples in recordings if samples() is not None}
+        return [len(live)] + [sum(ref() is not None for ref in refs) for refs in made.values()]
+
+    read = vibroprint.cli.read_recording_bundle
+
+    def tracked_read(path, labels):
+        alive.append(held())
+        rec = read(path, labels)
+        recordings.append((path, weakref.ref(rec.samples)))
+        return rec
+
+    monkeypatch.setattr(vibroprint.cli, "read_recording_bundle", tracked_read)
+    for name, refs in made.items():
+
+        def tracked(*args, fn=getattr(vibroprint.cli, name), refs=refs):
+            alive.append(held())
+            result = fn(*args)
+            refs.append(weakref.ref(getattr(result, "magnitudes", result)))
+            return result
+
+        monkeypatch.setattr(vibroprint.cli, name, tracked)
+
+    def add(mean, spec, add=vibroprint.signals.SpectrumMean.add):
+        alive.append(held())
+        add(mean, spec)
+
+    monkeypatch.setattr(vibroprint.signals.SpectrumMean, "add", add)
+    out = tmp_path / "out"
+    assert run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)]) == 0
+    assert starts == [1] and [len(refs) for refs in made.values()] == [len(slices)] * 3
+    # Counted at every read, every step of a stack and every spectrum added
+    # to its mean: the slice being read and the one in transform are all a
+    # run holds, of recordings and of each kind of stack.
+    assert len(alive) == 2 * len(inputs) + 3 * len(slices)
+    assert max(max(counts) for counts in alive) <= 2
     assert len(list(out.glob("mean_spectrum_*.csv"))) == 2
 
 
@@ -1385,7 +1531,8 @@ def test_a_layout_error_writes_no_artifact(tmp_path, capsys):
     assert run([*argv, "--output-dir", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "feasible region: 146 grid points, sides [0.40, 1.00] mm, lengths [3.00, 5.00] mm\n"
-    reason = "clearance cap 1 mm admits no feasible length (region lengths start at 3.1 mm)"
+    # The reason names the side it describes: the region's lengths start lower.
+    reason = "clearance cap 1 mm admits no feasible length (at side 1.00 mm, lengths start at 3.10 mm)"
     assert captured.err == (
         "error: no feasible beam for segment(s): "
         + "; ".join(f"{seg}: {reason}" for seg in ("FingerPhalanx", "FingerTip", "Palm", "ThumbPhalanx"))

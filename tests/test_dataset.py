@@ -114,6 +114,13 @@ def test_zero_length_data_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(WavFormatError, match="not found"):
         vp.read_wav(tmp_path / "absent.wav")
+    # A directory is no WAV file, whatever its name, nor is a path with no
+    # file name; the message names the path as the caller spelled it.
+    (tmp_path / "d.wav").mkdir()
+    for path in (tmp_path / "d.wav", f"{tmp_path}/./d.wav", f"{tmp_path}/.", "/"):
+        with pytest.raises(WavFormatError) as excinfo:
+            vp.read_recording_bundle(path)
+        assert str(excinfo.value) == f"WAV file not found: {path}"
 
 
 def test_invalid_encoding_name(tmp_path, random_recording):
@@ -311,6 +318,16 @@ def test_recording_bundle_round_trip(tmp_path, random_recording):
     back = vp.read_recording_bundle(path)
     assert back.meta == meta
 
+    # The sidecar's name is pathlib's: the last suffix goes, but only a dot
+    # with a character before and after it starts one (os.path.splitext
+    # differs on "x." and "..wav").
+    for k, name in enumerate(["x.tar", "x", "x.", "..wav"]):
+        wav = tmp_path / str(k) / name
+        wav.parent.mkdir()
+        assert vp.write_recording_bundle(rec, wav) == wav.with_suffix(".json")
+        assert [p.name for p in wav.parent.iterdir() if p != wav] == [wav.with_suffix(".json").name]
+        assert vp.read_recording_bundle(str(wav)).meta == meta
+
 
 SIDECAR_PIN = """{
   "encoding": "int16",
@@ -357,6 +374,9 @@ def test_bundle_read_decodes_as_read_wav(tmp_path, random_recording, encoding):
 def test_bundle_without_sidecar_has_empty_meta(tmp_path, random_recording):
     path = tmp_path / "plain.wav"
     vp.write_wav(random_recording, path)
+    assert vp.read_recording_bundle(path).meta == vp.RecordingMeta()
+    # A directory where the sidecar would be is no sidecar.
+    (tmp_path / "plain.json").mkdir()
     assert vp.read_recording_bundle(path).meta == vp.RecordingMeta()
 
 
@@ -423,6 +443,10 @@ def test_malformed_sidecar_names_its_path(tmp_path, random_recording, capsys, si
     (tmp_path / "rec.json").write_text(sidecar)
     with pytest.raises(ManifestError, match="rec.json"):
         vp.read_recording_bundle(path)
+    # The sidecar is named as the caller spelled the WAV's directory.
+    with pytest.raises(ManifestError) as excinfo:
+        vp.read_recording_bundle(f"{tmp_path}/./rec.wav")
+    assert str(excinfo.value).startswith(f"{tmp_path}/./rec.json: bad sidecar (")
     assert run(["analyze", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert "rec.json" in capsys.readouterr().err
 
