@@ -22,12 +22,18 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import groupby, takewhile
+from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
 from .beams import BeamSpec, CrossSection, Shape, modal_frequencies
-from .dataset import ENCODINGS, load_manifest, read_recording_bundle, write_recording_bundle
+from .dataset import (
+    ENCODINGS,
+    decode_samples,
+    load_manifest,
+    read_bundle_samples,
+    write_recording_bundle,
+)
 from .design import (
     DEFAULT_GRID_STEP,
     Segment,
@@ -58,13 +64,16 @@ from .signals import (
     WINDOWS,
     RecordingMeta,
     SpectrumMean,
+    StackRows,
     band_auc,
     normalize_against_baseline,
     report_to_json_dict,
-    spectra,
     stack_fft,
     stack_spectrum,
-    window_stack,
+    thread_rows,
+    top_bin_hz,
+    window_weights,
+    windowed_spectra,
     write_auc_csv,
     write_spectrum_csv,
 )
@@ -460,20 +469,29 @@ def _slices(inputs: list) -> tuple[list[list], bool]:
 def _cmd_analyze(args, out_dir: Path) -> None:
     """Band AUC of each recording, normalized per microphone against the baseline skin.
 
-    Gather: each slice is read (every file checked as it is read), then
-    transformed into columns (labels, grids, band AUCs) with one `band_auc`
-    call per `spectra` stack; the columns are consumed as they arrive, in
-    input order.  One worker does both in the calling thread; a corpus with a
-    long recording reads and transforms each slice in one pool thread; any
-    other corpus is read in the calling thread while one helper thread runs
-    the FFTs of the slice before (`parts`).  Under --write-spectra each
+    Gather: each slice is read (every file checked as it is read), each
+    file's samples decoded, scaled and windowed in place into the next row
+    of one flat float64 buffer (`StackRows`), so that a run of recordings on
+    one grid is one contiguous stack; no full-length array is made per
+    recording.  The stacks are then transformed into columns (labels, grids,
+    band AUCs) with one `band_auc` call per stack; without --write-spectra
+    only the bins that it reads are rectified.  The columns are consumed as
+    they arrive, in input order.  One worker does both in the calling thread;
+    a corpus with a long recording reads and transforms each slice in one
+    pool thread; there each thread reuses its own rows, transform scratch and
+    file buffer (`signals.thread_rows`), grown to the largest slice it has
+    seen and kept for the thread's life (the calling thread's outlive the
+    run).  Any other corpus is read in the calling thread, into two row
+    buffers in turn, while one helper thread runs the FFTs of the slice
+    before (`parts`).  Under --write-spectra each
     spectrum is added to the `SpectrumMean` of its (microphone, material,
     grid) and then dropped, so the run holds one sum per group (O(groups x
     bins)) and the spectra of the slices in flight, not every spectrum; each
     sum runs in input order, as the mean of its stacked spectra would.
     Check: one pass over the gathered labels and grids refuses the first
-    recording, in input order, whose microphone mixes grids or procedures.  Write: the table, then one mean spectrum per (microphone,
-    material), which the check has left on one grid.
+    recording, in input order, whose microphone mixes grids or procedures.
+    Write: the table, then one mean spectrum per (microphone, material),
+    which the check has left on one grid.
 
     Faults come in input order: a band that `_band` refuses before any file
     is read, then each file's own fault (unreadable, unlabeled, or a top bin
@@ -484,35 +502,47 @@ def _cmd_analyze(args, out_dir: Path) -> None:
     band = (b.low, b.high)
     inputs = _analysis_inputs(args)
 
-    def read(items):
-        """The recordings of `items`, in order, each checked as it is read."""
-        recs = []
+    # Without --write-spectra, only the bins that band_auc reads are rectified.
+    top = None if args.write_spectra else band[1]
+
+    def read(items, rows):
+        """Read `items` in order, each file checked as it is read, and decode
+        each one's samples, scaled and windowed, into the next row of `rows`.
+        Returns each run of consecutive recordings on one grid: its (sample
+        rate, samples) grid and labels, and its (recordings, samples) stack,
+        a view of `rows`."""
+        runs = []
         for path, labels in items:
-            rec = read_recording_bundle(path, labels)
-            if rec.meta.microphone is None or rec.meta.fingerprint_material is None:
+            meta, rate, raw, scale = read_bundle_samples(path, labels)
+            if meta.microphone is None or meta.fingerprint_material is None:
                 raise VibroprintError(
                     f"{path}: recording lacks microphone/fingerprint_material labels; "
                     "supply a manifest or sidecar metadata"
                 )
-            if band[1] > rec.nyquist:
+            n = raw.size
+            nyquist = top_bin_hz(n, rate)
+            if band[1] > nyquist:
                 raise VibroprintError(
-                    f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {rec.nyquist}]"
+                    f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {nyquist}]"
                 )
-            recs.append(rec)
-        return recs
+            decode_samples(raw, scale, rows.take(n), window_weights(args.window, n))
+            if runs and runs[-1][0] == (rate, n):
+                runs[-1][1].append(meta)
+            else:
+                runs.append(((rate, n), [meta]))
+        flat, start = rows.written(), 0
+        stacks = []
+        for (_, n), metas in runs:
+            stacks.append(flat[start : start + len(metas) * n].reshape(len(metas), n))
+            start += len(metas) * n
+        return runs, stacks
 
-    def runs(recs):
-        """Each run of consecutive recordings on one grid: its (sample rate,
-        samples) grid and its recordings."""
-        batches = groupby(recs, key=lambda rec: (rec.sample_rate, rec.samples.size))
-        return [(grid, list(batch)) for grid, batch in batches]
-
-    def columns(stacks):
-        """Columns of a slice given as one (grid, labels, `Spectrum` stack) per
-        run, in order: labels, grids, band AUCs (one `band_auc` call per
+    def columns(runs, spectra):
+        """Columns of a slice from its runs' (grid, labels) and `Spectrum`
+        stacks, in order: labels, grids, band AUCs (one `band_auc` call per
         stack), and the spectra under --write-spectra (else none)."""
         metas, grids, aucs, specs = [], [], [], []
-        for grid, labels, stack in stacks:
+        for (grid, labels), stack in zip(runs, spectra):
             metas += labels
             grids += [grid] * len(labels)
             aucs += band_auc(stack, band).tolist()
@@ -521,26 +551,23 @@ def _cmd_analyze(args, out_dir: Path) -> None:
         return metas, grids, aucs, specs
 
     def analyze_slice(items):
-        """Columns of one slice, read and transformed in this thread."""
+        """Columns of one slice, read into this thread's rows and transformed
+        in this thread."""
+        runs, stacks = read(items, thread_rows())
         return columns(
-            [(grid, [rec.meta for rec in batch], spectra(batch, args.window))
-             for grid, batch in runs(read(items))]
+            runs,
+            [windowed_spectra(stack, rate, args.window, top) for ((rate, _), _), stack in zip(runs, stacks)],
         )
 
-    def windowed(items):
-        """One slice read, as each run's (grid, labels) and its `window_stack`."""
-        batches = runs(read(items))
-        labelled = [(grid, [rec.meta for rec in batch]) for grid, batch in batches]
-        return labelled, [window_stack(batch, args.window) for _, batch in batches]
+    def ffts(runs, stacks):
+        return runs, [stack_fft(stack) for stack in stacks]
 
-    def ffts(labelled, stacks):
-        return labelled, [stack_fft(stack) for stack in stacks]
-
-    def finished(labelled, transforms):
-        """Columns of a slice from its runs' (grid, labels) and `stack_fft`s."""
+    def finished(runs, transforms):
+        """Columns of a slice from its runs and their `stack_fft`s."""
         return columns(
-            [(grid, metas, stack_spectrum(transform, grid[1], grid[0], args.window))
-             for (grid, metas), transform in zip(labelled, transforms)]
+            runs,
+            [stack_spectrum(transform, n, rate, args.window, top)
+             for ((rate, n), _), transform in zip(runs, transforms)],
         )
 
     slices, any_long = _slices(inputs)
@@ -556,7 +583,7 @@ def _cmd_analyze(args, out_dir: Path) -> None:
         pool transformed took 0.18 -> 0.21 s per pass).
 
         Short files cost more Python per byte, which threads that each read
-        only trade the lock for.  So the calling thread reads, windows,
+        only trade the lock for.  So the calling thread reads (and windows),
         rectifies and integrates every slice, while one helper thread runs
         the FFTs of the slice read before.  An FFT is one numpy call that
         holds no lock, so the helper takes the lock only to start and to
@@ -571,14 +598,16 @@ def _cmd_analyze(args, out_dir: Path) -> None:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(analyze_slice, slices)
         else:
+            # Two buffers in turn: the slice being read, and the one in transform.
+            buffers = (StackRows(), StackRows())
             with ThreadPoolExecutor(max_workers=1) as helper:
                 pending = None  # the FFTs of the slice in transform
-                for items in slices:
+                for k, items in enumerate(slices):
                     try:
-                        labelled, stacks = windowed(items)
+                        runs, stacks = read(items, buffers[k % 2].clear())
                     finally:  # the slice before, whose fault comes first
                         done = None if pending is None else pending.result()
-                    pending = helper.submit(ffts, labelled, stacks)
+                    pending = helper.submit(ffts, runs, stacks)
                     if done is not None:
                         yield finished(*done)
                 yield finished(*pending.result())

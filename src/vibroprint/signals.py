@@ -15,15 +15,21 @@ releases) rather than a handful each, and returns them as one `Spectrum`
 stack; `spectrum` is its one-row case.  Its three steps are public
 (`window_stack`, `stack_fft`, `stack_spectrum`), so that a caller can run
 the FFT on another thread: it is the one long step, and it holds no
-interpreter lock while it runs.
+interpreter lock while it runs.  A caller that windows its samples itself,
+as `analyze` does while it decodes each file into a row, starts at
+`windowed_spectra`.  `stack_spectrum` can stop at a top frequency: only
+the bins that `band_auc` reads for a band up to it are rectified.
 The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
 is built with numpy alone, and each window is cached with its coherent
 gain per (window, n), so a batch of equal-length recordings builds it
 once.  The frequency grid is cached the same way per (n, sample rate),
 read-only and shared by every spectrum on that grid.  Each thread keeps
-two flat scratch arrays (the windowed samples and their transform) that
-grow to the largest stack it has seen and are handed out as (rows, n)
-views, so a stack allocates only its magnitudes.
+two flat scratch arrays, which grow to the largest stack (or `analyze`
+slice) it has seen, are never shrunk and so retain that much memory for
+the thread's life: its `StackRows` of windowed samples, which `spectra`
+windows into and `analyze` decodes into (`thread_rows`), and the
+transform that `windowed_spectra` writes.  Both are handed out as
+(rows, n) views, so a stack allocates only its magnitudes.
 
 `SpectrumMean` is the one bin-wise mean: it adds each spectrum's
 magnitudes into a single float64 sum in the order given and divides by
@@ -155,24 +161,33 @@ class Recording:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("samples must be a 1-D array with at least 2 samples")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must all be finite")
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
+        check_samples(samples, self.sample_rate)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property
     def nyquist(self) -> float:
         """Top bin (Hz) of this recording's spectrum, equal to its `Spectrum.nyquist`."""
-        return float(_frequencies(self.samples.size, self.sample_rate)[-1])
+        return top_bin_hz(self.samples.size, self.sample_rate)
+
+
+def check_samples(samples: np.ndarray, sample_rate: float) -> None:
+    """The one check of a recording's values, for `Recording` and for
+    samples read straight into a stack row: a 1-D array of at least 2
+    samples, all finite (integer samples always are), at a positive finite
+    rate.  A fault raises ValueError."""
+    if samples.ndim != 1 or samples.size < 2:
+        raise ValueError("samples must be a 1-D array with at least 2 samples")
+    if samples.dtype.kind == "f" and not np.isfinite(samples).all():
+        raise ValueError("samples must all be finite")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Single-sided magnitude spectrum on a uniform grid up to Nyquist;
+    """Single-sided magnitude spectrum on a uniform grid up to Nyquist (or,
+    from `stack_spectrum` with a top, up to the first bin at or above it);
     `magnitudes` is one row of bins, or a (rows, bins) stack on that grid."""
 
     frequencies: np.ndarray
@@ -222,29 +237,64 @@ def _frequencies(n: int, sample_rate: float) -> np.ndarray:
         return _cached_frequencies(n, sample_rate)
 
 
-# Per-thread flat scratch (windowed samples float64, transform complex128),
-# grown to the largest stack seen and never shrunk: a fresh pair for each
-# stack shape raised analyze's peak memory by several MB.
+def top_bin_hz(n: int, sample_rate: float) -> float:
+    """Top bin (Hz) of an n-sample spectrum: the Nyquist frequency for even n."""
+    return float(_frequencies(n, sample_rate)[-1])
+
+
+def window_weights(window: str, n: int) -> np.ndarray:
+    """The cached read-only window of n samples that `window_stack` multiplies by."""
+    return _window(window, n)[0]
+
+
+class StackRows:
+    """Rows of samples written one after another into one flat float64
+    buffer, so that consecutive rows of one length form one contiguous
+    (rows, n) stack.  `take` hands out the next elements; when they do not
+    fit, the buffer grows to at least twice its size, keeping what was taken
+    before (so each piece is written before the next `take`).  It is never
+    shrunk; `clear` starts again at its first element."""
+
+    def __init__(self):
+        self._flat = np.empty(0)
+        self._used = 0
+
+    def clear(self) -> StackRows:
+        self._used = 0
+        return self
+
+    def take(self, size: int) -> np.ndarray:
+        """The next `size` elements of the buffer, to be written."""
+        end = self._used + size
+        if end > self._flat.size:
+            flat = np.empty(max(end, 2 * self._flat.size))
+            flat[: self._used] = self._flat[: self._used]
+            self._flat = flat
+        self._used = end
+        return self._flat[end - size : end]
+
+    def written(self) -> np.ndarray:
+        """Every element taken since the last `clear`, in order."""
+        return self._flat[: self._used]
+
+
+# Per-thread scratch: the rows of windowed samples and a flat complex128
+# transform, each grown to the largest stack (or, for `analyze`, slice) seen
+# and never shrunk: a fresh pair for each stack shape raised analyze's peak
+# memory by several MB.
 class _Scratch(threading.local):
-    buffers = (np.empty(0), np.empty(0, dtype=complex))
+    def __init__(self):
+        self.rows = StackRows()
+        self.transform = np.empty(0, dtype=complex)
 
 
 _scratch = _Scratch()
 
 
-def _scratch_for(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's scratch as (rows, n) and (rows, n//2 + 1) views."""
-    sizes = (rows * n, rows * (n // 2 + 1))
-    held = _scratch.buffers
-    if held[0].size < sizes[0] or held[1].size < sizes[1]:
-        held = _scratch.buffers = (
-            np.empty(max(sizes[0], held[0].size)),
-            np.empty(max(sizes[1], held[1].size), dtype=complex),
-        )
-    return (
-        held[0][: sizes[0]].reshape(rows, n),
-        held[1][: sizes[1]].reshape(rows, n // 2 + 1),
-    )
+def thread_rows() -> StackRows:
+    """This thread's `StackRows`, cleared: the scratch that `spectra`
+    windows into and that `analyze` decodes each slice into."""
+    return _scratch.rows.clear()
 
 
 def _grid(recs: list[Recording]) -> tuple[int, float]:
@@ -267,7 +317,7 @@ def window_stack(
     """The (len(recs), n) stack of the recordings' samples times the window,
     written to `out` when given; the recordings share one length and rate.
     The first of the three steps of `spectra`."""
-    w, _ = _window(window, _grid(recs)[0])
+    w = window_weights(window, _grid(recs)[0])
     stack = np.stack([rec.samples for rec in recs], out=out)
     stack *= w
     return stack
@@ -282,20 +332,48 @@ def stack_fft(windowed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def stack_spectrum(
-    transform: np.ndarray, n: int, sample_rate: float, window: str = DEFAULT_WINDOW
+    transform: np.ndarray,
+    n: int,
+    sample_rate: float,
+    window: str = DEFAULT_WINDOW,
+    top: float | None = None,
 ) -> Spectrum:
     """The `Spectrum` stack of the n-sample recordings whose `stack_fft` is
     `transform`: its rows rectified into a new magnitudes array and scaled
-    by the window's coherent gain.  The last step of `spectra`."""
+    by the window's coherent gain.  The last step of `spectra`.
+
+    With `top` (Hz), only the bins up to the first at or above it are
+    rectified, and the spectrum ends there: the bins that `band_auc` reads
+    for a band up to `top`, equal to the full result's bit for bit.  A
+    spectrum that reaches Nyquist has the cached grid itself."""
     _, total = _window(window, n)
-    mags = np.abs(transform)
+    f = _frequencies(n, sample_rate)
+    bins = f.size if top is None else min(int(np.searchsorted(f, top)) + 1, f.size)
+    mags = np.abs(transform[:, :bins])
     mags *= 2.0 / total
     mags[:, 0] *= 0.5  # DC has no mirror
-    if n % 2 == 0:
+    if n % 2 == 0 and bins == f.size:
         mags[:, -1] *= 0.5  # neither does Nyquist for even n
     return Spectrum(
-        frequencies=_frequencies(n, sample_rate), magnitudes=mags, resolution=sample_rate / n, window=window
+        frequencies=f if bins == f.size else f[:bins],
+        magnitudes=mags,
+        resolution=sample_rate / n,
+        window=window,
     )
+
+
+def windowed_spectra(
+    windowed: np.ndarray, sample_rate: float, window: str = DEFAULT_WINDOW, top: float | None = None
+) -> Spectrum:
+    """`stack_spectrum` (up to `top`, when given) of a (rows, n) stack of
+    samples already multiplied by `window`, transformed by `stack_fft` into
+    this thread's scratch."""
+    rows, n = windowed.shape
+    size = rows * (n // 2 + 1)
+    if _scratch.transform.size < size:
+        _scratch.transform = np.empty(size, dtype=complex)
+    transform = _scratch.transform[:size].reshape(rows, n // 2 + 1)
+    return stack_spectrum(stack_fft(windowed, out=transform), n, sample_rate, window, top)
 
 
 def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> Spectrum:
@@ -309,9 +387,8 @@ def spectra(recs: list[Recording], window: str = DEFAULT_WINDOW) -> Spectrum:
     row equals `spectrum` of its recording alone bit for bit.
     """
     n, rate = _grid(recs)
-    windowed, transform = _scratch_for(len(recs), n)
-    stack_fft(window_stack(recs, window, out=windowed), out=transform)
-    return stack_spectrum(transform, n, rate, window)
+    windowed = thread_rows().take(len(recs) * n).reshape(len(recs), n)
+    return windowed_spectra(window_stack(recs, window, out=windowed), rate, window)
 
 
 def spectrum(rec: Recording, window: str = DEFAULT_WINDOW) -> Spectrum:

@@ -53,7 +53,8 @@ class SlideScenario:
 
     Construction checks, in this order: pitch, velocity, duration and
     sample rate positive and finite; `modes` a mode index in [1, 2**53];
-    seed >= 0; duration * sample_rate and `noise_floor_db` finite; every
+    seed >= 0; duration * sample_rate and `noise_floor_db` finite, and the
+    noise sigma that the floor gives over the recording finite; every
     mode below half the sample rate (NyquistError, naming how many modes
     the rate fits); one damping ratio in (0, 1) and one finite amplitude
     per mode; at most one strike per sample.  A scenario that builds can
@@ -85,8 +86,18 @@ class SlideScenario:
             raise ValueError(
                 f"duration * sample_rate must be finite, got {self.duration} s * {self.sample_rate} Hz"
             )
-        if self.noise_floor_db is not None and not math.isfinite(self.noise_floor_db):
-            raise ValueError(f"noise_floor_db must be finite or None, got {self.noise_floor_db}")
+        if self.noise_floor_db is not None:
+            if not math.isfinite(self.noise_floor_db):
+                raise ValueError(f"noise_floor_db must be finite or None, got {self.noise_floor_db}")
+            try:
+                sigma = noise_sigma(self.noise_floor_db, self.n_samples)
+            except OverflowError:
+                sigma = math.inf
+            if not math.isfinite(sigma):
+                raise ValueError(
+                    f"noise_floor_db {self.noise_floor_db} dB gives a noise sigma past the "
+                    f"float range over {self.n_samples} samples"
+                )
         highest = nominal_frequency(self.beam, self.modes)
         if self.sample_rate <= 2.0 * highest:
             # The modes rise with their index: bisect for the first that does not fit.
@@ -120,6 +131,11 @@ class SlideScenario:
                 f"strike rate velocity / pitch = {self.excitation_rate:.4g} Hz exceeds "
                 f"the sample rate {self.sample_rate} Hz"
             )
+
+    @property
+    def n_samples(self) -> int:
+        """Samples in the synthesized recording: duration * sample_rate, at least 2."""
+        return max(2, int(round(self.duration * self.sample_rate)))
 
     @property
     def excitation_rate(self) -> float:
@@ -160,7 +176,7 @@ def slide_signal(scenario: SlideScenario, meta: RecordingMeta | None = None) -> 
     the rate: `SlideScenario` checked that when it was built.
     """
     rate = scenario.sample_rate
-    n_samples = max(2, int(round(scenario.duration * rate)))
+    n_samples = scenario.n_samples
     period = scenario.pitch / scenario.velocity
     if scenario.duration < period:
         warnings.warn(

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import vibroprint.cli
 from vibroprint.cli import run
 from vibroprint.design import DEFAULT_GRID_STEP
 from vibroprint.dataset import ENCODINGS
-from vibroprint.signals import DEFAULT_WINDOW, WINDOWS
+from vibroprint.signals import DEFAULT_WINDOW, WINDOWS, _frequencies
 from vibroprint.simulate import (
     DEFAULT_DAMPING_RATIO,
     DEFAULT_MODES,
@@ -680,6 +681,21 @@ def test_simulate_non_finite_noise_floor_names_the_field(tmp_path, capsys, level
     assert not list(tmp_path.glob("*.wav"))
 
 
+def test_simulate_noise_floor_past_the_float_range_is_refused(tmp_path, capsys):
+    # 10 ** (7000 / 20) overflows a float: the scenario refuses it before synthesis.
+    out = tmp_path / "out"
+    argv = [
+        "simulate", "--material", "TPU", "--square-side-mm", "2.6", "--length-mm", "2.0",
+        "--duration-s", "0.005", "--noise-floor-db", "7000", "--sample-rate-hz", "100000", "--modes", "1",
+    ]
+    assert run([*argv, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: noise_floor_db 7000.0 dB gives a noise sigma past the float range over 500 samples\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_rate_past_the_wav_header_is_a_domain_error(tmp_path, capsys):
     # 2 GHz float32 is 8e9 bytes per second, more than the header's 32-bit byte rate holds.
     argv = [*SIMULATE_TPU, "--sample-rate-hz", "2e9", "--duration-s", "2e-3", "--modes", "1"]
@@ -820,14 +836,14 @@ def test_analyze_mean_spectra_artifacts(tmp_path):
 
 def spectra_rows(monkeypatch):
     """The row count of each stack analyze transforms, in order: of each
-    `spectra` call, or where a helper thread runs the FFTs, of each
-    `window_stack` call."""
+    `windowed_spectra` call, or where a helper thread runs the FFTs, of each
+    `stack_fft` call."""
     rows = []
-    for name in ("spectra", "window_stack"):
+    for name in ("windowed_spectra", "stack_fft"):
 
-        def counted(recs, window="hann", stack=getattr(vibroprint.signals, name)):
-            rows.append(len(recs))
-            return stack(recs, window)
+        def counted(stack, *args, transform=getattr(vibroprint.signals, name)):
+            rows.append(len(stack))
+            return transform(stack, *args)
 
         monkeypatch.setattr(vibroprint.cli, name, counted)
     return rows
@@ -873,7 +889,7 @@ def test_analyze_reads_integrates_and_normalizes_once_each(tmp_path, monkeypatch
         monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
     reads, integrals, reports = (
         counted(monkeypatch, name)
-        for name in ("read_recording_bundle", "band_auc", "normalize_against_baseline")
+        for name in ("read_bundle_samples", "band_auc", "normalize_against_baseline")
     )
     rows = spectra_rows(monkeypatch)
     assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
@@ -1112,7 +1128,7 @@ def test_a_corpus_of_short_recordings_is_read_in_the_calling_thread(tmp_path, mo
     slices, any_long = vibroprint.cli._slices(inputs)
     assert len(slices) > 1 and not any_long
     # In the main thread or not, per call of each binding.
-    calls = {name: [] for name in ("read_recording_bundle", "spectra", "stack_fft")}
+    calls = {name: [] for name in ("read_bundle_samples", "windowed_spectra", "stack_fft")}
     for name, threads in calls.items():
 
         def tracked(*args, fn=getattr(vibroprint.cli, name), threads=threads):
@@ -1121,16 +1137,16 @@ def test_a_corpus_of_short_recordings_is_read_in_the_calling_thread(tmp_path, mo
 
         monkeypatch.setattr(vibroprint.cli, name, tracked)
     # Two cores start one helper thread, which runs the FFTs of every slice;
-    # one core starts none and runs `spectra` itself.  Every file is read in
-    # the calling thread.
+    # one core starts none and runs `windowed_spectra` itself.  Every file is
+    # read in the calling thread.
     for cpus, pools, spectra, ffts in ((2, [1], [], [False]), (1, [], [True], [])):
         for threads in calls.values():
             threads.clear()
         starts = pool_starts(monkeypatch, cpus)
         assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / f"out{cpus}")]) == 0
         assert starts == pools
-        assert calls["read_recording_bundle"] == [True] * len(inputs)
-        assert calls["spectra"] == spectra * len(slices)
+        assert calls["read_bundle_samples"] == [True] * len(inputs)
+        assert calls["windowed_spectra"] == spectra * len(slices)
         assert calls["stack_fft"] == ffts * len(slices)
 
 
@@ -1194,7 +1210,7 @@ def hold_transform_until_read(monkeypatch, target):
     and the list of whether `target` was read as each call began."""
     read_target = threading.Event()
     entered = []
-    read, fft = vibroprint.cli.read_recording_bundle, vibroprint.cli.stack_fft
+    read, fft = vibroprint.cli.read_bundle_samples, vibroprint.cli.stack_fft
 
     def tracked_read(path, labels):
         if path == target:
@@ -1206,7 +1222,7 @@ def hold_transform_until_read(monkeypatch, target):
         assert read_target.wait(30), f"a slice was transformed before {target} was read"
         return fft(windowed)
 
-    monkeypatch.setattr(vibroprint.cli, "read_recording_bundle", tracked_read)
+    monkeypatch.setattr(vibroprint.cli, "read_bundle_samples", tracked_read)
     monkeypatch.setattr(vibroprint.cli, "stack_fft", held_fft)
     return read_target, entered
 
@@ -1344,8 +1360,8 @@ def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
     starts = pool_starts(monkeypatch, cpus=1)
     stacks, alive = [], []
 
-    def tracked(recs, window="hann"):
-        result = vibroprint.signals.spectra(recs, window)
+    def tracked(*args):
+        result = vibroprint.signals.windowed_spectra(*args)
         stacks.append(weakref.ref(result.magnitudes))
         return result
 
@@ -1353,7 +1369,7 @@ def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
         alive.append(sum(stack() is not None for stack in stacks))
         add(mean, spec)
 
-    monkeypatch.setattr(vibroprint.cli, "spectra", tracked)
+    monkeypatch.setattr(vibroprint.cli, "windowed_spectra", tracked)
     monkeypatch.setattr(vibroprint.signals.SpectrumMean, "add", add)
     out = tmp_path / "out"
     assert run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)]) == 0
@@ -1368,32 +1384,37 @@ def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
     inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
     slices, any_long = vibroprint.cli._slices(inputs)
     assert len(slices) >= 4 and not any_long
-    slice_of = {path: k for k, items in enumerate(slices) for path, _ in items}
     starts = pool_starts(monkeypatch, cpus=2)
-    # Weak references to each slice's recordings, and to each stack of
-    # windowed samples, of FFTs and of spectra, as analyze makes them.
-    recordings, made, alive = [], {"window_stack": [], "stack_fft": [], "stack_spectrum": []}, []
+    # Weak references to each buffer of rows that a slice is decoded into,
+    # and to each stack of windowed samples, of FFTs and of spectra, as
+    # analyze makes them.
+    buffers, made, alive = [], {"windowed": [], "stack_fft": [], "stack_spectrum": []}, []
 
     def held():
-        """Slices with a recording alive, then the stacks of each kind alive."""
-        live = {slice_of[path] for path, samples in recordings if samples() is not None}
-        return [len(live)] + [sum(ref() is not None for ref in refs) for refs in made.values()]
+        """Row buffers alive, then the stacks of each kind alive."""
+        return [sum(ref() is not None for ref in refs) for refs in (buffers, *made.values())]
 
-    read = vibroprint.cli.read_recording_bundle
+    read, decode = vibroprint.cli.read_bundle_samples, vibroprint.cli.decode_samples
 
     def tracked_read(path, labels):
         alive.append(held())
-        rec = read(path, labels)
-        recordings.append((path, weakref.ref(rec.samples)))
-        return rec
+        return read(path, labels)
 
-    monkeypatch.setattr(vibroprint.cli, "read_recording_bundle", tracked_read)
-    for name, refs in made.items():
+    def tracked_decode(raw, scale, out, window):
+        if not any(ref() is out.base for ref in buffers):
+            buffers.append(weakref.ref(out.base))
+        return decode(raw, scale, out, window)
 
-        def tracked(*args, fn=getattr(vibroprint.cli, name), refs=refs):
+    monkeypatch.setattr(vibroprint.cli, "read_bundle_samples", tracked_read)
+    monkeypatch.setattr(vibroprint.cli, "decode_samples", tracked_decode)
+    for name in ("stack_fft", "stack_spectrum"):
+
+        def tracked(*args, fn=getattr(vibroprint.cli, name), kind=name):
             alive.append(held())
+            if kind == "stack_fft":
+                made["windowed"].append(weakref.ref(args[0]))
             result = fn(*args)
-            refs.append(weakref.ref(getattr(result, "magnitudes", result)))
+            made[kind].append(weakref.ref(getattr(result, "magnitudes", result)))
             return result
 
         monkeypatch.setattr(vibroprint.cli, name, tracked)
@@ -1408,10 +1429,80 @@ def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
     assert starts == [1] and [len(refs) for refs in made.values()] == [len(slices)] * 3
     # Counted at every read, every step of a stack and every spectrum added
     # to its mean: the slice being read and the one in transform are all a
-    # run holds, of recordings and of each kind of stack.
-    assert len(alive) == 2 * len(inputs) + 3 * len(slices)
-    assert max(max(counts) for counts in alive) <= 2
+    # run holds, of row buffers and of each kind of stack.
+    assert len(alive) == 2 * len(inputs) + 2 * len(slices)
+    assert max(max(counts) for counts in alive) <= 2 < len(slices)
     assert len(list(out.glob("mean_spectrum_*.csv"))) == 2
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize(
+    "n, band",
+    [
+        (10000, ("3.2", "26")),
+        (10000, ("3.2", "26.02")),
+        (10000, ("0", "250")),
+        (10001, ("0", "249.97")),
+        (10001, ("1", "26.02")),
+    ],
+    ids=["on_a_bin", "between_bins", "at_nyquist", "odd_below_the_top_bin", "odd_between_bins"],
+)
+def test_band_only_spectra_give_the_full_spectra_aucs(tmp_path, monkeypatch, path, window, n, band):
+    # Enough recordings for two slices on the helper path.
+    for rep in range(1, 6):
+        for material in ("Default", "ST45B"):
+            write_slide(tmp_path / f"{rep}_{material}.wav", "Left", material, n / 500e3)
+    starts = take_path(monkeypatch, path)
+    stacks = counted(monkeypatch, "band_auc")
+    argv = ["analyze", str(tmp_path / "*.wav"), "--window", window, "--band-khz", *band]
+    artifacts = []
+    for spectra in ([], ["--write-spectra"]):
+        out = tmp_path / f"out{len(spectra)}"
+        assert run([*argv, *spectra, "--output-dir", str(out)]) == 0
+        artifacts.append({name: (out / name).read_bytes() for name in ("auc.csv", "ratios.json")})
+    assert artifacts[0] == artifacts[1]
+    assert starts == PATHS[path][2] * 2
+    # Without --write-spectra each stack ends at the first bin at or above the
+    # band's top; on Nyquist it keeps the cached grid itself.
+    grid = _frequencies(n, 500e3)
+    bins = int(np.searchsorted(grid, khz_to_hz(float(band[1])))) + 1
+    full = len(stacks) // 2
+    assert {stack.magnitudes.shape[-1] for stack in stacks[:full]} == {bins}
+    assert all((stack.frequencies is grid) == (bins == grid.size) for stack in stacks[:full])
+    assert all(stack.frequencies is grid for stack in stacks[full:])
+
+
+@pytest.mark.parametrize("path", ["in_thread", "pool"])
+def test_analyze_memory_does_not_grow_with_the_long_recordings_it_reads(tmp_path, monkeypatch, path):
+    # 0.2 s at 500 kHz: each WAV holds 400 kB, so each is a slice of its own.
+    n = 100_000
+    corpora = {}
+    for count in (2, 8):
+        corpora[count] = tmp_path / str(count)
+        corpora[count].mkdir()
+        for k in range(count):
+            write_slide(corpora[count] / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], n / 500e3)
+    starts = pool_starts(monkeypatch, cpus=1 if path == "in_thread" else 2)
+
+    def peak(corpus):
+        tracemalloc.start()
+        try:
+            assert run(["analyze", str(corpus / "*.wav"), "--output-dir", str(corpus / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(corpora[2])  # warm-up: the window, the grid and the calling thread's buffers
+    two, eight = peak(corpora[2]), peak(corpora[8])
+    assert starts == ([] if path == "in_thread" else [2] * 3)
+    # Each thread reuses one file buffer, one row buffer and one transform
+    # scratch: six more recordings add less than one recording's samples.
+    assert eight - two < n * 8, (two, eight)
+    if path == "in_thread":
+        # The calling thread's buffers, grown by the warm-up, are all a run
+        # needs: it makes no full-length array per recording.
+        assert eight < n * 8, eight
 
 
 def test_analyze_refuses_a_manifest_without_recordings(tmp_path, capsys):

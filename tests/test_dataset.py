@@ -1,6 +1,7 @@
 """WAV codec and manifest validation."""
 
 import json
+import os
 import struct
 import tempfile
 import warnings
@@ -16,8 +17,9 @@ from scipy.io import wavfile
 
 import vibroprint as vp
 from vibroprint.cli import run
-from vibroprint.dataset import _SAMPLES, ENCODINGS
+from vibroprint.dataset import _SAMPLES, ENCODINGS, decode_samples, read_bundle_samples
 from vibroprint.errors import ManifestError, WavFormatError
+from vibroprint.signals import WINDOWS, StackRows, window_stack, window_weights
 
 # Keep hypothesis's cache of local sources out of the work tree.
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "vibroprint-hypothesis")
@@ -244,6 +246,98 @@ def test_bad_wav_is_a_format_error_naming_the_file(tmp_path, raw, message):
     with pytest.raises(WavFormatError, match=message) as excinfo:
         vp.read_wav(path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("raw, message", BAD_FILES.values(), ids=list(BAD_FILES))
+def test_a_bad_wav_gives_one_message_through_every_reader(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(WavFormatError) as excinfo:
+        vp.read_wav(path)
+    with pytest.raises(WavFormatError) as row_excinfo:
+        read_bundle_samples(path)
+    assert str(row_excinfo.value) == str(excinfo.value)
+    assert run(["analyze", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+def encoded_wav(path, tag, width, n, seed, extensible=False):
+    """A mono WAV of n random samples: PCM of any bytes, or float32 in [-2, 2)."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-2.0, 2.0, n).astype("<f4").tobytes() if tag == 3 else rng.bytes(width * n)
+    fmt = fmt_chunk(0xFFFE, width, subformat=tag) if extensible else fmt_chunk(tag, width)
+    path.write_bytes(riff(fmt, (b"data", data)))
+    return path
+
+
+ROW_ENCODINGS = {
+    "int16": (1, 2, False),
+    "pcm24": (1, 3, False),
+    "int32": (1, 4, False),
+    "extensible_int16": (1, 2, True),
+    "extensible_int32": (1, 4, True),
+    "float32": (3, 4, False),
+    "extensible_float32": (3, 4, True),
+}
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("n", [1000, 1001], ids=["even", "odd"])
+@pytest.mark.parametrize("encoding", ROW_ENCODINGS)
+def test_a_row_decodes_as_the_windowed_recording(tmp_path, encoding, n, window):
+    # One stack of rows decoded one after another, as analyze decodes a slice.
+    tag, width, extensible = ROW_ENCODINGS[encoding]
+    paths = [encoded_wav(tmp_path / f"{k}.wav", tag, width, n, k, extensible) for k in range(3)]
+    rows = StackRows()
+    for path in paths:
+        meta, rate, raw, scale = read_bundle_samples(path)
+        assert (meta, rate) == (vp.RecordingMeta(), FS)
+        decode_samples(raw, scale, rows.take(n), window_weights(window, n))
+    stack = rows.written().reshape(len(paths), n)
+    expected = window_stack([vp.read_wav(path) for path in paths], window)
+    assert stack.tobytes() == expected.tobytes()
+    # Without a window, the decode is read_wav's.
+    assert decode_samples(raw, scale, np.empty(n)).tobytes() == vp.read_wav(paths[-1]).samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (np.array([0.0, np.nan, 0.5], "<f4"), "samples must all be finite"),
+        (np.array([0.0, 0.5, -np.inf], "<f4"), "samples must all be finite"),
+        (np.array([7], "<i2"), "at least 2 samples"),
+    ],
+    ids=["nan", "inf", "one_sample"],
+)
+def test_the_row_reader_checks_samples_as_recording_does(tmp_path, samples, message):
+    path = tmp_path / "rec.wav"
+    wavfile.write(path, 48000, samples)
+    (tmp_path / "rec.json").write_text("{")  # a bad WAV is reported before a bad sidecar
+    with pytest.raises(WavFormatError, match=message) as excinfo:
+        vp.read_recording_bundle(path)
+    with pytest.raises(WavFormatError) as row_excinfo:
+        read_bundle_samples(path)
+    assert str(row_excinfo.value) == str(excinfo.value)
+
+
+def test_the_row_reader_reuses_one_file_buffer(tmp_path):
+    # Each read overwrites the last one's raw samples: a thread holds one
+    # file's bytes at a time, in a buffer as large as the largest file.
+    short, long = (encoded_wav(tmp_path / f"{n}.wav", 1, 2, n, n) for n in (10, 1000))
+    first = read_bundle_samples(long)[2]
+    again = read_bundle_samples(short)[2]
+    assert np.shares_memory(first, again)
+    assert np.array_equal(again, vp.read_wav(short).samples * 2.0**15)
+
+
+def test_a_file_longer_than_its_stat_size_is_read_to_its_end(tmp_path, random_recording, monkeypatch):
+    path = tmp_path / "rec.wav"
+    vp.write_wav(random_recording, path)
+    expected = vp.read_wav(path).samples
+    # As if the file grew after its size was taken.
+    stat = os.fstat
+    monkeypatch.setattr(vp.dataset.os, "fstat", lambda fd: SimpleNamespace(st_size=stat(fd).st_size // 3))
+    assert vp.read_wav(path).samples.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,13 @@ import vibroprint as vp
 from vibroprint.errors import BaselineError, SpectrumGridError
 from vibroprint.signals import (
     WINDOWS,
+    StackRows,
     _frequencies,
     _window,
+    band_auc,
+    stack_fft,
+    stack_spectrum,
+    window_stack,
     report_to_json_dict,
     write_auc_csv,
     write_spectrum_csv,
@@ -226,6 +231,38 @@ def test_spectra_allocate_only_their_magnitudes(rows, n):
     assert second.magnitudes.shape == (rows, n // 2 + 1)
     assert not np.shares_memory(first.magnitudes, second.magnitudes)
     assert np.array_equal(first.magnitudes, second.magnitudes)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("n", [1000, 1001], ids=["even", "odd"])
+def test_a_spectrum_up_to_a_top_is_the_full_spectrums_first_bins(n, window):
+    rng = np.random.default_rng(5)
+    recs = [vp.Recording(rng.normal(0, 0.1, n), FS) for _ in range(3)]
+    full = vp.spectra(recs, window)
+    f, r = full.frequencies, full.resolution
+    transform = stack_fft(window_stack(recs, window))
+    # On a bin, between bins, on the top bin, and past it.
+    for top, bins in ((f[10], 11), (f[10] + 0.3 * r, 12), (f[-1], f.size), (f[-1] + r, f.size)):
+        part = stack_spectrum(transform, n, FS, window, top)
+        assert part.magnitudes.tobytes() == full.magnitudes[:, :bins].tobytes()
+        assert part.resolution == full.resolution and part.window == window
+        if bins == f.size:
+            assert part.frequencies is f
+        else:
+            assert np.shares_memory(part.frequencies, f) and part.frequencies.size == bins
+        band = (f[3] + 0.5 * r, min(top, f[-1]))
+        assert band_auc(part, band).tobytes() == band_auc(full, band).tobytes()
+
+
+def test_stack_rows_keep_what_was_taken_as_they_grow():
+    rows = StackRows()
+    pieces = [np.arange(k, 2 * k + 3, dtype=float) for k in range(6)]
+    for piece in pieces:
+        rows.take(piece.size)[...] = piece
+    assert rows.written().tobytes() == np.concatenate(pieces).tobytes()
+    held = rows.written().base
+    rows.clear().take(4)[...] = 1.0
+    assert rows.written().base is held and rows.written().tolist() == [1.0] * 4
 
 
 def test_spectra_reject_mixed_grids_and_empty_stacks():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ def test_scenario_rejects_a_negative_seed(tpu_beam, noise_floor_db):
 def test_scenario_rejects_non_finite_noise_floor(tpu_beam, level):
     with pytest.raises(ValueError, match="noise_floor_db must be finite or None"):
         one_mode_scenario(tpu_beam, noise_floor_db=level)
+
+
+@pytest.mark.parametrize("level", [7000.0, 6150.0], ids=["power_overflows", "sigma_overflows"])
+def test_scenario_rejects_a_noise_floor_whose_sigma_is_not_finite(tpu_beam, level):
+    # 10 ** 350 overflows the power itself; 10 ** 307.5 is finite, but not
+    # once it is scaled by the square root of the 100,000 samples.
+    scenario = one_mode_scenario(tpu_beam, noise_floor_db=-70.0)
+    with pytest.raises(ValueError, match=r"noise_floor_db .* dB gives a noise sigma past the float range"):
+        replace(scenario, noise_floor_db=level)
+    assert math.isfinite(noise_sigma(6100.0, scenario.n_samples))  # a floor just below still builds
+    assert replace(scenario, noise_floor_db=6100.0).noise_floor_db == 6100.0
 
 
 @pytest.mark.parametrize("velocity", [1e300, 2.0 * FS * mm_to_m(5.2)], ids=["huge", "two_per_sample"])
