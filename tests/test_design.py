@@ -623,6 +623,15 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, materials, name, length_range_mm, 
     assert path.read_bytes() == expected.encode()
 
 
+def test_a_band_of_numpy_floats_writes_plain_float_text(tmp_path, materials):
+    """A band built from numpy scalars writes the same tail rows as one of
+    Python floats: `3200.0`, not `np.float64(3200.0)`."""
+    band = vp.SensitivityBand(*(np.float64(v) for v in (3200.0, 26000.0, 9000.0, -30.0)))
+    table = vp.frequency_sweep(materials["PLA"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
+    path = tmp_path / "sweep.csv"
+    vp.design.write_sweep_csv(table, path, band)
+    assert path.read_bytes().decode().split("\r\n")[-4:] == [*SWEEP_PIN_BAND, ""]
+
 
 def test_one_unequal_row_in_a_point_density_chunk_writes_both_values(tmp_path, materials):
     """TPU has a point density, so every row's frequencies are equal.  Change
@@ -652,16 +661,17 @@ def test_one_unequal_row_in_a_point_density_chunk_writes_both_values(tmp_path, m
 
 @pytest.mark.parametrize("name, per_row", [("TPU", 1), ("PLA", 2), ("sweep", 1)])
 def test_equal_float_chunks_are_formatted_once(tmp_path, monkeypatch, materials, name, per_row):
-    """TPU has a point density, so its frequency columns share one `repr` per
-    row; PLA's differ, so it makes two.  A banded sweep's three tail rows
-    make one each."""
+    """TPU has a point density, so its frequency columns share one formatted
+    value per row; PLA's differ, so it formats two.  A banded sweep's three
+    tail rows format one each."""
     calls = []
+    kernel = vp.units._repr_block
 
-    def counting(value):
-        calls.append(value)
-        return repr(value)
+    def counting(values):
+        calls.extend(values.tolist())
+        return kernel(values)
 
-    monkeypatch.setattr(vp.units, "repr", counting, raising=False)
+    monkeypatch.setattr(vp.units, "_repr_block", counting)
     if name == "sweep":
         table = vp.frequency_sweep(materials["TPU"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
         vp.design.write_sweep_csv(table, tmp_path / "sweep.csv", BAND)
