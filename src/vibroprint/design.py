@@ -351,8 +351,8 @@ def write_sweep_csv(rows: np.recarray, path: str | Path, band: SensitivityBand |
     """Columns: row_type, shape, dimension_mm, length_mm, frequency_hz_min,
     frequency_hz_max, frequency_hz_nominal, for the `frequency_sweep` rows.
     The optional band's annotations appear as row_type
-    band_low/band_high/band_peak with the frequency in the nominal column.
-    Rows are formatted by `units.write_csv`."""
+    band_low/band_high/band_peak with the frequency, as a float, in the
+    nominal column.  Rows are formatted by `units.write_csv`."""
     notes = () if band is None else (
         ("band_low", band.low), ("band_high", band.high), ("band_peak", band.peak_frequency)
     )
@@ -360,7 +360,7 @@ def write_sweep_csv(rows: np.recarray, path: str | Path, band: SensitivityBand |
         path,
         "row_type,shape,dimension_mm,length_mm,frequency_hz_min,frequency_hz_max,frequency_hz_nominal",
         ["series", *(rows[name] for name in rows.dtype.names)],
-        tail=[(label, "", "", "", "", "", value) for label, value in notes],
+        tail=[(label, "", "", "", "", "", float(value)) for label, value in notes],
     )
 
 

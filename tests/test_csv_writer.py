@@ -1,5 +1,6 @@
 """`units.write_csv`: its float text against `repr`, its refusal of text that
-would need quoting, and the formatter tables that only a write builds.
+would need quoting or a column of another kind, and the formatter module
+that only a write imports.
 
 The oracle test runs the writer's own chunk path over seeded random bit
 patterns and over the values where shortest-digit printing goes wrong most
@@ -74,11 +75,45 @@ def test_text_is_written_as_utf8(tmp_path):
     assert path.read_bytes() == "label,value\r\nµ,1.0\r\nnaïve,2.5\r\nΩ,3.0\r\n".encode()
 
 
-def test_import_builds_no_formatter_table():
+@pytest.mark.parametrize(
+    "columns, tail",
+    [
+        ([np.array(["a"]), np.array([1])], ()),
+        ([np.array(["a"]), np.array([1.0], dtype=object)], ()),
+        ([np.array(["a"]), np.array([[1.0]])], ()),
+        ([np.array(["a"]), [1.0]], ()),
+        ([np.array(["a"]), np.array([1.0])], [("b", 2)]),
+        ([np.array(["a"]), np.array([1.0])], [("b", None)]),
+    ],
+    ids=["int-column", "object-column", "2d-column", "list-column", "int-cell", "none-cell"],
+)
+def test_a_column_or_cell_of_another_kind_is_refused(tmp_path, columns, tail):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="CSV column 'value' holds"):
+        units.write_csv(path, "label,value", columns, tail)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("lengths", [(1, 3), (3, 1), (2, 3)])
+def test_columns_of_unequal_length_are_refused(tmp_path, lengths):
+    path = tmp_path / "t.csv"
+    columns = [np.array(["a"] * lengths[0]), np.arange(lengths[1], dtype=np.float64)]
+    with pytest.raises(ValueError, match="CSV column '(label|value)' has . rows, not 3"):
+        units.write_csv(path, "label,value", columns)
+    assert not path.exists()
+
+
+def test_a_column_per_header_name(tmp_path):
+    with pytest.raises(ValueError):
+        units.write_csv(tmp_path / "t.csv", "label,value", [np.array([1.0])])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_import_compiles_no_formatter():
     src = Path(vp.__file__).resolve().parent.parent
-    code = "import vibroprint, vibroprint.cli; print(vibroprint.units._repr_tables.cache_info().currsize)"
+    code = "import sys, vibroprint, vibroprint.cli; print('vibroprint.floatrepr' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.strip() == "False"

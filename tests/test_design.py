@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vibroprint as vp
+from vibroprint import floatrepr
 from vibroprint.cli import run
 from vibroprint.errors import EmptyRegionError, LayoutError
 from vibroprint.units import m_to_mm, mm_to_m
@@ -623,10 +624,11 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, materials, name, length_range_mm, 
     assert path.read_bytes() == expected.encode()
 
 
-def test_a_band_of_numpy_floats_writes_plain_float_text(tmp_path, materials):
-    """A band built from numpy scalars writes the same tail rows as one of
-    Python floats: `3200.0`, not `np.float64(3200.0)`."""
-    band = vp.SensitivityBand(*(np.float64(v) for v in (3200.0, 26000.0, 9000.0, -30.0)))
+@pytest.mark.parametrize("number", [np.float64, int], ids=["numpy-floats", "ints"])
+def test_a_band_of_numpy_floats_writes_plain_float_text(tmp_path, materials, number):
+    """A band built from numpy scalars or ints writes the same tail rows as
+    one of Python floats: `3200.0`, not `np.float64(3200.0)` or `3200`."""
+    band = vp.SensitivityBand(*(number(v) for v in (3200, 26000, 9000, -30)))
     table = vp.frequency_sweep(materials["PLA"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
     path = tmp_path / "sweep.csv"
     vp.design.write_sweep_csv(table, path, band)
@@ -665,13 +667,13 @@ def test_equal_float_chunks_are_formatted_once(tmp_path, monkeypatch, materials,
     value per row; PLA's differ, so it formats two.  A banded sweep's three
     tail rows format one each."""
     calls = []
-    kernel = vp.units._repr_block
+    kernel = floatrepr.repr_block
 
     def counting(values):
         calls.extend(values.tolist())
         return kernel(values)
 
-    monkeypatch.setattr(vp.units, "_repr_block", counting)
+    monkeypatch.setattr(floatrepr, "repr_block", counting)
     if name == "sweep":
         table = vp.frequency_sweep(materials["TPU"], SWEEP_PIN_SECTIONS, (mm_to_m(3.0), mm_to_m(4.0)), 3)
         vp.design.write_sweep_csv(table, tmp_path / "sweep.csv", BAND)
