@@ -192,9 +192,10 @@ def _add_section_flags(parser) -> None:
 def _band(band_khz, peak_khz: float | None = None) -> SensitivityBand:
     """The --band-khz band, the one reader of that flag; without a peak, the
     microphone's 9 kHz if inside it, else its midpoint.  A band that
-    `SensitivityBand` refuses is a domain error naming the flags as given."""
-    lo, hi = (khz_to_hz(v) for v in band_khz)
-    peak = MIC_LOW_BAND.peak_frequency if peak_khz is None else khz_to_hz(peak_khz)
+    `SensitivityBand` refuses is a domain error naming the flags as given.
+    A signed zero edge or peak becomes 0.0 (`+ 0.0`), so no output says -0.0."""
+    lo, hi = (khz_to_hz(v) + 0.0 for v in band_khz)
+    peak = MIC_LOW_BAND.peak_frequency if peak_khz is None else khz_to_hz(peak_khz) + 0.0
     if peak_khz is None and not lo <= peak <= hi:
         peak = 0.5 * (lo + hi)
     try:

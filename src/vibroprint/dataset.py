@@ -174,9 +174,11 @@ _file_buffer = _FileBuffer()
 
 def _read_bytes(path: str | Path) -> memoryview:
     """The bytes of the WAV file at `path`, read into this thread's buffer:
-    valid until this thread's next read.  A file that is missing or cannot
-    be read raises WavFormatError naming it."""
+    valid until this thread's next read.  A path that is missing, is not a
+    regular file or cannot be read raises WavFormatError naming it."""
     if not os.path.isfile(path):
+        if os.path.exists(path):
+            raise WavFormatError(f"{path}: not a regular file")
         raise WavFormatError(f"WAV file not found: {path}")
     try:
         with open(path, "rb", buffering=0) as fh:

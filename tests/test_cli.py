@@ -323,6 +323,20 @@ def test_sweep_band_peak_row(tmp_path, band, peak, expected):
     assert read_csv(tmp_path / "sweep.csv")[-1] == ["band_peak", "", "", "", "", "", expected]
 
 
+def test_a_signed_zero_band_edge_is_written_as_zero(tmp_path):
+    assert run([*SWEEP_PLA, "--band-khz", "-0", "26", "--output-dir", str(tmp_path / "sweep")]) == 0
+    assert read_csv(tmp_path / "sweep" / "sweep.csv")[-3] == ["band_low", "", "", "", "", "", "0.0"]
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    for name, edge in [("minus", "-0"), ("plus", "0")]:
+        argv = ["analyze", str(data / "*.wav"), "--band-khz", edge, "1", "--output-dir", str(tmp_path / name)]
+        assert run(argv) == 0
+    # json.loads reads -0.0 as equal to 0.0, so the text itself is compared.
+    minus, plus = ((tmp_path / name / "ratios.json").read_text() for name in ("minus", "plus"))
+    assert '"band_hz": [\n    0.0,\n    1000.0\n  ]' in minus and minus == plus
+    assert (tmp_path / "minus" / "auc.csv").read_bytes() == (tmp_path / "plus" / "auc.csv").read_bytes()
+
+
 def test_sweep_unknown_shape_is_usage_error(tmp_path, capsys):
     code = run(
         [
@@ -1602,6 +1616,14 @@ def test_a_refused_run_leaves_no_directory_behind(tmp_path, monkeypatch, argv, c
     # A directory that was there before the run is never removed.
     assert run([*argv, "--output-dir", str(existing)]) == code
     assert existing.is_dir()
+
+
+def test_analyze_a_directory_is_not_a_regular_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("c").mkdir()
+    assert run(["analyze", "c", "--output-dir", "o"]) == 1
+    assert capsys.readouterr().err == "error: c: not a regular file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
 
 def test_a_failed_run_keeps_the_directories_it_wrote_into(tmp_path, monkeypatch):

@@ -117,12 +117,16 @@ def test_missing_file_rejected(tmp_path):
     with pytest.raises(WavFormatError, match="not found"):
         vp.read_wav(tmp_path / "absent.wav")
     # A directory is no WAV file, whatever its name, nor is a path with no
-    # file name; the message names the path as the caller spelled it.
+    # file name: it exists, so it is not called missing.  The message names
+    # the path as the caller spelled it.
     (tmp_path / "d.wav").mkdir()
     for path in (tmp_path / "d.wav", f"{tmp_path}/./d.wav", f"{tmp_path}/.", "/"):
         with pytest.raises(WavFormatError) as excinfo:
             vp.read_recording_bundle(path)
-        assert str(excinfo.value) == f"WAV file not found: {path}"
+        assert str(excinfo.value) == f"{path}: not a regular file"
+    with pytest.raises(WavFormatError) as excinfo:
+        vp.read_recording_bundle(tmp_path / "absent.wav")
+    assert str(excinfo.value) == f"WAV file not found: {tmp_path / 'absent.wav'}"
 
 
 def test_invalid_encoding_name(tmp_path, random_recording):
