@@ -5,6 +5,8 @@ bench units (mm, kHz, g/cm3, MPa); files and the library are SI.  `run`
 writes a run_params.json sidecar next to the outputs of every successful
 subcommand, so results can be reproduced from the artifact alone.  A flag
 that cannot take effect is refused as a usage error, never ignored.
+`analyze` reads its corpus with one `dataset.gather` call, which decides
+the threads; this module checks, normalizes and writes what it returns.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -17,8 +19,6 @@ import glob as globmod
 import os
 import sys
 import warnings
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -27,13 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .beams import BeamSpec, CrossSection, Shape, modal_frequencies
-from .dataset import (
-    ENCODINGS,
-    decode_samples,
-    load_manifest,
-    read_bundle_samples,
-    write_recording_bundle,
-)
+from .dataset import ENCODINGS, gather, load_manifest, write_recording_bundle
 from .design import (
     DEFAULT_GRID_STEP,
     Segment,
@@ -63,17 +57,8 @@ from .signals import (
     DEFAULT_WINDOW,
     WINDOWS,
     RecordingMeta,
-    SpectrumMean,
-    StackRows,
-    band_auc,
     normalize_against_baseline,
     report_to_json_dict,
-    stack_fft,
-    stack_spectrum,
-    thread_rows,
-    top_bin_hz,
-    window_weights,
-    windowed_spectra,
     write_auc_csv,
     write_spectrum_csv,
 )
@@ -87,16 +72,6 @@ from .simulate import (
     slide_signal,
 )
 from .units import hz_to_khz, khz_to_hz, m_to_mm, mm_to_m, write_json
-
-_ANALYZE_WORKERS = 8
-
-# WAV bytes that close an analyze slice: short recordings share a slice (and one
-# FFT per run of equal grids), while a recording this large ends its slice, so
-# long ones go alone.  It also picks the path on more than one core: a corpus
-# with a recording this large runs its slices as thread pool tasks, each read
-# and transformed in one thread; any other corpus is read in the calling
-# thread while one helper thread runs the FFTs of the slice read before.
-_SLICE_BYTES = 256 * 1024
 
 # The rule `SensitivityBand` holds every --band-khz to, for the help text.
 _BAND_RULE = "0 <= LOW < HIGH < inf"
@@ -147,7 +122,7 @@ def _write_table(fmt: str, out_dir: Path, stem: str, fieldnames, rows, payload) 
     if fmt == "json":
         write_json(out_dir / f"{stem}.json", payload)
         return
-    with (out_dir / f"{stem}.csv").open("w", newline="") as fh:
+    with (out_dir / f"{stem}.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -283,7 +258,7 @@ def _cmd_design(args, out_dir: Path) -> None:
     if layouts is not None:
         write_layout_csv(layouts, out_dir / "layouts.csv")
         report = layout_report(layouts)
-        (out_dir / "layout_report.txt").write_text(report + "\n")
+        (out_dir / "layout_report.txt").write_text(report + "\n", encoding="utf-8")
         print(report)
 
 
@@ -431,198 +406,23 @@ def _analysis_inputs(args) -> list[tuple[Path, RecordingMeta | None]]:
     return inputs
 
 
-def _slices(inputs: list) -> tuple[list[list], bool]:
-    """`inputs` cut into contiguous runs, each closed once its WAV files hold
-    `_SLICE_BYTES`, and whether one file alone holds that much; a file that
-    cannot be stat-ed counts as empty, and its read reports the fault.  On
-    more than one core, a long file puts the slices on the thread pool, one
-    task per slice, since its decode and FFT each release the interpreter
-    lock; without one, `_cmd_analyze` reads every slice in the calling thread
-    and runs their FFTs on one helper thread.
-
-    A file named twice, by overlapping globs, by two manifest channels or
-    through a link, is refused: it would count twice in its group's mean.
-    Files are told apart by (device, inode), or by absolute path if they
-    cannot be stat-ed.
-    """
-    slices: list[list] = []
-    held = 0
-    any_long = False
-    seen = set()
-    for item in inputs:
-        if not slices or held >= _SLICE_BYTES:
-            slices.append([])
-            held = 0
-        slices[-1].append(item)
-        try:
-            stat = os.stat(item[0])
-            key, size = (stat.st_dev, stat.st_ino), stat.st_size
-        except OSError:
-            key, size = os.path.abspath(item[0]), 0
-        if key in seen:
-            raise VibroprintError(f"{item[0]}: named more than once in the analyze inputs")
-        seen.add(key)
-        held += size
-        any_long = any_long or size >= _SLICE_BYTES
-    return slices, any_long
-
-
 def _cmd_analyze(args, out_dir: Path) -> None:
     """Band AUC of each recording, normalized per microphone against the baseline skin.
 
-    Gather: each slice is read (every file checked as it is read), each
-    file's samples decoded, scaled and windowed in place into the next row
-    of one flat float64 buffer (`StackRows`), so that a run of recordings on
-    one grid is one contiguous stack; no full-length array is made per
-    recording.  The stacks are then transformed into columns (labels, grids,
-    band AUCs) with one `band_auc` call per stack; without --write-spectra
-    only the bins that it reads are rectified.  The columns are consumed as
-    they arrive, in input order.  One worker does both in the calling thread;
-    a corpus with a long recording reads and transforms each slice in one
-    pool thread; there each thread reuses its own rows, transform scratch and
-    file buffer (`signals.thread_rows`), grown to the largest slice it has
-    seen and kept for the thread's life (the calling thread's outlive the
-    run).  Any other corpus is read in the calling thread, into two row
-    buffers in turn, while one helper thread runs the FFTs of the slice
-    before (`parts`).  Under --write-spectra each
-    spectrum is added to the `SpectrumMean` of its (microphone, material,
-    grid) and then dropped, so the run holds one sum per group (O(groups x
-    bins)) and the spectra of the slices in flight, not every spectrum; each
-    sum runs in input order, as the mean of its stacked spectra would.
-    Check: one pass over the gathered labels and grids refuses the first
+    `dataset.gather` reads the inputs into label, grid and AUC columns (and,
+    under --write-spectra, one `SpectrumMean` per (microphone, material,
+    grid)).  One pass over the labels and grids then refuses the first
     recording, in input order, whose microphone mixes grids or procedures.
-    Write: the table, then one mean spectrum per (microphone, material),
-    which the check has left on one grid.
+    Last come the writers: the table, then one mean spectrum per
+    (microphone, material), which the check has left on one grid.
 
-    Faults come in input order: a band that `_band` refuses before any file
-    is read, then each file's own fault (unreadable, unlabeled, or a top bin
-    below the band's top) as that file is read, then the check, and last,
+    Faults come in this order: a band that `_band` refuses before any file
+    is read, then `gather`'s, in input order, then the check, and last,
     under --write-spectra, a label that names no file of its own (`_file_name_rule`).
     """
     b = _band(args.band_khz)
     band = (b.low, b.high)
-    inputs = _analysis_inputs(args)
-
-    # Without --write-spectra, only the bins that band_auc reads are rectified.
-    top = None if args.write_spectra else band[1]
-
-    def read(items, rows):
-        """Read `items` in order, each file checked as it is read, and decode
-        each one's samples, scaled and windowed, into the next row of `rows`.
-        Returns each run of consecutive recordings on one grid: its (sample
-        rate, samples) grid and labels, and its (recordings, samples) stack,
-        a view of `rows`."""
-        runs = []
-        for path, labels in items:
-            meta, rate, raw, scale = read_bundle_samples(path, labels)
-            if meta.microphone is None or meta.fingerprint_material is None:
-                raise VibroprintError(
-                    f"{path}: recording lacks microphone/fingerprint_material labels; "
-                    "supply a manifest or sidecar metadata"
-                )
-            n = raw.size
-            nyquist = top_bin_hz(n, rate)
-            if band[1] > nyquist:
-                raise VibroprintError(
-                    f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {nyquist}]"
-                )
-            decode_samples(raw, scale, rows.take(n), window_weights(args.window, n))
-            if runs and runs[-1][0] == (rate, n):
-                runs[-1][1].append(meta)
-            else:
-                runs.append(((rate, n), [meta]))
-        flat, start = rows.written(), 0
-        stacks = []
-        for (_, n), metas in runs:
-            stacks.append(flat[start : start + len(metas) * n].reshape(len(metas), n))
-            start += len(metas) * n
-        return runs, stacks
-
-    def columns(runs, spectra):
-        """Columns of a slice from its runs' (grid, labels) and `Spectrum`
-        stacks, in order: labels, grids, band AUCs (one `band_auc` call per
-        stack), and the spectra under --write-spectra (else none)."""
-        metas, grids, aucs, specs = [], [], [], []
-        for (grid, labels), stack in zip(runs, spectra):
-            metas += labels
-            grids += [grid] * len(labels)
-            aucs += band_auc(stack, band).tolist()
-            if args.write_spectra:
-                specs += [replace(stack, magnitudes=row) for row in stack.magnitudes]
-        return metas, grids, aucs, specs
-
-    def analyze_slice(items):
-        """Columns of one slice, read into this thread's rows and transformed
-        in this thread."""
-        runs, stacks = read(items, thread_rows())
-        return columns(
-            runs,
-            [windowed_spectra(stack, rate, args.window, top) for ((rate, _), _), stack in zip(runs, stacks)],
-        )
-
-    def ffts(runs, stacks):
-        return runs, [stack_fft(stack) for stack in stacks]
-
-    def finished(runs, transforms):
-        """Columns of a slice from its runs and their `stack_fft`s."""
-        return columns(
-            runs,
-            [stack_spectrum(transform, n, rate, args.window, top)
-             for ((rate, n), _), transform in zip(runs, transforms)],
-        )
-
-    slices, any_long = _slices(inputs)
-    workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, len(slices))
-
-    def parts():
-        """Each slice's columns, in input order.  One worker runs every slice
-        in the calling thread.  A corpus with a long recording runs one slice
-        per pool task, read and transformed in one thread: a long file's WAV
-        decode and FFT both release the interpreter lock, so they overlap
-        across threads (on 2 cores one thread took 69-88% longer on
-        analyze-long, and reading every file in the calling thread while the
-        pool transformed took 0.18 -> 0.21 s per pass).
-
-        Short files cost more Python per byte, which threads that each read
-        only trade the lock for.  So the calling thread reads (and windows),
-        rectifies and integrates every slice, while one helper thread runs
-        the FFTs of the slice read before.  An FFT is one numpy call that
-        holds no lock, so the helper takes the lock only to start and to
-        finish.  A helper that ran all of `spectra` and `band_auc`, about a
-        dozen numpy calls per stack, had to take the lock back after each,
-        and the reads slowed by about as much as its transforms saved.  At
-        most one slice is read and one transformed at a time, and a fault
-        of an earlier slice's FFTs comes before a later slice's read fault."""
-        if workers <= 1:
-            yield from map(analyze_slice, slices)
-        elif any_long:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(analyze_slice, slices)
-        else:
-            # Two buffers in turn: the slice being read, and the one in transform.
-            buffers = (StackRows(), StackRows())
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                pending = None  # the FFTs of the slice in transform
-                for k, items in enumerate(slices):
-                    try:
-                        runs, stacks = read(items, buffers[k % 2].clear())
-                    finally:  # the slice before, whose fault comes first
-                        done = None if pending is None else pending.result()
-                    pending = helper.submit(ffts, runs, stacks)
-                    if done is not None:
-                        yield finished(*done)
-                yield finished(*pending.result())
-
-    labels: list[RecordingMeta] = []
-    grids: list[tuple] = []
-    aucs: list[float] = []
-    means: defaultdict[tuple, SpectrumMean] = defaultdict(SpectrumMean)
-    for metas, part_grids, part_aucs, specs in parts():
-        labels += metas
-        grids += part_grids
-        aucs += part_aucs
-        for meta, grid, spec in zip(metas, part_grids, specs):
-            means[meta.microphone, meta.fingerprint_material, grid].add(spec)
+    labels, grids, aucs, means = gather(_analysis_inputs(args), band, args.window, args.write_spectra)
 
     # Noise and tonal peaks scale differently with record length and rate, so
     # a microphone's AUCs (and its mean spectra) need one (rate, length) grid.

@@ -1,4 +1,4 @@
-"""Recording files and the dataset manifest.
+"""Recording files, the dataset manifest and the corpus reader of `analyze`.
 
 WAV files are mono RIFF/WAVE at any rate (the bench recordings run at
 500 kHz), read and written with numpy alone.  `write_wav` writes 16- or
@@ -13,18 +13,20 @@ reading and writing; on the read side only the one chunk walk,
 thread's byte buffer, which grows to the largest file the thread has read
 and is kept (never shrunk) for the thread's life; the walk views the
 samples in that buffer, and `decode_samples` writes them as float64 into
-an array of the caller's.  `read_wav` decodes into a new array and builds
-a `Recording`.  `read_bundle_samples` reads a WAV with its labels and makes
-`Recording`'s checks (`signals.check_samples`) without the decode, so that
-`analyze` can decode each file, scaled and windowed, straight into a row of
-its stack; `read_recording_bundle` is it decoded into a new `Recording`.
+an array of the caller's.  `read_bundle_samples` reads a WAV with its
+labels and makes `Recording`'s checks (`signals.check_samples`) without
+the decode, so that `gather` can decode each file, scaled and windowed,
+straight into a row of its stack; `read_recording_bundle` is it decoded
+into a new `Recording`, and `read_wav` is that with empty labels.
 `units.write_json` decides the sidecar's JSON layout.
 The manifest is a JSON file describing objects and their recorded
 observations; `load_manifest` documents the schema, validates it in one
 pass and turns it into one (WAV path, labels) pair per declared channel
-for `read_recording_bundle`.  It checks its own structure, and
+for `read_recording_bundle` and `gather`.  It checks its own structure, and
 `RecordingMeta` checks every label value, as for a sidecar.  Durations
-and motor telemetry paths are validated but not kept.
+and motor telemetry paths are validated but not kept.  Text is read as
+UTF-8.  `gather` reads such pairs into the columns that `analyze` checks
+and normalizes, and decides the threads that read and transform them.
 """
 
 from __future__ import annotations
@@ -35,20 +37,31 @@ import os
 import struct
 import threading
 import warnings
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, WavFormatError
+from .errors import ManifestError, VibroprintError, WavFormatError
 from .signals import (
     BASELINE_MATERIAL,
     Microphone,
     Procedure,
     Recording,
     RecordingMeta,
+    SpectrumMean,
+    StackRows,
+    band_auc,
     check_samples,
+    stack_fft,
+    stack_spectrum,
+    thread_rows,
+    top_bin_hz,
+    window_weights,
+    windowed_spectra,
 )
 from .units import write_json
 
@@ -199,20 +212,11 @@ def _read_bytes(path: str | Path) -> memoryview:
     return view[:got]
 
 
-def read_wav(path: str | Path, meta: RecordingMeta | None = None) -> Recording:
-    """Read a mono PCM WAV into a Recording of [-1, 1] float64 samples.
-
-    `meta` gives the recording's labels, as `read_recording_bundle` passes
-    them from a manifest or sidecar; without it the labels are empty.
-    Every fault of the file, a non-finite sample included, raises
-    WavFormatError naming it.
-    """
-    rate, raw, scale = _wav_samples(path, _read_bytes(path))
-    samples = decode_samples(raw, scale, np.empty(raw.size))
-    try:
-        return Recording(samples, float(rate), RecordingMeta() if meta is None else meta)
-    except ValueError as exc:
-        raise WavFormatError(f"{path}: {exc}") from exc
+def read_wav(path: str | Path) -> Recording:
+    """A mono WAV as a Recording of [-1, 1] float64 samples with empty
+    labels: `read_recording_bundle` with no sidecar.  Every fault of the
+    file, a non-finite sample included, raises WavFormatError naming it."""
+    return read_recording_bundle(path, RecordingMeta())
 
 
 def write_wav(rec: Recording, path: str | Path, encoding: str = "float32") -> None:
@@ -331,7 +335,7 @@ def read_bundle_samples(
     bad_sidecar = None
     if meta is None and os.path.isfile(sidecar_path):
         try:
-            with open(sidecar_path) as fh:
+            with open(sidecar_path, encoding="utf-8") as fh:
                 data = json.load(fh)
             raw_meta = data.get("meta", {}) if isinstance(data, dict) else None
             if not isinstance(raw_meta, dict):
@@ -519,7 +523,7 @@ def load_manifest(path: str | Path) -> list[tuple[Path, RecordingMeta]]:
         errors.append(f"manifest not found: {manifest}")
     else:
         try:
-            data = json.loads(manifest.read_text())
+            data = json.loads(manifest.read_text(encoding="utf-8"))
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
             errors.append(f"{manifest}: invalid JSON ({exc})")
         else:
@@ -592,3 +596,187 @@ def _validate_manifest_data(
             )
 
     return channels
+
+
+# ---------------------------------------------------------------------------
+# Corpus
+
+
+_ANALYZE_WORKERS = 8
+
+# WAV bytes that close a slice of `gather`'s inputs and pick its path.
+_SLICE_BYTES = 256 * 1024
+
+
+def _slices(inputs: list) -> tuple[list[list], bool]:
+    """`inputs` cut into `gather`'s slices, and whether one file alone holds
+    `_SLICE_BYTES`; a file that cannot be stat-ed counts as empty, and its
+    read reports the fault.
+
+    A file named twice, by overlapping globs, by two manifest channels or
+    through a link, is refused: it would count twice in its group's mean.
+    Files are told apart by (device, inode), or by absolute path if they
+    cannot be stat-ed.
+    """
+    slices: list[list] = []
+    held = 0
+    any_long = False
+    seen = set()
+    for item in inputs:
+        if not slices or held >= _SLICE_BYTES:
+            slices.append([])
+            held = 0
+        slices[-1].append(item)
+        try:
+            stat = os.stat(item[0])
+            key, size = (stat.st_dev, stat.st_ino), stat.st_size
+        except OSError:
+            key, size = os.path.abspath(item[0]), 0
+        if key in seen:
+            raise VibroprintError(f"{item[0]}: named more than once in the analyze inputs")
+        seen.add(key)
+        held += size
+        any_long = any_long or size >= _SLICE_BYTES
+    return slices, any_long
+
+
+def gather(inputs: list, band: tuple[float, float], window: str, mean_spectra: bool) -> tuple:
+    """(labels, grids, AUCs, means): the label, (sample rate Hz, samples)
+    grid and band AUC of each (WAV path, labels or None) pair of `inputs`,
+    as three columns in input order, and with `mean_spectra` the
+    `SpectrumMean` of each (microphone, material, grid), else no means.
+
+    The inputs are cut into contiguous slices, each closed once its WAV
+    files hold `_SLICE_BYTES`: short recordings share a slice, and a long
+    one closes the slice it ends, which may also hold short files read
+    before it.  Each file is read and checked (`read_bundle_samples`) and
+    decoded, scaled and windowed into the next row of its slice's flat
+    buffer (`signals.StackRows`), so that a run of recordings on one grid
+    is one contiguous stack with one FFT and one `band_auc` call; no
+    full-length array is made per recording.  Without `mean_spectra` only
+    the bins that `band_auc` reads are rectified; with it each spectrum is
+    added to its group's sum and dropped, in input order.
+
+    A corpus with a recording of `_SLICE_BYTES` or more runs one slice per
+    task on a pool of min(8, cores, slices) threads, each slice read and
+    transformed in one thread through that thread's scratch
+    (`signals.thread_rows`), which ends with the pool.  A long file's WAV
+    decode and FFT both release the interpreter lock, so they overlap
+    across threads: on 2 cores one thread took 69-88% longer on
+    analyze-long, and reading every file in the calling thread while the
+    pool transformed took 0.18 -> 0.21 s per pass.  Short files cost more
+    Python per byte, which threads that each read only trade the lock for,
+    so any other corpus is read, rectified and integrated in the calling
+    thread, into two row buffers in turn, while one helper thread runs the
+    FFTs of the slice read before.  An FFT is one numpy call that holds no
+    lock, so the helper takes it only to start and to finish; a helper
+    that ran all of `spectra` and `band_auc`, about a dozen numpy calls per
+    stack, took the lock back after each, and the reads slowed by about as
+    much as its transforms saved.  Both paths give the same columns.
+
+    Faults come in input order: a file named twice before any is read, then
+    each file's own (unreadable, unlabeled, or a top bin below the band's
+    top) as it is read; a fault of an earlier slice's FFTs comes before a
+    later slice's read fault.
+    """
+    top = None if mean_spectra else band[1]
+
+    def read(items, rows):
+        """Read `items` in order, each file checked as it is read, and decode
+        each one's samples, scaled and windowed, into the next row of `rows`.
+        Returns each run of consecutive recordings on one grid: its (sample
+        rate, samples) grid and labels, and its (recordings, samples) stack,
+        a view of `rows`."""
+        runs = []
+        for path, labels in items:
+            meta, rate, raw, scale = read_bundle_samples(path, labels)
+            if meta.microphone is None or meta.fingerprint_material is None:
+                raise VibroprintError(
+                    f"{path}: recording lacks microphone/fingerprint_material labels; "
+                    "supply a manifest or sidecar metadata"
+                )
+            n = raw.size
+            nyquist = top_bin_hz(n, rate)
+            if band[1] > nyquist:
+                raise VibroprintError(
+                    f"{path}: band [{band[0]}, {band[1]}] outside spectrum range [0, {nyquist}]"
+                )
+            decode_samples(raw, scale, rows.take(n), window_weights(window, n))
+            if runs and runs[-1][0] == (rate, n):
+                runs[-1][1].append(meta)
+            else:
+                runs.append(((rate, n), [meta]))
+        flat, start = rows.written(), 0
+        stacks = []
+        for (_, n), metas in runs:
+            stacks.append(flat[start : start + len(metas) * n].reshape(len(metas), n))
+            start += len(metas) * n
+        return runs, stacks
+
+    def columns(runs, spectra):
+        """Columns of a slice from its runs' (grid, labels) and `Spectrum`
+        stacks, in order: labels, grids, band AUCs (one `band_auc` call per
+        stack), and the spectra with `mean_spectra` (else none)."""
+        metas, grids, aucs, specs = [], [], [], []
+        for (grid, labels), stack in zip(runs, spectra):
+            metas += labels
+            grids += [grid] * len(labels)
+            aucs += band_auc(stack, band).tolist()
+            if mean_spectra:
+                specs += [replace(stack, magnitudes=row) for row in stack.magnitudes]
+        return metas, grids, aucs, specs
+
+    def analyze_slice(items):
+        """Columns of one slice, read into this thread's rows and transformed
+        in this thread."""
+        runs, stacks = read(items, thread_rows())
+        return columns(
+            runs,
+            [windowed_spectra(stack, rate, window, top) for ((rate, _), _), stack in zip(runs, stacks)],
+        )
+
+    def ffts(runs, stacks):
+        return runs, [stack_fft(stack) for stack in stacks]
+
+    def finished(runs, transforms):
+        """Columns of a slice from its runs and their `stack_fft`s."""
+        return columns(
+            runs,
+            [stack_spectrum(transform, n, rate, window, top)
+             for ((rate, n), _), transform in zip(runs, transforms)],
+        )
+
+    slices, any_long = _slices(inputs)
+
+    def parts():
+        """Each slice's columns, in input order, on the pool or beside the helper."""
+        if any_long:
+            workers = min(_ANALYZE_WORKERS, os.cpu_count() or 1, len(slices))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(analyze_slice, slices)
+        elif slices:
+            # Two buffers in turn: the slice being read, and the one in transform.
+            buffers = (StackRows(), StackRows())
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                pending = None  # the FFTs of the slice in transform
+                for k, items in enumerate(slices):
+                    try:
+                        runs, stacks = read(items, buffers[k % 2].clear())
+                    finally:  # the slice before, whose fault comes first
+                        done = None if pending is None else pending.result()
+                    pending = helper.submit(ffts, runs, stacks)
+                    if done is not None:
+                        yield finished(*done)
+                yield finished(*pending.result())
+
+    labels: list[RecordingMeta] = []
+    grids: list[tuple] = []
+    aucs: list[float] = []
+    means: defaultdict[tuple, SpectrumMean] = defaultdict(SpectrumMean)
+    for metas, part_grids, part_aucs, specs in parts():
+        labels += metas
+        grids += part_grids
+        aucs += part_aucs
+        for meta, grid, spec in zip(metas, part_grids, specs):
+            means[meta.microphone, meta.fingerprint_material, grid].add(spec)
+    return labels, grids, aucs, dict(means)

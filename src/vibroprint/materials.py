@@ -176,7 +176,7 @@ def load_material_config(path: str | Path) -> list[Material]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case as written
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MaterialConfigError(f"cannot decode {path}: {exc}") from None
     try:

@@ -132,7 +132,7 @@ def load_response_curve(path: str | Path) -> ResponseCurve:
         raise CurveFormatError(f"curve file not found: {path}")
 
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise CurveFormatError(f"cannot decode {path}: {exc}") from None

@@ -16,7 +16,7 @@ stack; `spectrum` is its one-row case.  Its three steps are public
 (`window_stack`, `stack_fft`, `stack_spectrum`), so that a caller can run
 the FFT on another thread: it is the one long step, and it holds no
 interpreter lock while it runs.  A caller that windows its samples itself,
-as `analyze` does while it decodes each file into a row, starts at
+as `dataset.gather` does while it decodes each file into a row, starts at
 `windowed_spectra`.  `stack_spectrum` can stop at a top frequency: only
 the bins that `band_auc` reads for a band up to it are rectified.
 The periodic Hann window (scipy's `get_window("hann", n, fftbins=True)`)
@@ -24,12 +24,13 @@ is built with numpy alone, and each window is cached with its coherent
 gain per (window, n), so a batch of equal-length recordings builds it
 once.  The frequency grid is cached the same way per (n, sample rate),
 read-only and shared by every spectrum on that grid.  Each thread keeps
-two flat scratch arrays, which grow to the largest stack (or `analyze`
+two flat scratch arrays, which grow to the largest stack (or `gather`
 slice) it has seen, are never shrunk and so retain that much memory for
 the thread's life: its `StackRows` of windowed samples, which `spectra`
-windows into and `analyze` decodes into (`thread_rows`), and the
-transform that `windowed_spectra` writes.  Both are handed out as
-(rows, n) views, so a stack allocates only its magnitudes.
+windows into and `dataset.gather`'s pool threads (never its calling
+thread) decode into (`thread_rows`), and the transform that
+`windowed_spectra` writes.  Both are handed out as (rows, n) views, so a
+stack allocates only its magnitudes.
 
 `SpectrumMean` is the one bin-wise mean: it adds each spectrum's
 magnitudes into a single float64 sum in the order given and divides by
@@ -279,7 +280,7 @@ class StackRows:
 
 
 # Per-thread scratch: the rows of windowed samples and a flat complex128
-# transform, each grown to the largest stack (or, for `analyze`, slice) seen
+# transform, each grown to the largest stack (or, for `gather`, slice) seen
 # and never shrunk: a fresh pair for each stack shape raised analyze's peak
 # memory by several MB.
 class _Scratch(threading.local):
@@ -293,7 +294,8 @@ _scratch = _Scratch()
 
 def thread_rows() -> StackRows:
     """This thread's `StackRows`, cleared: the scratch that `spectra`
-    windows into and that `analyze` decodes each slice into."""
+    windows into and that `dataset.gather`'s pool threads decode each slice
+    into."""
     return _scratch.rows.clear()
 
 
@@ -655,7 +657,7 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
 def write_auc_csv(report: AucReport, path: str | Path) -> None:
     """Per-recording AUCs.  Columns: microphone, fingerprint_material,
     object, repetition, auc, normalized."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["microphone", "fingerprint_material", "object", "repetition", "auc", "normalized"]

@@ -55,7 +55,7 @@ def hz_to_khz(value_hz: float) -> float:
 
 def write_json(path: str | Path, data) -> None:
     """Write `data` as JSON indented by 2 with sorted keys, and a final newline."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _mm_labels(values: np.ndarray) -> np.ndarray:

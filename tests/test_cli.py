@@ -18,10 +18,11 @@ from scipy.io import wavfile
 
 import vibroprint as vp
 import vibroprint.cli
+import vibroprint.dataset
 from vibroprint.cli import run
 from vibroprint.design import DEFAULT_GRID_STEP
 from vibroprint.dataset import ENCODINGS
-from vibroprint.signals import DEFAULT_WINDOW, WINDOWS, _frequencies
+from vibroprint.signals import DEFAULT_ANALYSIS_BAND, DEFAULT_WINDOW, WINDOWS, _frequencies
 from vibroprint.simulate import (
     DEFAULT_DAMPING_RATIO,
     DEFAULT_MODES,
@@ -848,6 +849,66 @@ def test_analyze_mean_spectra_artifacts(tmp_path):
     assert read_csv(spec_csv)[0] == ["frequency_hz", "magnitude", "amplitude_db"]
 
 
+@pytest.mark.parametrize("mean_spectra", [False, True], ids=["auc", "spectra"])
+def test_gather_gives_the_auc_column_that_analyze_writes(tmp_path, mean_spectra):
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    out = tmp_path / "out"
+    assert run(["analyze", str(data / "*.wav"), "--output-dir", str(out)]) == 0
+    inputs = [(p, None) for p in sorted(data.glob("*.wav"))]
+    labels, grids, aucs, means = vibroprint.dataset.gather(
+        inputs, DEFAULT_ANALYSIS_BAND, DEFAULT_WINDOW, mean_spectra
+    )
+    rows = read_csv(out / "auc.csv")[1:]
+    assert [repr(auc) for auc in aucs] == [row[4] for row in rows]
+    assert [(m.fingerprint_material, str(m.repetition)) for m in labels] == [(row[1], row[3]) for row in rows]
+    assert grids == [(500e3, 15000)] * 4
+    assert sorted(means) == ([("Left", m, grids[0]) for m in ("Default", "ST45B")] if mean_spectra else [])
+
+
+def test_gather_of_no_inputs_is_empty_and_starts_no_thread(monkeypatch):
+    starts = pool_starts(monkeypatch)
+    threads = threading.active_count()
+    assert vibroprint.dataset.gather([], DEFAULT_ANALYSIS_BAND, DEFAULT_WINDOW, True) == ([], [], [], {})
+    assert starts == [] and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("source", ["glob", "manifest"])
+def test_analyze_reads_and_writes_utf8_under_an_ascii_locale(tmp_path, source):
+    # An object label that ASCII cannot encode, from the sidecars or from a UTF-8 manifest.
+    data = tmp_path / "data"
+    make_group_dataset(data)
+    if source == "glob":
+        for wav in data.glob("*.wav"):
+            relabel_sidecar(wav, object="Zürich")
+        inputs = [str(data / "*.wav")]
+    else:
+        path = group_manifest(data)
+        manifest = json.loads(path.read_text())
+        manifest["objects"][0]["name"] = "Zürich"
+        path.write_bytes(json.dumps(manifest, ensure_ascii=False).encode())
+        inputs = ["--manifest", str(path)]
+    assert run(["analyze", *inputs, "--output-dir", str(tmp_path / "default")]) == 0
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(vp.__file__).resolve().parent.parent),
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "LC_ALL": "C",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "vibroprint", "analyze", *inputs, "--output-dir", str(tmp_path / "ascii")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    written = (tmp_path / "ascii" / "auc.csv").read_bytes()
+    assert "Zürich".encode() in written
+    assert written == (tmp_path / "default" / "auc.csv").read_bytes()
+
+
 def spectra_rows(monkeypatch):
     """The row count of each stack analyze transforms, in order: of each
     `windowed_spectra` call, or where a helper thread runs the FFTs, of each
@@ -859,7 +920,7 @@ def spectra_rows(monkeypatch):
             rows.append(len(stack))
             return transform(stack, *args)
 
-        monkeypatch.setattr(vibroprint.cli, name, counted)
+        monkeypatch.setattr(vibroprint.dataset, name, counted)
     return rows
 
 
@@ -878,16 +939,16 @@ def test_analyze_computes_each_spectrum_once(tmp_path, monkeypatch, source):
     ]
 
 
-def counted(monkeypatch, name):
-    """The first argument of each call analyze makes to its binding of `name`."""
+def counted(monkeypatch, name, module=vibroprint.dataset):
+    """The first argument of each call analyze makes to `module`'s binding of `name`."""
     firsts = []
-    fn = getattr(vibroprint.cli, name)
+    fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         firsts.append(args[0])
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(vibroprint.cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return firsts
 
 
@@ -900,11 +961,9 @@ def test_analyze_reads_integrates_and_normalizes_once_each(tmp_path, monkeypatch
             for material in ("Default", "ST45B"):
                 write_slide(tmp_path / f"{rep}_{mic}_{material}.wav", mic, material, duration)
     if slice_bytes is not None:
-        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
-    reads, integrals, reports = (
-        counted(monkeypatch, name)
-        for name in ("read_bundle_samples", "band_auc", "normalize_against_baseline")
-    )
+        monkeypatch.setattr(vibroprint.dataset, "_SLICE_BYTES", slice_bytes)
+    reads, integrals = (counted(monkeypatch, name) for name in ("read_bundle_samples", "band_auc"))
+    reports = counted(monkeypatch, "normalize_against_baseline", vibroprint.cli)
     rows = spectra_rows(monkeypatch)
     assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 0
     assert sorted(reads) == sorted(tmp_path.glob("*.wav"))
@@ -917,7 +976,7 @@ def test_analyze_builds_one_spectrum_per_stack(tmp_path, monkeypatch):
     # Without --write-spectra no spectrum is split into one object per recording.
     for k in range(4):
         write_slide(tmp_path / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
-    slices, _ = vibroprint.cli._slices([(p, None) for p in sorted(tmp_path.glob("*.wav"))])
+    slices, _ = vibroprint.dataset._slices([(p, None) for p in sorted(tmp_path.glob("*.wav"))])
     assert [len(items) for items in slices] == [4]
     rows = spectra_rows(monkeypatch)
     inits = []
@@ -955,13 +1014,13 @@ def pool_starts(monkeypatch, cpus=2):
     """The `max_workers` of each thread pool analyze starts, on `cpus` cores."""
     starts = []
 
-    class Counted(vibroprint.cli.ThreadPoolExecutor):
+    class Counted(vibroprint.dataset.ThreadPoolExecutor):
         def __init__(self, max_workers):
             starts.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(vibroprint.cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(vibroprint.cli, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(vibroprint.dataset.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(vibroprint.dataset, "ThreadPoolExecutor", Counted)
     return starts
 
 
@@ -1101,21 +1160,22 @@ def test_stacks_flush_mid_slice_and_match_per_file_results(tmp_path, monkeypatch
                 write_slide(tmp_path / f"{rep}_{mic}_{material}.wav", mic, material, duration)
     argv = ["analyze", str(tmp_path / "*.wav"), "--window", window, "--write-spectra"]
     inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
-    slices, any_long = vibroprint.cli._slices(inputs)
+    slices, any_long = vibroprint.dataset._slices(inputs)
     assert 1 < len(slices) < len(inputs) and not any_long
 
-    # Three paths, one set of artifacts: the default slices in the calling
-    # thread (one core) and read there while a helper thread runs their FFTs
-    # (two cores), and every file a slice of its own on the pool.  Threads
-    # switch as often as the interpreter lets them.
+    # Two paths, one set of artifacts on one core or two: the default slices
+    # read in the calling thread while a helper thread runs their FFTs, and
+    # every file a slice of its own on the pool.  Threads switch as often as
+    # the interpreter lets them.
     artifacts = []
     switch = sys.getswitchinterval()
     for slice_bytes, cpus, pools in (
-        (vibroprint.cli._SLICE_BYTES, 1, []),
-        (vibroprint.cli._SLICE_BYTES, 2, [1]),
+        (vibroprint.dataset._SLICE_BYTES, 1, [1]),
+        (vibroprint.dataset._SLICE_BYTES, 2, [1]),
+        (1, 1, [1]),
         (1, 2, [2]),
     ):
-        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(vibroprint.dataset, "_SLICE_BYTES", slice_bytes)
         rows = spectra_rows(monkeypatch)
         starts = pool_starts(monkeypatch, cpus)
         out = tmp_path / f"out{slice_bytes}-{cpus}"
@@ -1127,41 +1187,40 @@ def test_stacks_flush_mid_slice_and_match_per_file_results(tmp_path, monkeypatch
         assert sum(rows) == len(inputs) and starts == pools
         names = ["auc.csv", "ratios.json", *sorted(p.name for p in out.glob("mean_spectrum_*.csv"))]
         artifacts.append((rows, {name: (out / name).read_bytes() for name in names}))
-    (stacked, stacked_files), (helper, helper_files), (per_file, per_file_files) = artifacts
+    (stacked, stacked_files), (helper, helper_files), *pools = artifacts
     assert max(stacked) > 1 and len(stacked) > len(slices)
     assert helper == stacked
-    assert per_file == [1] * len(inputs)
+    assert [per_file for per_file, _ in pools] == [[1] * len(inputs)] * 2
     assert len(stacked_files) == 2 + 6
-    assert stacked_files == helper_files == per_file_files
+    assert stacked_files == helper_files == pools[0][1] == pools[1][1]
 
 
 def test_a_corpus_of_short_recordings_is_read_in_the_calling_thread(tmp_path, monkeypatch):
     for k in range(16):
         write_slide(tmp_path / f"{k:02d}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
     inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
-    slices, any_long = vibroprint.cli._slices(inputs)
+    slices, any_long = vibroprint.dataset._slices(inputs)
     assert len(slices) > 1 and not any_long
     # In the main thread or not, per call of each binding.
     calls = {name: [] for name in ("read_bundle_samples", "windowed_spectra", "stack_fft")}
     for name, threads in calls.items():
 
-        def tracked(*args, fn=getattr(vibroprint.cli, name), threads=threads):
+        def tracked(*args, fn=getattr(vibroprint.dataset, name), threads=threads):
             threads.append(threading.current_thread() is threading.main_thread())
             return fn(*args)
 
-        monkeypatch.setattr(vibroprint.cli, name, tracked)
-    # Two cores start one helper thread, which runs the FFTs of every slice;
-    # one core starts none and runs `windowed_spectra` itself.  Every file is
-    # read in the calling thread.
-    for cpus, pools, spectra, ffts in ((2, [1], [], [False]), (1, [], [True], [])):
+        monkeypatch.setattr(vibroprint.dataset, name, tracked)
+    # On one core or two, one helper thread runs the FFTs of every slice, and
+    # every file is read in the calling thread.
+    for cpus in (2, 1):
         for threads in calls.values():
             threads.clear()
         starts = pool_starts(monkeypatch, cpus)
         assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / f"out{cpus}")]) == 0
-        assert starts == pools
+        assert starts == [1]
         assert calls["read_bundle_samples"] == [True] * len(inputs)
-        assert calls["windowed_spectra"] == spectra * len(slices)
-        assert calls["stack_fft"] == ffts * len(slices)
+        assert calls["windowed_spectra"] == []
+        assert calls["stack_fft"] == [False] * len(slices)
 
 
 def test_one_long_recording_puts_the_corpus_on_the_pool(tmp_path, monkeypatch):
@@ -1172,11 +1231,11 @@ def test_one_long_recording_puts_the_corpus_on_the_pool(tmp_path, monkeypatch):
         write_slide(tmp_path / f"3_Right_{material}.wav", "Right", material, 0.3)
     argv = ["analyze", str(tmp_path / "*.wav"), "--write-spectra"]
     inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
-    assert vibroprint.cli._slices(inputs)[1]
+    assert vibroprint.dataset._slices(inputs)[1]
 
-    # One core leaves one worker, which runs in the calling thread.
+    # One core gives a pool of one thread.
     artifacts = []
-    for cpus, pools in ((2, [2]), (1, [])):
+    for cpus, pools in ((2, [2]), (1, [1])):
         starts = pool_starts(monkeypatch, cpus)
         out = tmp_path / f"out{cpus}"
         assert run([*argv, "--output-dir", str(out)]) == 0
@@ -1205,15 +1264,16 @@ def guard_fault_corpus(tmp_path, guard, fillers=0):
 
 # How each analyze path is reached: (_SLICE_BYTES, or None for the default;
 # cores; the max_workers of each pool started).  "in_thread" and "pool" put
-# one file in each slice; "helper" keeps the default slices of several files.
-PATHS = {"in_thread": (1, 1, []), "pool": (1, 2, [2]), "helper": (None, 2, [1])}
+# one file in each slice, on the pool of one core's single thread and of two
+# cores; "helper" keeps the default slices of several files.
+PATHS = {"in_thread": (1, 1, [1]), "pool": (1, 2, [2]), "helper": (None, 2, [1])}
 
 
 def take_path(monkeypatch, path):
     """Set up `path` of PATHS; returns the list of pools started."""
     slice_bytes, cpus, _ = PATHS[path]
     if slice_bytes is not None:
-        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(vibroprint.dataset, "_SLICE_BYTES", slice_bytes)
     return pool_starts(monkeypatch, cpus)
 
 
@@ -1224,7 +1284,7 @@ def hold_transform_until_read(monkeypatch, target):
     and the list of whether `target` was read as each call began."""
     read_target = threading.Event()
     entered = []
-    read, fft = vibroprint.cli.read_bundle_samples, vibroprint.cli.stack_fft
+    read, fft = vibroprint.dataset.read_bundle_samples, vibroprint.dataset.stack_fft
 
     def tracked_read(path, labels):
         if path == target:
@@ -1236,8 +1296,8 @@ def hold_transform_until_read(monkeypatch, target):
         assert read_target.wait(30), f"a slice was transformed before {target} was read"
         return fft(windowed)
 
-    monkeypatch.setattr(vibroprint.cli, "read_bundle_samples", tracked_read)
-    monkeypatch.setattr(vibroprint.cli, "stack_fft", held_fft)
+    monkeypatch.setattr(vibroprint.dataset, "read_bundle_samples", tracked_read)
+    monkeypatch.setattr(vibroprint.dataset, "stack_fft", held_fft)
     return read_target, entered
 
 
@@ -1253,7 +1313,7 @@ def test_a_later_unreadable_file_wins_over_an_earlier_guard_fault(
     starts = take_path(monkeypatch, path)
     argv = ["analyze", str(data / "*.wav"), *spectra, "--output-dir", str(tmp_path / "out")]
     inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
-    slices, _ = vibroprint.cli._slices(inputs)
+    slices, _ = vibroprint.dataset._slices(inputs)
     if path == "helper":
         # The guard's mismatch is in the first slice and the bad file ends
         # the second, read while the first is still in transform.
@@ -1287,7 +1347,7 @@ def test_write_spectra_refuses_a_group_of_two_grids_with_the_guard(
     write_slide(tmp_path / "b.wav", "Left", "ST45B", 0.02)
     write_slide(tmp_path / "c.wav", "Left", "Default", 0.03)
     if slice_bytes is not None:
-        monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(vibroprint.dataset, "_SLICE_BYTES", slice_bytes)
     starts = pool_starts(monkeypatch, cpus)
     out = tmp_path / "out"
     code = run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)])
@@ -1296,7 +1356,7 @@ def test_write_spectra_refuses_a_group_of_two_grids_with_the_guard(
         "error: microphone 'Left' mixes recordings of (sample rate Hz, samples) "
         "(500000.0, 10000) and (500000.0, 15000); their AUCs are not comparable\n"
     )
-    assert starts == ([] if slice_bytes is None else [2])
+    assert starts == ([1] if slice_bytes is None else [2])
     assert not list(out.glob("*.csv"))
 
 
@@ -1325,7 +1385,7 @@ def test_the_first_incomparable_recording_wins_across_microphones(
     starts = take_path(monkeypatch, path)
     argv = ["analyze", str(data / "*.wav"), *spectra]
     inputs = vibroprint.cli._analysis_inputs(vibroprint.cli.build_parser().parse_args(argv))
-    slices, _ = vibroprint.cli._slices(inputs)
+    slices, _ = vibroprint.dataset._slices(inputs)
     if path == "helper":
         assert [len(items) for items in slices] == [7, 5] and slices[1][-1][0] == data / "d.wav"
     else:
@@ -1369,13 +1429,13 @@ def test_write_spectra_refuses_a_label_that_names_no_file(tmp_path, capsys, mate
 def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
     for k in range(6):
         write_slide(tmp_path / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
-    # One file per slice, run in the calling thread.
-    monkeypatch.setattr(vibroprint.cli, "_SLICE_BYTES", 1)
+    # Two short files per slice, on the helper path of one core.
+    monkeypatch.setattr(vibroprint.dataset, "_SLICE_BYTES", (tmp_path / "0.wav").stat().st_size + 1)
     starts = pool_starts(monkeypatch, cpus=1)
     stacks, alive = [], []
 
     def tracked(*args):
-        result = vibroprint.signals.windowed_spectra(*args)
+        result = vibroprint.signals.stack_spectrum(*args)
         stacks.append(weakref.ref(result.magnitudes))
         return result
 
@@ -1383,12 +1443,12 @@ def test_write_spectra_holds_one_slice_of_spectra(tmp_path, monkeypatch):
         alive.append(sum(stack() is not None for stack in stacks))
         add(mean, spec)
 
-    monkeypatch.setattr(vibroprint.cli, "windowed_spectra", tracked)
+    monkeypatch.setattr(vibroprint.dataset, "stack_spectrum", tracked)
     monkeypatch.setattr(vibroprint.signals.SpectrumMean, "add", add)
     out = tmp_path / "out"
     assert run(["analyze", str(tmp_path / "*.wav"), "--write-spectra", "--output-dir", str(out)]) == 0
-    assert starts == [] and len(stacks) == 6
-    assert alive == [1] * 6
+    assert starts == [1] and len(stacks) == 3
+    assert len(alive) == 6 and max(alive) <= 2 < len(stacks)
     assert len(list(out.glob("mean_spectrum_*.csv"))) == 2
 
 
@@ -1396,7 +1456,7 @@ def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
     for k in range(28):
         write_slide(tmp_path / f"{k:02d}.wav", "Left", ("Default", "ST45B")[k % 2], 0.02)
     inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
-    slices, any_long = vibroprint.cli._slices(inputs)
+    slices, any_long = vibroprint.dataset._slices(inputs)
     assert len(slices) >= 4 and not any_long
     starts = pool_starts(monkeypatch, cpus=2)
     # Weak references to each buffer of rows that a slice is decoded into,
@@ -1408,7 +1468,7 @@ def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
         """Row buffers alive, then the stacks of each kind alive."""
         return [sum(ref() is not None for ref in refs) for refs in (buffers, *made.values())]
 
-    read, decode = vibroprint.cli.read_bundle_samples, vibroprint.cli.decode_samples
+    read, decode = vibroprint.dataset.read_bundle_samples, vibroprint.dataset.decode_samples
 
     def tracked_read(path, labels):
         alive.append(held())
@@ -1419,11 +1479,11 @@ def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
             buffers.append(weakref.ref(out.base))
         return decode(raw, scale, out, window)
 
-    monkeypatch.setattr(vibroprint.cli, "read_bundle_samples", tracked_read)
-    monkeypatch.setattr(vibroprint.cli, "decode_samples", tracked_decode)
+    monkeypatch.setattr(vibroprint.dataset, "read_bundle_samples", tracked_read)
+    monkeypatch.setattr(vibroprint.dataset, "decode_samples", tracked_decode)
     for name in ("stack_fft", "stack_spectrum"):
 
-        def tracked(*args, fn=getattr(vibroprint.cli, name), kind=name):
+        def tracked(*args, fn=getattr(vibroprint.dataset, name), kind=name):
             alive.append(held())
             if kind == "stack_fft":
                 made["windowed"].append(weakref.ref(args[0]))
@@ -1431,7 +1491,7 @@ def test_the_helper_holds_at_most_two_slices(tmp_path, monkeypatch):
             made[kind].append(weakref.ref(getattr(result, "magnitudes", result)))
             return result
 
-        monkeypatch.setattr(vibroprint.cli, name, tracked)
+        monkeypatch.setattr(vibroprint.dataset, name, tracked)
 
     def add(mean, spec, add=vibroprint.signals.SpectrumMean.add):
         alive.append(held())
@@ -1498,6 +1558,17 @@ def test_analyze_memory_does_not_grow_with_the_long_recordings_it_reads(tmp_path
         for k in range(count):
             write_slide(corpora[count] / f"{k}.wav", "Left", ("Default", "ST45B")[k % 2], n / 500e3)
     starts = pool_starts(monkeypatch, cpus=1 if path == "in_thread" else 2)
+    if path == "pool":
+        # Both threads read in step, so each run grows both threads' buffers:
+        # a thread that took both of the two files would leave the smaller
+        # corpus's peak one thread's buffers short.
+        step, read = threading.Barrier(2, timeout=30), vibroprint.dataset.read_bundle_samples
+
+        def read_in_step(*args):
+            step.wait()
+            return read(*args)
+
+        monkeypatch.setattr(vibroprint.dataset, "read_bundle_samples", read_in_step)
 
     def peak(corpus):
         tracemalloc.start()
@@ -1507,16 +1578,12 @@ def test_analyze_memory_does_not_grow_with_the_long_recordings_it_reads(tmp_path
         finally:
             tracemalloc.stop()
 
-    peak(corpora[2])  # warm-up: the window, the grid and the calling thread's buffers
+    peak(corpora[2])  # warm-up: the window and the grid
     two, eight = peak(corpora[2]), peak(corpora[8])
-    assert starts == ([] if path == "in_thread" else [2] * 3)
-    # Each thread reuses one file buffer, one row buffer and one transform
+    assert starts == ([1] if path == "in_thread" else [2]) * 3
+    # Each pool thread reuses one file buffer, one row buffer and one transform
     # scratch: six more recordings add less than one recording's samples.
     assert eight - two < n * 8, (two, eight)
-    if path == "in_thread":
-        # The calling thread's buffers, grown by the warm-up, are all a run
-        # needs: it makes no full-length array per recording.
-        assert eight < n * 8, eight
 
 
 def test_analyze_refuses_a_manifest_without_recordings(tmp_path, capsys):
@@ -1526,7 +1593,7 @@ def test_analyze_refuses_a_manifest_without_recordings(tmp_path, capsys):
     assert run(["analyze", "--manifest", str(path), "--output-dir", str(out)]) == 1
     assert f"error: {path}: the manifest lists no recordings" in capsys.readouterr().err
     assert not out.exists()
-    assert vibroprint.cli._slices([]) == ([], False)
+    assert vibroprint.dataset._slices([]) == ([], False)
 
 
 @pytest.mark.parametrize("nan_at, unlabeled_at", [(3, 12), (12, 3)])
@@ -1541,7 +1608,7 @@ def test_analyze_names_the_earlier_of_two_bad_files_in_different_slices(
     unlabeled.with_suffix(".json").unlink()
     earlier, later = sorted((nan, unlabeled))
     inputs = [(p, None) for p in sorted(tmp_path.glob("*.wav"))]
-    slices, _ = vibroprint.cli._slices(inputs)
+    slices, _ = vibroprint.dataset._slices(inputs)
     slice_of = {path: i for i, part in enumerate(slices) for path, _ in part}
     assert slice_of[earlier] < slice_of[later]
     assert run(["analyze", str(tmp_path / "*.wav"), "--output-dir", str(tmp_path / "out")]) == 1

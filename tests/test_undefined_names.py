@@ -10,7 +10,11 @@ as the import of a deleted class. The third keeps the numeric CSV row
 format in ``units``: no other module may hold a CRLF row end. The fourth
 keeps the JSON artifact layout and the m to mm and Hz to kHz factor there
 too: no other module may call ``json.dumps`` or hold the float 1e3. The
-last two check the benchmark's side: the functions its tracer wraps, and the names
+fifth makes every text file the package opens name its encoding, so no
+artifact or input depends on the locale. The sixth keeps thread pools in
+``dataset``, whose ``gather`` decides which thread reads and transforms a
+corpus: no other module may import ``concurrent.futures``. The last two
+check the benchmark's side: the functions its tracer wraps, and the names
 and keywords its workloads reach vibroprint through.
 """
 
@@ -119,6 +123,64 @@ def test_json_layout_and_unit_factors_live_in_units():
     assert not found, "JSON layout or unit factor outside units: " + ", ".join(found)
     source = "import json\n\ndef f(x):\n    return json.dumps(x), x * 1e3, x / 1000.0, x * 1000, 1e-3\n"
     assert format_decisions(source, "m.py") == ["m.py:4:1e3", "m.py:4:1e3", "m.py:4:json.dumps"]
+
+
+def unnamed_encodings(source: str, filename: str) -> list[str]:
+    """Return ``file:line`` for each text-mode ``open``, ``Path.open``, ``read_text``
+    or ``write_text`` call that names no encoding."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("open", "read_text", "write_text"):
+            continue
+        # The mode is open's second argument, and Path.open's first.
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        if name == "open":
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+        binary = any(isinstance(m, ast.Constant) and "b" in m.value for m in modes)
+        if not binary and all(kw.arg != "encoding" for kw in node.keywords):
+            found.append(f"{Path(filename).name}:{node.lineno}")
+    return found
+
+
+def test_every_text_file_names_its_encoding():
+    found = [name for path in sorted(PACKAGE_DIR.glob("*.py")) for name in unnamed_encodings(path.read_text(), str(path))]
+    assert not found, "text files opened in the locale's encoding: " + ", ".join(found)
+    source = (
+        'open(p)\nopen(p, "rb")\nq.open("w", encoding="utf-8")\nq.read_text()\n'
+        'q.write_text(t, encoding="ascii")\nq.open(mode="wb")\nq.open("w", newline="")\n'
+    )
+    assert unnamed_encodings(source, "m.py") == ["m.py:1", "m.py:4", "m.py:7"]
+
+
+def futures_imports(source: str, filename: str) -> list[str]:
+    """Return ``file:line`` for each import of ``concurrent.futures`` or a name in it."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(name == "concurrent.futures" or name.startswith("concurrent.futures.") for name in names):
+            found.append(f"{Path(filename).name}:{node.lineno}")
+    return found
+
+
+def test_thread_pools_live_in_dataset():
+    # dataset.gather is the one place that decides which thread reads and transforms a corpus.
+    paths = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "dataset.py")
+    found = [name for path in paths for name in futures_imports(path.read_text(), str(path))]
+    assert not found, "concurrent.futures imported outside dataset: " + ", ".join(found)
+    source = (
+        "import concurrent\nimport concurrent.futures as cf\nfrom concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\nfrom threading import Thread\n"
+    )
+    assert futures_imports(source, "m.py") == ["m.py:2", "m.py:3", "m.py:4"]
 
 
 SPANS = PACKAGE_DIR.parents[1] / "benchmarks" / "spans.py"
